@@ -2,8 +2,9 @@
 
 Every subcommand prints CSV (or writes it to --out with a JSON metadata
 sidecar next to it).  All floats use %.12g; all randomness flows from a
-single --seed.  Exit codes: 0 ok, 1 generic, 2 bad field spec / usage,
-3 budget exceeded, 4 box query outside the grid extent.
+single --seed.  Exit codes: 0 ok, 1 generic (including a file that cannot be
+read or written), 2 bad field spec / usage, 3 budget exceeded, 4 box query
+outside the grid extent.  Every error prints one `error:` line to stderr.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .errors import QuadPrimesError
+from .errors import BudgetError, QuadPrimesError, UsageError
 from .fields import parse_field_spec
 from .ideals import (
     condensation_sum,
@@ -34,7 +35,9 @@ from .singular_series import (
     singular_sum_smoothed,
 )
 from .smoothing import Kind, TestFunction
-from .statistics import DENSITY_MODELS, Sampler, variance_profile, zbaseline_row
+from .statistics import DENSITY_MODELS, Sampler, grid_extent, variance_profile, zbaseline_row
+
+_DELTA_BUDGET = 1000
 
 
 def _fmt(v) -> str:
@@ -70,11 +73,17 @@ def _write_sidecar(args, meta: dict):
 
 
 def _parse_deltas(text: str) -> list[float]:
-    if ":" in text:
+    try:
+        if ":" not in text:
+            return [float(p) for p in text.split(",")]
         lo, hi, step = (float(p) for p in text.split(":"))
-        n = int(round((hi - lo) / step))
-        return [round(lo + i * step, 12) for i in range(n + 1)]
-    return [float(p) for p in text.split(",")]
+        n = round((hi - lo) / step)
+    except (ValueError, ZeroDivisionError, OverflowError):
+        raise UsageError(f"bad deltas {text!r}: expected lo:hi:step with step != 0,"
+                         " or a comma list") from None
+    if n + 1 > _DELTA_BUDGET:
+        raise BudgetError(f"more than {_DELTA_BUDGET} deltas exceed the budget")
+    return [round(lo + i * step, 12) for i in range(n + 1)]
 
 
 def _parse_pair(text: str, cast):
@@ -208,7 +217,7 @@ def cmd_variance(args) -> int:
          for r in rows],
         {"rk": res.value, "rk_error_bound": res.error_bound,
          "sampler": args.sampler, "seed": args.seed, "density": args.density,
-         "grid_extent": math.ceil(args.X + args.X ** max(deltas)) + 2},
+         "grid_extent": grid_extent(args.X, deltas)},
     )
     return 0
 
@@ -270,15 +279,21 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--config", help="key = value file; flags override entries")
     p.add_argument("--out", help="write CSV here (plus <out>.meta.json sidecar)")
     p.add_argument("--seed", type=int, default=0, help="RNG seed (64-bit)")
-    p.add_argument("--threads", type=int, default=1,
-                   help="worker cap; results are identical for any value")
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports malformed arguments as a UsageError (one `error:` line, exit 2)
+    instead of printing the usage text and exiting."""
+
+    def error(self, message):
+        raise UsageError(message)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="quadprimes",
         description="Prime statistics and singular series in quadratic fields. "
-        "Exit codes: 0 ok, 1 error, 2 bad field spec, 3 budget, 4 extent.",
+        "Exit codes: 0 ok, 1 error, 2 bad field spec or usage, 3 budget, 4 extent.",
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -361,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _load_config_args(path: str) -> list[str]:
     out = []
-    with open(path) as f:
+    with open(path, errors="replace") as f:
         for line in f:
             line = line.split("#", 1)[0].strip()
             if not line:
@@ -374,9 +389,12 @@ def _load_config_args(path: str) -> list[str]:
 
 
 def _inject_config(argv: list[str]) -> list[str]:
-    if "--config" not in argv:
+    # a parser of its own finds every spelling: --config F, --config=F, --conf F
+    pre = _Parser(add_help=False)
+    pre.add_argument("--config")
+    path = pre.parse_known_args(argv)[0].config
+    if path is None:
         return argv
-    path = argv[argv.index("--config") + 1]
     cfg = _load_config_args(path)
     # insert after the leading positionals so explicit flags win
     j = 0
@@ -395,6 +413,9 @@ def main(argv: list[str] | None = None) -> int:
     except QuadPrimesError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -13,6 +13,13 @@ class FieldSpecError(QuadPrimesError):
     exit_code = 2
 
 
+class UsageError(QuadPrimesError, ValueError):
+    """An argument outside its domain: a malformed flag or a value such as
+    a negative radius.  Also a ValueError, for library callers."""
+
+    exit_code = 2
+
+
 class BudgetError(QuadPrimesError):
     """A computation would exceed its memory/time budget."""
 

@@ -4,7 +4,10 @@ An element is prime exactly when its principal ideal is a prime ideal: the
 absolute norm is a rational prime, or the square of an inert prime with the
 element an associate of that prime.  Grids tabulate 2D prefix sums of the
 prime indicator and of the 1/log|N| weight (over all elements of norm > 1),
-so any coordinate box is answered by four corner lookups.
+so any coordinate box is answered by four corner lookups.  `box_sums`
+gathers the corners for arbitrary centers; `grid_box_sums` answers the
+boxes around every integer point of [-M, M]^2 at once, where each corner
+term is one contiguous slice of the table.
 
 The 1/log|N| weight divided by r_K is the first-order expected number of
 prime elements per lattice point.  Prime elements generate prime ideals only,
@@ -228,10 +231,45 @@ def box_sums(
 ) -> list[np.ndarray]:
     """Box sums of prefix tables in the grid's layout, over (n, 2) centers.
 
-    The box bounds are computed once and shared by all the tables.
+    The box bounds are computed once and shared by all the tables; the four
+    corners of each box are gathered by index.
     """
     lo, hi = _batch_bounds(grid, centers, H)
     return [_batch_query(table, grid.extent, lo, hi) for table in tables]
+
+
+def grid_box_sums(
+    grid: PrefixGrid, tables: list[np.ndarray], M: int, H: float
+) -> list[np.ndarray]:
+    """`box_sums` over the integer centers (k1, k2) in [-M, M]^2, raveled
+    row-major like `Sampler("grid").centers`, without building the centers.
+
+    An integer center's box is k - h .. k + h on both axes, so each of the
+    four corner terms is one contiguous (n, n) slice of the table, with
+    n = 2M + 1.  The bounds are rounded exactly as `box_sums` rounds them;
+    in the rare case that float rounding breaks the constant offset (H just
+    below an integer and large |k|), the terms are gathered by row and column
+    index vectors instead, with the same values.
+    """
+    k = np.arange(-M, M + 1, dtype=np.float64)
+    lo = np.ceil(k - H).astype(np.int64)
+    hi = np.floor(k + H).astype(np.int64)
+    R = grid.extent
+    if lo.min() < -R or hi.max() > R:
+        raise ExtentError(f"boxes of radius {H} around [-{M}, {M}]^2 exceed the grid extent {R}")
+    a, b = lo + R, hi + R + 1
+    n = len(k)
+    if np.array_equal(a, a[0] + np.arange(n)) and np.array_equal(b, b[0] + np.arange(n)):
+        a_rows = a_cols = slice(a[0], a[0] + n)
+        b_rows = b_cols = slice(b[0], b[0] + n)
+    else:
+        a_rows, a_cols = a[:, None], a[None, :]
+        b_rows, b_cols = b[:, None], b[None, :]
+    return [
+        (table[b_rows, b_cols] - table[a_rows, b_cols] - table[b_rows, a_cols]
+         + table[a_rows, a_cols]).ravel()
+        for table in tables
+    ]
 
 
 def count_primes_boxes(grid: PrefixGrid, centers: np.ndarray, H: float) -> np.ndarray:

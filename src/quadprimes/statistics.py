@@ -6,6 +6,9 @@ per center.  The correction is the expected count of the box under one of
 two density models: "first-order" (the default) subtracts the 1/log|N|
 weight over r_K; "second-order" also subtracts kappa_K / (r_K sqrt|N| log|N|)
 for the prime-ideal squares that are principal (see `variance_profile`).
+With the grid sampler the box sums for all centers are contiguous slices of
+the prefix tables (`grid_box_sums`), so no center array is built; the
+jitter sampler's centers are gathered (`box_sums`).
 The rational baselines are exact: for integer interval length the
 window counts are piecewise constant in the left endpoint, so the averages
 are finite sums over integer shifts computed from prefix arrays.
@@ -19,15 +22,14 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import BudgetError
+from .errors import BudgetError, UsageError
 from .fields import FieldSpec, class_group_2_rank
 from .primes import (
     PrefixGrid,
     _prime_sieve,
     box_sums,
     build_grid,
-    count_primes_boxes,
-    log_weight_boxes,
+    grid_box_sums,
     miller_rabin,
 )
 from .singular_series import residue_rk
@@ -49,23 +51,28 @@ class Sampler:
     q: int = 2
     seed: int = 0
 
-    def centers(self, X: float) -> np.ndarray:
+    def radius(self, X: float) -> int:
+        """M = floor(X), the cells' extent, after checking the sample budget."""
+        if self.kind not in ("grid", "jitter"):
+            raise UsageError(f"unknown sampler kind {self.kind!r}")
+        if self.kind == "jitter" and (self.q < 1 or self.seed < 0):
+            raise UsageError(f"jitter needs q >= 1 and seed >= 0, got q={self.q},"
+                             f" seed={self.seed}")
         M = math.floor(X)
+        n_samples = (2 * M + 1) ** 2 * (self.q * self.q if self.kind == "jitter" else 1)
+        if n_samples > _SAMPLE_BUDGET:
+            raise BudgetError(f"{n_samples} sample centers exceed the budget")
+        return M
+
+    def centers(self, X: float) -> np.ndarray:
+        M = self.radius(X)
         k = np.arange(-M, M + 1, dtype=np.float64)
-        n_cells = (2 * M + 1) ** 2
-        if self.kind == "grid":
-            if n_cells > _SAMPLE_BUDGET:
-                raise BudgetError(f"{n_cells} sample centers exceed the budget")
-            g1, g2 = np.meshgrid(k, k, indexing="ij")
-            return np.column_stack([g1.ravel(), g2.ravel()])
-        if self.kind != "jitter":
-            raise ValueError(f"unknown sampler kind {self.kind!r}")
-        q = self.q
-        if n_cells * q * q > _SAMPLE_BUDGET:
-            raise BudgetError("stratified sample count exceeds the budget")
-        rng = np.random.default_rng(self.seed)
         g1, g2 = np.meshgrid(k, k, indexing="ij")
         cells = np.column_stack([g1.ravel(), g2.ravel()])
+        if self.kind == "grid":
+            return cells
+        q = self.q
+        rng = np.random.default_rng(self.seed)
         strata = np.stack(
             np.meshgrid(np.arange(q), np.arange(q), indexing="ij"), axis=-1
         ).reshape(-1, 2)
@@ -81,6 +88,46 @@ def _residue(field: FieldSpec) -> float:
     return residue_rk(field, 1e-8).value
 
 
+def grid_extent(X: float, deltas: list[float]) -> int:
+    """Grid extent R that holds every box of `variance_profile(field, X, deltas)`."""
+    return math.ceil(X + X ** max(deltas)) + 2
+
+
+def _box_moments(
+    field: FieldSpec, grid: PrefixGrid, X: float, Hs: list[float], sampler: Sampler,
+    second_order: bool = False,
+) -> list[tuple[int, float, float]]:
+    """(n_samples, E, V) per box radius H: the mean box count and the mean
+    square of the count minus its expected count (see `variance_profile`).
+
+    The grid sampler's box sums are slices of the prefix tables
+    (`grid_box_sums`); the jitter sampler's are gathered at its centers
+    (`box_sums`), which are drawn once for all H.
+    """
+    tables = [grid.prime_count, grid.log_weight]
+    if second_order:
+        if grid.sqrt_log_weight is None:
+            raise ValueError("second-order density needs a grid built with square_weights=True")
+        tables.append(grid.sqrt_log_weight)
+        kappa = 2.0 ** class_group_2_rank(field) / 2.0
+    M = sampler.radius(X)
+    centers = None if sampler.kind == "grid" else sampler.centers(X)
+    rk = _residue(field)
+    moments = []
+    for H in Hs:
+        if centers is None:
+            sums = grid_box_sums(grid, tables, M, H)
+        else:
+            sums = box_sums(grid, tables, centers, H)
+        counts, expected, *squares = sums
+        counts = counts.astype(np.float64)
+        if squares:
+            expected = expected - kappa * squares[0]
+        tilde = counts - expected / rk
+        moments.append((counts.size, float(counts.mean()), float(np.mean(tilde * tilde))))
+    return moments
+
+
 @dataclass(frozen=True, slots=True)
 class ExpectationResult:
     value: float
@@ -92,23 +139,18 @@ def expectation_E(
     field: FieldSpec, grid: PrefixGrid, X: float, H: float, sampler: Sampler = Sampler()
 ) -> ExpectationResult:
     """Average prime count over sampled centers, with the density reference."""
-    centers = sampler.centers(X)
-    counts = count_primes_boxes(grid, centers, H)
-    rk = _residue(field)
+    ((n, E, _),) = _box_moments(field, grid, X, [H], sampler)
     log_vol = math.log((2.0 * X) ** 2) if X > 0.5 else math.nan
-    reference = (2.0 * H) ** 2 / (rk * log_vol)
-    return ExpectationResult(float(counts.mean()), reference, len(centers))
+    reference = (2.0 * H) ** 2 / (_residue(field) * log_vol)
+    return ExpectationResult(E, reference, n)
 
 
 def variance_V(
     field: FieldSpec, grid: PrefixGrid, X: float, H: float, sampler: Sampler = Sampler()
 ) -> float:
     """Average of the squared density-corrected count over sampled centers."""
-    centers = sampler.centers(X)
-    counts = count_primes_boxes(grid, centers, H).astype(np.float64)
-    weights = log_weight_boxes(grid, centers, H)
-    tilde = counts - weights / _residue(field)
-    return float(np.mean(tilde * tilde))
+    ((_, _, V),) = _box_moments(field, grid, X, [H], sampler)
+    return V
 
 
 @dataclass(frozen=True, slots=True)
@@ -120,7 +162,7 @@ class VarianceRow:
     n_samples: int
     E: float
     V: float
-    ratio: float
+    ratio: float  # V / E; nan when no box holds a prime element
     target: float  # 1 - delta
 
 
@@ -135,7 +177,7 @@ def variance_profile(
     grid: PrefixGrid | None = None,
     density: str = "first-order",
 ) -> list[VarianceRow]:
-    """One grid build, one row per interval exponent delta.
+    """One grid build, one row per interval exponent delta, H = X^delta.
 
     V is the mean square of the box count minus its expected count; density
     picks the expectation.  "first-order" subtracts sum 1/log|N| / r_K, the
@@ -145,39 +187,27 @@ def variance_profile(
     prime-ideal squares, and p^2 is principal exactly when [p] lies in
     Cl_K[2].  E is the mean box count under either model.  A grid passed
     in for "second-order" must be built with `square_weights=True`.
+
+    With the grid sampler every box sum is a slice of a prefix table, so
+    the centers are never materialized; the sample budget still applies.
     """
+    if not math.isfinite(X) or X < 0:
+        raise UsageError(f"X must be a finite number >= 0, got {X!r}")
     if not deltas or not all(0.0 < d < 1.0 for d in deltas):
-        raise ValueError("deltas must lie strictly between 0 and 1")
+        raise UsageError("deltas must lie strictly between 0 and 1")
     if density not in DENSITY_MODELS:
-        raise ValueError(f"unknown density model {density!r}")
+        raise UsageError(f"unknown density model {density!r}")
     second_order = density == "second-order"
+    sampler.radius(X)  # fail on the sample budget before building a grid
     if grid is None:
-        extent = math.ceil(X + X ** max(deltas)) + 2
-        grid = build_grid(field, extent, square_weights=second_order)
-    tables = [grid.prime_count, grid.log_weight]
-    if second_order:
-        if grid.sqrt_log_weight is None:
-            raise ValueError("second-order density needs a grid built with square_weights=True")
-        tables.append(grid.sqrt_log_weight)
-        kappa = 2.0 ** class_group_2_rank(field) / 2.0
-    centers = sampler.centers(X)
-    rk = _residue(field)
-    rows = []
-    for delta in deltas:
-        H = X**delta
-        counts, expected, *squares = box_sums(grid, tables, centers, H)
-        counts = counts.astype(np.float64)
-        if squares:
-            expected = expected - kappa * squares[0]
-        tilde = counts - expected / rk
-        E = float(counts.mean())
-        V = float(np.mean(tilde * tilde))
-        rows.append(
-            VarianceRow(
-                field.spec_string(), X, delta, H, len(centers), E, V, V / E, 1.0 - delta
-            )
-        )
-    return rows
+        grid = build_grid(field, grid_extent(X, deltas), square_weights=second_order)
+    Hs = [X**delta for delta in deltas]
+    moments = _box_moments(field, grid, X, Hs, sampler, second_order)
+    return [
+        VarianceRow(field.spec_string(), X, delta, H, n, E, V,
+                    V / E if E else math.nan, 1.0 - delta)
+        for delta, H, (n, E, V) in zip(deltas, Hs, moments)
+    ]
 
 
 # ---------------------------------------------------------------------------

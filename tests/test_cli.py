@@ -5,6 +5,7 @@ import os
 import pytest
 
 from quadprimes.cli import main
+from quadprimes.statistics import grid_extent
 
 
 def run(capsys, *argv):
@@ -93,7 +94,9 @@ class TestVariance:
         assert len(lines) == 3
         meta = json.loads(open(path + ".meta.json").read())
         assert meta["config"]["field"] == "D=-1"
+        assert "threads" not in meta["config"]
         assert meta["sampler"] == "grid"
+        assert meta["grid_extent"] == grid_extent(40.0, [0.3, 0.6])
         assert "rk" in meta
 
     def test_byte_identical_reruns(self, capsys, tmp_path):
@@ -172,6 +175,9 @@ class TestConfigAndDiagnose:
         assert code == 0
         # explicit --cutoff wins over the config entry
         assert out.strip().splitlines()[1].split(",")[3] == "1000"
+        code, out, _ = run(capsys, "sstar", f"--config={cfg}", "--eta", "1,1")
+        assert code == 0
+        assert out.strip().splitlines()[1].split(",")[3] == "500"
 
     def test_diagnose_condensation_all_ok(self, capsys):
         code, out, _ = run(capsys, "diagnose", "condensation", "--field",
@@ -185,3 +191,31 @@ class TestConfigAndDiagnose:
                            "--Y", "10", "--H", "30")
         assert code == 0
         assert out.splitlines()[0] == "field,norm,H,count,w0,riemann_ref"
+
+
+class TestHostileInputs:
+    VARIANCE = ["variance", "--field", "D=-1", "--X", "10"]
+
+    @pytest.mark.parametrize("argv, code", [
+        (VARIANCE + ["--deltas", "0.1:0.9:0"], 2),
+        (VARIANCE + ["--deltas", "abc"], 2),
+        (VARIANCE + ["--deltas", "0.1:0.5"], 2),
+        (VARIANCE + ["--deltas", "0.1:inf:0.1"], 2),
+        (VARIANCE + ["--deltas", "0.5,1.5"], 2),
+        (VARIANCE + ["--deltas", "0:1:1e-300"], 3),
+        (["variance", "--field", "D=-1", "--X", "-5"], 2),
+        (["variance", "--field", "D=-1", "--X", "nan"], 2),
+        (["variance", "--field", "D=-1", "--X", "abc"], 2),
+        (VARIANCE + ["--sampler", "jitter", "--q", "0"], 2),
+        (VARIANCE + ["--sampler", "jitter", "--seed", "-1"], 2),
+        (VARIANCE + ["--threads", "2"], 2),
+        (["variance"], 2),
+        (VARIANCE + ["--config"], 2),
+        (VARIANCE + ["--config", "/nonexistent/run.cfg"], 1),
+    ])
+    def test_one_error_line(self, capsys, argv, code):
+        got, out, err = run(capsys, *argv)
+        assert got == code
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "Traceback" not in err

@@ -12,6 +12,7 @@ from quadprimes.primes import (
     build_grid,
     count_primes_box,
     count_primes_boxes,
+    grid_box_sums,
     is_prime_element,
     load_grid,
     log_weight_box,
@@ -19,6 +20,7 @@ from quadprimes.primes import (
     miller_rabin,
     save_grid,
 )
+from quadprimes.statistics import Sampler
 
 Qi = make_field(-1)
 
@@ -186,6 +188,39 @@ class TestSquareWeightTable:
                         terms.append(1.0 / (math.sqrt(n) * math.log(n)))
             (got,) = box_sums(g, [table], np.array([[cx, cy]]), H)
             assert got[0] == pytest.approx(math.fsum(terms), rel=1e-10)
+
+
+class TestGridBoxSums:
+    """The slice path against the gather path, element for element."""
+
+    @staticmethod
+    def tables(g):
+        return [g.prime_count, g.log_weight, g.sqrt_log_weight]
+
+    @pytest.mark.parametrize("D", [-1, -3, 10])
+    @pytest.mark.parametrize("X", [7.5, 20.0])
+    # one ulp below 3, k - H rounds to an integer for |k| >= 11, so at X = 20
+    # the rounded bounds are not a constant offset from k
+    @pytest.mark.parametrize("H", [3.0, 4.6, float(np.nextafter(3.0, 0.0))])
+    def test_equals_box_sums(self, D, X, H):
+        g = build_grid(make_field(D), 26, square_weights=True)
+        got = grid_box_sums(g, self.tables(g), math.floor(X), H)
+        want = box_sums(g, self.tables(g), Sampler().centers(X), H)
+        assert len(got) == 3
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype
+            assert np.array_equal(a, b)
+
+    def test_grid_edge(self):
+        g = build_grid(Qi, 10)
+        centers = Sampler().centers(7.0)
+        for H in (3.0, 3.9):  # M + floor(H) = R: the boxes touch the edge
+            (got,) = grid_box_sums(g, [g.log_weight], 7, H)
+            assert np.array_equal(got, log_weight_boxes(g, centers, H))
+        with pytest.raises(ExtentError):  # one past the edge
+            grid_box_sums(g, [g.log_weight], 7, 4.0)
+        with pytest.raises(ExtentError):
+            grid_box_sums(g, [g.log_weight], 8, 3.0)
 
 
 class TestPersistence:

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from quadprimes.errors import BudgetError
+import quadprimes.statistics as statistics
+from quadprimes.errors import BudgetError, UsageError
 from quadprimes.fields import class_group_2_rank, make_field
 from quadprimes.primes import box_sums, build_grid
 from quadprimes.statistics import (
@@ -11,6 +12,7 @@ from quadprimes.statistics import (
     _residue,
     expectation_E,
     expectation_rational,
+    grid_extent,
     prime_power_correction,
     variance_profile,
     variance_rational_lambda,
@@ -48,6 +50,18 @@ class TestSampler:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             Sampler(kind="sobol").centers(2.0)
+
+    @pytest.mark.parametrize("q, seed", [(0, 0), (-2, 0), (2, -1)])
+    def test_jitter_rejects_bad_q_and_seed(self, q, seed):
+        with pytest.raises(UsageError):
+            Sampler(kind="jitter", q=q, seed=seed).centers(3.0)
+
+    def test_radius_checks_budget_without_centers(self):
+        assert Sampler().radius(7.9) == 7
+        with pytest.raises(BudgetError):
+            Sampler().radius(10**5)
+        with pytest.raises(BudgetError):
+            Sampler(kind="jitter", q=3).radius(1000.0)
 
 
 class TestFieldStatistics:
@@ -105,6 +119,73 @@ class TestFieldStatistics:
     def test_bad_deltas(self):
         with pytest.raises(ValueError):
             variance_profile(Qi, 40.0, [0.0, 0.5])
+
+    @pytest.mark.parametrize("X", [-5.0, math.nan, math.inf])
+    def test_bad_X(self, X):
+        with pytest.raises(UsageError):
+            variance_profile(Qi, X, [0.5])
+
+    def test_no_primes_gives_nan_ratio(self):
+        # one center, a box holding only the origin
+        (row,) = variance_profile(Qi, 0.0, [0.5])
+        assert row.n_samples == 1 and row.E == 0.0
+        assert math.isnan(row.ratio)
+
+    def test_builds_grid_of_grid_extent(self, monkeypatch):
+        built = []
+
+        def spy(field, extent, square_weights=False):
+            built.append(extent)
+            return build_grid(field, extent, square_weights)
+
+        monkeypatch.setattr(statistics, "build_grid", spy)
+        variance_profile(Qi, 30.0, [0.2, 0.7])
+        assert built == [grid_extent(30.0, [0.2, 0.7])] == [math.ceil(30 + 30**0.7) + 2]
+
+
+class TestSlicePath:
+    """Grid-sampler rows come from slices; they equal the gather path's."""
+
+    @pytest.mark.parametrize("D", [-1, -3, 10])
+    @pytest.mark.parametrize("density", ["first-order", "second-order"])
+    def test_rows_equal_gather_path(self, D, density):
+        F = make_field(D)
+        X, deltas = 30.0, [0.2, 0.5, 0.9]
+        g = build_grid(F, grid_extent(X, deltas), square_weights=True)
+        rows = variance_profile(F, X, deltas, grid=g, density=density)
+        centers = Sampler().centers(X)
+        rk = _residue(F)
+        kappa = 2 ** class_group_2_rank(F) / 2 if density == "second-order" else 0.0
+        for delta, row in zip(deltas, rows):
+            counts, weights, sq = box_sums(
+                g, [g.prime_count, g.log_weight, g.sqrt_log_weight], centers, X**delta
+            )
+            counts = counts.astype(np.float64)
+            expected = weights - kappa * sq if kappa else weights
+            tilde = counts - expected / rk
+            assert row.n_samples == len(centers)
+            assert row.E == float(counts.mean())
+            assert row.V == float(np.mean(tilde * tilde))
+
+    def test_sampler_picks_the_path(self, monkeypatch):
+        calls = []
+
+        def spy(name, fn):
+            def wrapped(*args):
+                calls.append(name)
+                return fn(*args)
+            monkeypatch.setattr(statistics, name, wrapped)
+
+        spy("box_sums", statistics.box_sums)
+        spy("grid_box_sums", statistics.grid_box_sums)
+        monkeypatch.setattr(Sampler, "centers", lambda self, X: pytest.fail("centers built"))
+        variance_profile(Qi, 20.0, [0.3, 0.6])
+        assert calls == ["grid_box_sums"] * 2
+        monkeypatch.undo()
+        spy("box_sums", statistics.box_sums)
+        spy("grid_box_sums", statistics.grid_box_sums)
+        variance_profile(Qi, 20.0, [0.3, 0.6], Sampler(kind="jitter"))
+        assert calls == ["grid_box_sums"] * 2 + ["box_sums"] * 2
 
 
 class TestDensityModels:
