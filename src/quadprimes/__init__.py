@@ -15,7 +15,6 @@ from .ideals import (
     enumerate_squarefree_ideals,
     ideal_lattice,
     ideal_smoothed_count,
-    ramanujan_smoothed_sum,
     ramanujan_sum,
     split_prime,
 )
@@ -31,7 +30,6 @@ from .primes import (
 from .singular_series import (
     ResidueValue,
     SingularValue,
-    mobius_phi_partial_sum,
     montgomery_sum,
     residue_rk,
     sieved_singular_box,

@@ -3,8 +3,8 @@
 Every subcommand prints CSV (or writes it to --out with a JSON metadata
 sidecar next to it).  All floats use %.12g; all randomness flows from a
 single --seed.  Exit codes: 0 ok, 1 generic (including a file that cannot be
-read or written), 2 bad field spec / usage, 3 budget exceeded, 4 box query
-outside the grid extent.  Every error prints one `error:` line to stderr.
+read or written, or a corrupt grid file), 2 bad field spec / usage, 3 budget
+exceeded, 4 box query outside the grid extent.  Every error prints one `error:` line to stderr.
 """
 
 from __future__ import annotations
@@ -177,9 +177,13 @@ def cmd_sum_singular(args) -> int:
     w = _w_kind(args.w)
     if w.dimension != 2:
         raise QuadPrimesError("sum-singular needs a 2D weight (square or disc)")
+    try:
+        Hs = [float(h) for h in args.H.split(",")]
+    except ValueError:
+        raise UsageError(f"bad --H {args.H!r}: expected comma-separated numbers") from None
     rk = residue_rk(field, 1e-8)
     rows = []
-    for H in (float(h) for h in args.H.split(",")):
+    for H in Hs:
         res = singular_sum_smoothed(field, w, H, args.cutoff)
         target = -w.value_at_zero * rk.value * math.log(H**2)
         rows.append((field.spec_string(), args.w, args.cutoff, H, res.value,
@@ -190,6 +194,8 @@ def cmd_sum_singular(args) -> int:
 
 
 def cmd_montgomery(args) -> int:
+    if args.Hmax < 8:
+        raise UsageError(f"--Hmax must be at least 8 (two rows for the slope), got {args.Hmax}")
     rows = []
     H = 4
     while H <= args.Hmax:

@@ -20,6 +20,11 @@ class UsageError(QuadPrimesError, ValueError):
     exit_code = 2
 
 
+class GridFileError(QuadPrimesError, ValueError):
+    """A file that is not a well-formed grid file.  Also a ValueError, for
+    library callers."""
+
+
 class BudgetError(QuadPrimesError):
     """A computation would exceed its memory/time budget."""
 

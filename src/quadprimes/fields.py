@@ -66,10 +66,6 @@ class FieldSpec:
     def discriminant(self) -> int:
         return self.D if self.basis is BasisKind.HALF else 4 * self.D
 
-    @property
-    def degree(self) -> int:
-        return 2
-
     def minpoly_omega(self) -> tuple[int, int]:
         """(b, c) with the non-trivial basis element a root of x^2 + b x + c."""
         if self.basis is BasisKind.HALF:
@@ -141,9 +137,6 @@ class QuadInt:
     field: FieldSpec
     k1: int
     k2: int
-
-    def coords(self) -> tuple[int, int]:
-        return (self.k1, self.k2)
 
     def norm(self) -> int:
         D = self.field.D

@@ -1,11 +1,14 @@
-"""Prime ideals, squarefree ideals, Ramanujan sums, and ideal lattices.
+"""Rational primes, prime ideals, squarefree ideals, Ramanujan sums, and
+ideal lattices.
 
-Prime ideals are found by splitting rational primes according to the Kronecker
-symbol of the field discriminant.  Squarefree ideals are products of distinct
-prime ideals and carry their Moebius value, totient and norm.  Each squarefree
-ideal also induces a rank-2 sublattice of the coordinate lattice, kept in
-Hermite normal form; the lattice is what the singular-series sieve and the
-smoothed-count diagnostics walk.
+Lists of rational primes come from one sieve (`_prime_sieve`); a single
+number is tested with `miller_rabin`.  Prime ideals are found by splitting
+the sieved primes according to the Kronecker symbol of the field
+discriminant.  Squarefree ideals are products of distinct prime ideals and
+carry their Moebius value, totient and norm; they are enumerated by one walk
+(`walk_squarefree`).  Each squarefree ideal also induces a rank-2 sublattice
+of the coordinate lattice, kept in Hermite normal form; the lattice is what
+the singular-series sieve and the smoothed-count diagnostics walk.
 """
 
 from __future__ import annotations
@@ -17,11 +20,51 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Optional
 
-from sympy import primerange
+import numpy as np
 from sympy.ntheory.residue_ntheory import sqrt_mod
 
-from .errors import BudgetError
+from .errors import BudgetError, UsageError
 from .fields import BasisKind, FieldSpec, QuadInt
+
+# largest prime-ideal norm, and largest rational prime, that an enumeration
+# accepts: it bounds every Euler product cutoff and squarefree-ideal walk
+PRIME_BUDGET = 2_000_000
+
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def miller_rabin(n: int) -> bool:
+    """Deterministic strong-pseudoprime test, exact for all 64-bit inputs."""
+    if n < 2:
+        return False
+    for p in _MR_BASES:
+        if n % p == 0:
+            return n == p
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _prime_sieve(limit: int) -> np.ndarray:
+    """Boolean array of length limit+1 marking rational primes."""
+    sieve = np.ones(limit + 1, dtype=bool)
+    sieve[:2] = False
+    for p in range(2, math.isqrt(limit) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = False
+    return sieve
 
 
 def kronecker(a: int, n: int) -> int:
@@ -87,10 +130,12 @@ class PrimeIdeal:
 
 def split_prime(p: int, field: FieldSpec) -> list[PrimeIdeal]:
     """Prime ideals above the rational prime p, ordered by root."""
-    from sympy import isprime
-
-    if not isprime(p):
+    if not miller_rabin(p):
         raise ValueError(f"{p} is not a rational prime")
+    return _split(p, field)
+
+
+def _split(p: int, field: FieldSpec) -> list[PrimeIdeal]:
     d = field.discriminant
     D = field.D
     if p == 2:
@@ -123,11 +168,13 @@ def split_prime(p: int, field: FieldSpec) -> list[PrimeIdeal]:
 @lru_cache(maxsize=32)
 def enumerate_prime_ideals(field: FieldSpec, max_norm: int) -> tuple[PrimeIdeal, ...]:
     """All prime ideals of norm <= max_norm, sorted by (norm, p, root)."""
+    if max_norm > PRIME_BUDGET:
+        raise BudgetError(f"norm bound {max_norm} exceeds the prime budget {PRIME_BUDGET}")
     if max_norm < 2:
         return ()
     ideals: list[PrimeIdeal] = []
-    for p in primerange(2, max_norm + 1):
-        for pi in split_prime(p, field):
+    for p in np.flatnonzero(_prime_sieve(max_norm)).tolist():
+        for pi in _split(p, field):
             if pi.norm <= max_norm:
                 ideals.append(pi)
     ideals.sort(key=PrimeIdeal.sort_key)
@@ -175,20 +222,33 @@ class SquarefreeIdeal:
         return out
 
 
+def walk_squarefree(norms: list[int], max_norm: int, state, step, visit) -> None:
+    """Pre-order walk over the squarefree products of norm <= max_norm of
+    prime ideals with the ascending `norms`, the unit ideal (with `state`)
+    first.  A product extended by prime i has state step(state, i);
+    visit(state, norm) is called once per product, in walk order.
+    """
+
+    def extend(start: int, state, norm: int):
+        visit(state, norm)
+        for i in range(start, len(norms)):
+            n2 = norm * norms[i]
+            if n2 > max_norm:
+                break
+            extend(i + 1, step(state, i), n2)
+
+    extend(0, state, 1)
+
+
 def enumerate_squarefree_ideals(field: FieldSpec, max_norm: int) -> list[SquarefreeIdeal]:
     """All squarefree ideals of norm <= max_norm, the unit ideal included."""
     primes = enumerate_prime_ideals(field, max_norm)
     out: list[SquarefreeIdeal] = []
-
-    def extend(start: int, chosen: tuple[PrimeIdeal, ...], norm: int):
-        out.append(SquarefreeIdeal(field, chosen))
-        for i in range(start, len(primes)):
-            n2 = norm * primes[i].norm
-            if n2 > max_norm:
-                break
-            extend(i + 1, chosen + (primes[i],), n2)
-
-    extend(0, (), 1)
+    walk_squarefree(
+        [pi.norm for pi in primes], max_norm, (),
+        lambda chosen, i: chosen + (primes[i],),
+        lambda chosen, norm: out.append(SquarefreeIdeal(field, chosen)),
+    )
     out.sort(key=lambda q: (q.norm, tuple(f.sort_key() for f in q.factors)))
     return out
 
@@ -230,9 +290,6 @@ class IdealLattice:
     @property
     def det(self) -> int:
         return self.a * self.c
-
-    def basis_matrix(self) -> tuple[tuple[int, int], tuple[int, int]]:
-        return ((self.a, self.b), (0, self.c))
 
     def contains_point(self, k1: int, k2: int) -> bool:
         if k2 % self.c:
@@ -345,8 +402,8 @@ def ideal_smoothed_count(q: SquarefreeIdeal, w, H: float) -> float:
     Enumerates the ideal lattice inside the scaled support box; for large
     ideal norms only eta = 0 survives and the sum equals w(0).
     """
-    if H <= 0:
-        raise ValueError("H must be positive")
+    if not 0 < H < math.inf:
+        raise UsageError(f"H must be a positive finite number, got {H!r}")
     lat = ideal_lattice(q)
     radius = math.floor(H * w.support_radius + 1e-12)
     total = 0.0
@@ -373,23 +430,10 @@ def ideal_smoothed_count_scaled(q: SquarefreeIdeal, H: int) -> int:
     return total
 
 
-def ramanujan_smoothed_sum(q: SquarefreeIdeal, w, H: float) -> float:
-    """S_q(H): the Ramanujan-sum weighted lattice sum, via Moebius inversion.
-
-    Computed as sum over factorizations a*b = q of mu(a) * N(b) * (smoothed
-    count over b), which avoids evaluating c_q pointwise.
-    """
-    total = 0.0
-    all_factors = set(q.factors)
-    for b in q.divisors():
-        rest = all_factors - set(b.factors)
-        mu_a = -1 if len(rest) % 2 else 1
-        total += mu_a * b.norm * ideal_smoothed_count(b, w, H)
-    return total
-
-
 def ramanujan_smoothed_sum_scaled(q: SquarefreeIdeal, H: int) -> int:
-    """Integer-exact H^2-scaled S_q(H) for the square autocorrelation."""
+    """Integer-exact H^2-scaled S_q(H) for the square autocorrelation, by
+    Moebius inversion: the sum over a*b = q of mu(a) * N(b) * (scaled
+    smoothed count over b), which avoids evaluating c_q pointwise."""
     total = 0
     all_factors = set(q.factors)
     for b in q.divisors():

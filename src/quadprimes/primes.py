@@ -19,45 +19,19 @@ prefix table of the same layout, built by `build_grid(..., square_weights=True)`
 from __future__ import annotations
 
 import math
+import os
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BudgetError, ExtentError
+from .errors import BudgetError, ExtentError, FieldSpecError, GridFileError, UsageError
 from .fields import BasisKind, FieldSpec, QuadInt, divide_exact
-from .ideals import kronecker
+from .ideals import _prime_sieve, kronecker, miller_rabin
 
 GRID_MAGIC = b"SINF"
 GRID_VERSION = 1
 _GRID_CELL_BUDGET = 60_000_000
-
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
-
-def miller_rabin(n: int) -> bool:
-    """Deterministic strong-pseudoprime test, exact for all 64-bit inputs."""
-    if n < 2:
-        return False
-    for p in _MR_BASES:
-        if n % p == 0:
-            return n == p
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in _MR_BASES:
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
 
 def is_prime_element(alpha: QuadInt) -> bool:
     """Whether the principal ideal generated by alpha is prime."""
@@ -74,16 +48,6 @@ def is_prime_element(alpha: QuadInt) -> bool:
         return False
     quot = divide_exact(alpha, alpha.field.element(p, 0))
     return quot is not None and quot.is_unit()
-
-
-def _prime_sieve(limit: int) -> np.ndarray:
-    """Boolean array of length limit+1 marking rational primes."""
-    sieve = np.ones(limit + 1, dtype=bool)
-    sieve[:2] = False
-    for p in range(2, math.isqrt(limit) + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = False
-    return sieve
 
 
 @dataclass(frozen=True)
@@ -129,7 +93,7 @@ def build_grid(field: FieldSpec, extent: int, square_weights: bool = False) -> P
     the same norm surface also gives the `sqrt_log_weight` table.
     """
     if extent < 0:
-        raise ValueError("extent must be nonnegative")
+        raise UsageError(f"extent must be nonnegative, got {extent}")
     R = extent
     W = 2 * R + 1
     if W * W > _GRID_CELL_BUDGET:
@@ -308,12 +272,30 @@ def save_grid(grid: PrefixGrid, path: str) -> None:
 
 
 def load_grid(path: str) -> PrefixGrid:
+    """Read a file written by `save_grid`.
+
+    The header, the file's exact length and the field are checked before
+    the tables are read; a file that fails a check raises GridFileError.
+    """
     with open(path, "rb") as f:
-        magic, version, D, basis_code, R = _HEADER.unpack(f.read(_HEADER.size))
+        size = os.fstat(f.fileno()).st_size
+        header = f.read(_HEADER.size)
+        if len(header) < _HEADER.size:
+            raise GridFileError(f"{path}: {size} bytes is too short for a grid file")
+        magic, version, D, basis_code, R = _HEADER.unpack(header)
         if magic != GRID_MAGIC or version != GRID_VERSION:
-            raise ValueError(f"not a grid file (magic {magic!r}, version {version})")
-        field = FieldSpec(D, BasisKind.HALF if basis_code else BasisKind.SQRT_D)
+            raise GridFileError(f"not a grid file (magic {magic!r}, version {version})")
         W1 = 2 * R + 2
+        want = _HEADER.size + 12 * W1 * W1
+        if size != want:
+            raise GridFileError(f"{path}: {size} bytes, but a grid of extent {R}"
+                                f" takes {want}")
+        if basis_code not in (0, 1):
+            raise GridFileError(f"{path}: unknown basis code {basis_code}")
+        try:
+            field = FieldSpec(D, BasisKind.HALF if basis_code else BasisKind.SQRT_D)
+        except FieldSpecError as exc:
+            raise GridFileError(f"{path}: {exc}") from None
         counts = np.frombuffer(f.read(4 * W1 * W1), dtype="<u4").astype(np.int64)
         weights = np.frombuffer(f.read(8 * W1 * W1), dtype="<f8").astype(np.float64)
     return PrefixGrid(field, R, counts.reshape(W1, W1), weights.reshape(W1, W1))

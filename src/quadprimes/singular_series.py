@@ -1,27 +1,38 @@
 """Singular series over prime ideals, their rational counterpart, and the
 smoothed sums they control.
 
+Prime ideals come from `ideals.enumerate_prime_ideals` and rational primes
+from the same sieve, both bounded by `ideals.PRIME_BUDGET`.
 Truncated Euler products are evaluated with one fixed floating-point recipe:
 a cached base product over all prime ideals of norm >= 3 (taken in ascending
 norm order), then the norm-2 factors (0 or 2 exactly), then one correction
 ratio per prime ideal containing the shift.  The box sieve replays exactly the
 same multiplication sequence per lattice point, so sieved values are
-bit-identical to pointwise evaluation.
+bit-identical to pointwise evaluation.  The mu^2/phi partial sums take one
+walk over the squarefree ideals for all their cutoffs.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 from scipy.special import zeta as hurwitz_zeta
-from sympy import factorint, primerange
 
-from .errors import BudgetError
+from .errors import BudgetError, UsageError
 from .fields import FieldSpec, QuadInt
-from .ideals import PrimeIdeal, SplitType, enumerate_prime_ideals, kronecker
+from .ideals import (
+    PRIME_BUDGET,
+    PrimeIdeal,
+    SplitType,
+    _prime_sieve,
+    enumerate_prime_ideals,
+    kronecker,
+    walk_squarefree,
+)
 
 DEFAULT_CUTOFF = 100_000
 
@@ -50,8 +61,8 @@ def residue_rk(field: FieldSpec, tol: float, blocks: int = 128) -> ResidueValue:
     moments and Hurwitz zeta values; the reported error bound is dominated by
     float rounding of the direct part.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not tol > 0:
+        raise UsageError(f"tol must be positive, got {tol!r}")
     d = field.discriminant
     q = abs(d)
     chi = _character_table(d)
@@ -100,9 +111,7 @@ class _EulerData:
 @lru_cache(maxsize=16)
 def _euler_data(field: FieldSpec, cutoff: int) -> _EulerData:
     if cutoff < 2:
-        raise ValueError("cutoff must be at least 2")
-    if cutoff > 2_000_000:
-        raise BudgetError(f"cutoff {cutoff} exceeds the prime-ideal budget")
+        raise UsageError(f"cutoff must be at least 2, got {cutoff}")
     all_ideals = enumerate_prime_ideals(field, cutoff)
     norm2 = tuple(pi for pi in all_ideals if pi.norm == 2)
     rest = tuple(pi for pi in all_ideals if pi.norm >= 3)
@@ -132,7 +141,7 @@ def singular_series(eta: QuadInt, cutoff: int = DEFAULT_CUTOFF) -> SingularValue
     (1 - nu/N) / (1 - 1/N)^2 with nu = 1 if eta lies in the ideal, else 2.
     """
     if eta.is_zero():
-        raise ValueError("the singular series is undefined at eta = 0")
+        raise UsageError("the singular series is undefined at eta = 0")
     data = _euler_data(eta.field, cutoff)
     value = data.base
     for pi in data.norm2:
@@ -146,7 +155,12 @@ def singular_series(eta: QuadInt, cutoff: int = DEFAULT_CUTOFF) -> SingularValue
 
 @lru_cache(maxsize=8)
 def _rational_euler_data(cutoff: int) -> tuple[tuple[int, ...], float]:
-    primes = tuple(primerange(3, cutoff + 1))
+    """The primes 3..cutoff in ascending order and their base product."""
+    if cutoff < 2:
+        raise UsageError(f"cutoff must be at least 2, got {cutoff}")
+    if cutoff > PRIME_BUDGET:
+        raise BudgetError(f"cutoff {cutoff} exceeds the prime budget {PRIME_BUDGET}")
+    primes = tuple(np.flatnonzero(_prime_sieve(cutoff))[1:].tolist())
     base = 1.0
     for p in primes:
         base *= _base_factor(p)
@@ -157,12 +171,14 @@ def singular_series_rational(h: int, cutoff: int = DEFAULT_CUTOFF) -> SingularVa
     """Truncated Hardy-Littlewood singular series for a nonzero integer shift."""
     if h == 0:
         raise ValueError("the singular series is undefined at h = 0")
-    _, base = _rational_euler_data(cutoff)
+    primes, base = _rational_euler_data(cutoff)
     value = base
     value *= 2.0 if h % 2 == 0 else 0.0
     if value != 0.0:
-        for p in sorted(factorint(abs(h))):
-            if p != 2 and p <= cutoff:
+        for p in primes:
+            if p > abs(h):
+                break
+            if h % p == 0:
                 value *= _member_ratio(p)
     return SingularValue(value, cutoff, _tail_bound(cutoff))
 
@@ -250,8 +266,8 @@ def singular_sum_smoothed(
     membership and avoidance corrections beyond the cutoff cancel on average,
     so the realized truncation error is far smaller.
     """
-    if H < 2:
-        raise ValueError("H must be at least 2")
+    if not 2 <= H < math.inf:
+        raise UsageError(f"H must be a finite number >= 2, got {H!r}")
     M = math.floor(H * w.support_radius)
     box = sieved_singular_box(field, M, cutoff)
     vals = box.values.copy()
@@ -302,32 +318,23 @@ def montgomery_sum(H: int, cutoff: int = DEFAULT_CUTOFF) -> float:
 # Partial sums of mu^2/phi over ideals (log-growth diagnostic)
 
 
-def _phi_inverse_dfs(norms: list[int], max_norm: int) -> float:
-    """Sum of 1/phi over squarefree products of the given prime-ideal norms."""
-    total = [0.0]
-
-    def extend(start: int, inv_phi: float, norm: int):
-        total[0] += inv_phi
-        for i in range(start, len(norms)):
-            n2 = norm * norms[i]
-            if n2 > max_norm:
-                break
-            extend(i + 1, inv_phi / (norms[i] - 1), n2)
-
-    extend(0, 1.0, 1)
-    return total[0]
-
-
-def mobius_phi_partial_sum(field: FieldSpec, Y: int) -> float:
-    """Sum of mu^2(q)/phi(q) over squarefree ideals of norm <= Y."""
-    if Y < 1:
-        raise ValueError("Y must be at least 1")
-    norms = [pi.norm for pi in enumerate_prime_ideals(field, Y)]
-    return _phi_inverse_dfs(norms, Y)
-
-
 def mobius_phi_profile(field: FieldSpec, cutoffs: list[int]) -> list[float]:
-    """Partial sums at several cutoffs, enumerating prime ideals only once."""
-    ymax = max(cutoffs)
-    norms = [pi.norm for pi in enumerate_prime_ideals(field, ymax)]
-    return [_phi_inverse_dfs([n for n in norms if n <= y], y) for y in cutoffs]
+    """Sums of mu^2(q)/phi(q) over squarefree ideals of norm <= Y, for each
+    Y in cutoffs.
+
+    One walk up to max(cutoffs) adds each ideal's 1/phi, in walk order, into
+    the sum of every cutoff at or above its norm; each sum therefore adds the
+    same terms in the same order as a walk up to its own cutoff.
+    """
+    if not cutoffs or min(cutoffs) < 1:
+        raise UsageError(f"cutoffs must be at least 1, got {cutoffs!r}")
+    ys = sorted(set(cutoffs))
+    norms = [pi.norm for pi in enumerate_prime_ideals(field, ys[-1])]
+    totals = [0.0] * len(ys)
+
+    def visit(inv_phi: float, norm: int):
+        for j in range(bisect.bisect_left(ys, norm), len(ys)):
+            totals[j] += inv_phi
+
+    walk_squarefree(norms, ys[-1], 1.0, lambda inv_phi, i: inv_phi / (norms[i] - 1), visit)
+    return [totals[ys.index(y)] for y in cutoffs]

@@ -24,14 +24,8 @@ import numpy as np
 
 from .errors import BudgetError, UsageError
 from .fields import FieldSpec, class_group_2_rank
-from .primes import (
-    PrefixGrid,
-    _prime_sieve,
-    box_sums,
-    build_grid,
-    grid_box_sums,
-    miller_rabin,
-)
+from .ideals import _prime_sieve
+from .primes import PrefixGrid, box_sums, build_grid, grid_box_sums
 from .singular_series import residue_rk
 
 _SAMPLE_BUDGET = 30_000_000
@@ -273,16 +267,13 @@ def prime_power_correction(x: float, H: float) -> float:
     if hi < 4:
         return 0.0
     total = 0.0
-    p = 2
-    while p * p <= hi:
-        if miller_rabin(p):
-            pk, k = p * p, 2
-            while pk <= hi:
-                if pk > x:
-                    total += 1.0 / k
-                pk *= p
-                k += 1
-        p += 1
+    for p in np.flatnonzero(_prime_sieve(math.isqrt(hi))).tolist():
+        pk, k = p * p, 2
+        while pk <= hi:
+            if pk > x:
+                total += 1.0 / k
+            pk *= p
+            k += 1
     return total
 
 
@@ -300,6 +291,10 @@ class ZBaselineRow:
 
 def zbaseline_row(X: int, delta: float) -> ZBaselineRow:
     """The Conjecture-style rational-integer statistics at H = floor(X^delta)."""
+    if X < 2:
+        raise UsageError(f"X must be at least 2, got {X}")
+    if not 0.0 < delta < 1.0:
+        raise UsageError(f"delta must lie strictly between 0 and 1, got {delta}")
     H = math.floor(X**delta)
     E = expectation_rational(X, H)
     Vp = variance_rational_prime(X, H)

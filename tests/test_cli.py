@@ -49,6 +49,16 @@ class TestPrimes:
                            "--grid", path, "--center", "0,0", "--H", "1.5")
         assert code == 0 and out.strip().endswith(",4")
 
+    def test_corrupt_grid_exit_code(self, capsys, tmp_path):
+        path = tmp_path / "g.bin"
+        run(capsys, "primes", "grid", "--field", "D=-1", "--extent", "20",
+            "--out", str(path))
+        path.write_bytes(path.read_bytes()[:300])
+        code, out, err = run(capsys, "primes", "count", "--field", "D=-1",
+                             "--grid", str(path))
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
     def test_extent_exit_code(self, capsys, tmp_path):
         path = str(tmp_path / "g.bin")
         run(capsys, "primes", "grid", "--field", "D=-1", "--extent", "5",
@@ -212,6 +222,24 @@ class TestHostileInputs:
         (["variance"], 2),
         (VARIANCE + ["--config"], 2),
         (VARIANCE + ["--config", "/nonexistent/run.cfg"], 1),
+        (["sstar", "--field", "D=-1", "--eta", "1,1", "--cutoff", "1"], 2),
+        (["sstar", "--field", "D=-1", "--eta", "0,0"], 2),
+        (["sstar", "--field", "D=-1", "--eta", "1,1", "--cutoff", "3000000"], 3),
+        (["sum-singular", "--field", "D=-1", "--H", "1"], 2),
+        (["sum-singular", "--field", "D=-1", "--H", "abc"], 2),
+        (["sum-singular", "--field", "D=-1", "--H", "nan"], 2),
+        (["montgomery", "--Hmax", "1"], 2),
+        (["montgomery", "--Hmax", "7"], 2),
+        (["montgomery", "--Hmax", "16", "--cutoff", "-5"], 2),
+        (["montgomery", "--Hmax", "16", "--cutoff", "3000000"], 3),
+        (["residue", "--field", "D=-1", "--tol", "0"], 2),
+        (["field-info", "--field", "D=-1", "--tol", "-1"], 2),
+        (["primes", "grid", "--field", "D=-1", "--extent", "-1",
+          "--out", "/nonexistent/g.bin"], 2),
+        (["diagnose", "smooth-count", "--H", "0"], 2),
+        (["diagnose", "condensation", "--Y", "3000000"], 3),
+        (["variance-z", "--X", "1"], 2),
+        (["variance-z", "--X", "1000", "--deltas", "1.5"], 2),
     ])
     def test_one_error_line(self, capsys, argv, code):
         got, out, err = run(capsys, *argv)

@@ -1,10 +1,16 @@
+import itertools
 import math
+import pathlib
+import re
 
 import pytest
+from sympy import primerange
 
+import quadprimes
 from quadprimes.errors import BudgetError
 from quadprimes.fields import make_field
 from quadprimes.ideals import (
+    PRIME_BUDGET,
     IdealLattice,
     SplitType,
     SquarefreeIdeal,
@@ -16,7 +22,6 @@ from quadprimes.ideals import (
     ideal_smoothed_count,
     kronecker,
     lattice_points_in_box,
-    ramanujan_smoothed_sum,
     ramanujan_smoothed_sum_scaled,
     ramanujan_sum,
     split_prime,
@@ -64,8 +69,41 @@ class TestSplitting:
                     assert (pi.root**2 + b * pi.root + c) % pi.p == 0
 
     def test_non_prime_rejected(self):
-        with pytest.raises(ValueError):
-            split_prime(6, Qi)
+        for n in (0, 1, 6, 561, 2**61 + 1):
+            with pytest.raises(ValueError):
+                split_prime(n, Qi)
+
+    # 2 splits for D = -7 and 17, is inert for D = -3 and ramifies for the
+    # rest; every field has ramified odd primes except Q(i) and Q(sqrt 2)
+    @pytest.mark.parametrize("D", [-1, -3, -5, -7, 2, 10, 17])
+    def test_enumerate_against_primerange(self, D):
+        field = make_field(D)
+        d, N = field.discriminant, 5000
+        ideals = enumerate_prime_ideals(field, N)
+        by_p: dict[int, list] = {}
+        for pi in ideals:
+            by_p.setdefault(pi.p, []).append(pi)
+        # an inert p has norm p^2, so it is listed only when p^2 <= N
+        want = [p for p in primerange(2, N + 1) if kronecker(d, p) != -1 or p * p <= N]
+        assert sorted(by_p) == want
+        kinds = {1: [SplitType.SPLIT] * 2, 0: [SplitType.RAMIFIED], -1: [SplitType.INERT]}
+        omega = field.element(0, 1)
+        for p, pis in by_p.items():
+            assert [pi.split_type for pi in pis] == kinds[kronecker(d, p)]
+            for pi in pis:
+                if pi.root is None:
+                    continue
+                # (p, omega - root) is an ideal of norm p: closed under omega
+                gen = field.element(-pi.root, 1)
+                assert pi.contains(gen) and pi.contains(field.element(p, 0))
+                assert pi.contains(omega * gen)
+                assert gen.norm() % p == 0
+                assert not pi.contains(field.one())
+
+    def test_enumerate_budget(self):
+        assert enumerate_prime_ideals(Qi, 0) == ()
+        with pytest.raises(BudgetError):
+            enumerate_prime_ideals(Qi, PRIME_BUDGET + 1)
 
     def test_enumerate_counts(self):
         assert len(enumerate_prime_ideals(Qi, 5)) == 3
@@ -83,6 +121,20 @@ class TestSplitting:
 
 
 class TestSquarefree:
+    @pytest.mark.parametrize("D", [-1, -3, 10])
+    def test_matches_combinations(self, D):
+        field, N = make_field(D), 300
+        primes = enumerate_prime_ideals(field, N)
+        want = []
+        for k in itertools.count():
+            if math.prod(pi.norm for pi in primes[:k]) > N:
+                break
+            for combo in itertools.combinations(primes, k):
+                if math.prod(pi.norm for pi in combo) <= N:
+                    want.append(SquarefreeIdeal(field, combo))
+        want.sort(key=lambda q: (q.norm, tuple(f.sort_key() for f in q.factors)))
+        assert enumerate_squarefree_ideals(field, N) == want
+
     def test_enumeration_counts(self):
         assert len(enumerate_squarefree_ideals(Qi, 4)) == 2
         assert len(enumerate_squarefree_ideals(Qi, 10)) == 7
@@ -207,19 +259,23 @@ class TestSmoothedCounts:
         assert total / H**2 == pytest.approx(SQUARE.fourier_at_zero, rel=1e-3)
 
     def test_moebius_inversion_matches_direct(self):
-        # S_q from inversion vs the definition as a double sum over the box
+        # H^2 S_q from inversion vs the definition as a double sum over the
+        # box, sum c_q(eta) (2H - |k1|)+ (2H - |k2|)+, in exact integers
         H = 8
-        for q in enumerate_squarefree_ideals(Qi, 10):
-            direct = 0.0
+        for q in enumerate_squarefree_ideals(Qi, 25):
+            direct = 0
             for k1 in range(-2 * H, 2 * H + 1):
                 for k2 in range(-2 * H, 2 * H + 1):
                     eta = Qi.element(k1, k2)
-                    direct += ramanujan_sum(q, eta) * SQUARE.eval(k1 / H, k2 / H)
-            assert ramanujan_smoothed_sum(q, SQUARE, H) == pytest.approx(direct, abs=1e-6)
+                    direct += ramanujan_sum(q, eta) * (2 * H - abs(k1)) * (2 * H - abs(k2))
+            assert ramanujan_smoothed_sum_scaled(q, H) == direct
 
-    def test_scaled_variant_consistent(self):
-        H = 12
-        for q in enumerate_squarefree_ideals(Qi, 25):
-            scaled = ramanujan_smoothed_sum_scaled(q, H)
-            plain = ramanujan_smoothed_sum(q, SQUARE, float(H))
-            assert scaled / H**2 == pytest.approx(plain, rel=1e-9, abs=1e-6)
+
+def test_one_prime_path():
+    # rational primes come from the sieve and single numbers from
+    # miller_rabin; a sympy prime listing, test or factorization in the
+    # package would be a second path
+    src = pathlib.Path(quadprimes.__file__).parent
+    for path in sorted(src.glob("*.py")):
+        found = re.findall(r"\b(primerange|isprime|factorint)\b", path.read_text())
+        assert not found, f"{path.name} uses {sorted(set(found))}"

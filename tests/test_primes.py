@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 from sympy import isprime
 
-from quadprimes.errors import BudgetError, ExtentError
+from quadprimes.errors import BudgetError, ExtentError, GridFileError, QuadPrimesError
 from quadprimes.fields import make_field
+from quadprimes.ideals import miller_rabin
 from quadprimes.primes import (
     box_sums,
     build_grid,
@@ -17,7 +18,6 @@ from quadprimes.primes import (
     load_grid,
     log_weight_box,
     log_weight_boxes,
-    miller_rabin,
     save_grid,
 )
 from quadprimes.statistics import Sampler
@@ -239,3 +239,23 @@ class TestPersistence:
         path.write_bytes(b"NOPE" + b"\0" * 64)
         with pytest.raises(ValueError):
             load_grid(str(path))
+
+    # header layout "<4sIqBI": magic, version, D at bytes 8..15, the basis
+    # code at byte 16, R at bytes 17..20
+    @pytest.mark.parametrize("corrupt", [
+        lambda b: b[:300],
+        lambda b: b[:10],
+        lambda b: b + b"\0",
+        lambda b: b[:16] + bytes([2]) + b[17:],
+        lambda b: b[:8] + (4).to_bytes(8, "little", signed=True) + b[16:],
+        lambda b: b[:17] + (21).to_bytes(4, "little") + b[21:],
+    ], ids=["truncated", "short-header", "extra-byte", "basis-code", "bad-D", "wrong-R"])
+    def test_corrupt_file(self, tmp_path, corrupt):
+        # D = -3 takes the half basis, so any nonzero basis code would pass
+        # the field check
+        path = tmp_path / "grid.bin"
+        save_grid(build_grid(make_field(-3), 20), str(path))
+        path.write_bytes(corrupt(path.read_bytes()))
+        with pytest.raises(GridFileError) as exc:
+            load_grid(str(path))
+        assert isinstance(exc.value, QuadPrimesError) and exc.value.exit_code == 1

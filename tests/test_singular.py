@@ -2,12 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from sympy import factorint, primerange
 
-from quadprimes.errors import BudgetError
+from quadprimes.errors import BudgetError, UsageError
 from quadprimes.fields import make_field
-from quadprimes.ideals import enumerate_prime_ideals
+from quadprimes.ideals import PRIME_BUDGET, enumerate_prime_ideals
 from quadprimes.singular_series import (
-    mobius_phi_partial_sum,
+    _base_factor,
+    _member_ratio,
+    _rational_euler_data,
     mobius_phi_profile,
     montgomery_sum,
     residue_rk,
@@ -20,6 +23,37 @@ from quadprimes.singular_series import (
 from quadprimes.smoothing import Kind, TestFunction
 
 Qi = make_field(-1)
+
+
+def rational_reference(h: int, cutoff: int) -> float:
+    """S(h) with sympy's prime listing and factorization, in the
+    multiplication order of `singular_series_rational`."""
+    base = 1.0
+    for p in primerange(3, cutoff + 1):
+        base *= _base_factor(p)
+    value = base * (2.0 if h % 2 == 0 else 0.0)
+    if value != 0.0:
+        for p in sorted(factorint(abs(h))):
+            if p != 2 and p <= cutoff:
+                value *= _member_ratio(p)
+    return value
+
+
+def phi_inverse_dfs(norms: list[int], max_norm: int) -> float:
+    """Sum of 1/phi over squarefree products of the ascending prime-ideal
+    norms, by a recursive walk up to max_norm alone."""
+    total = [0.0]
+
+    def extend(start: int, inv_phi: float, norm: int):
+        total[0] += inv_phi
+        for i in range(start, len(norms)):
+            n2 = norm * norms[i]
+            if n2 > max_norm:
+                break
+            extend(i + 1, inv_phi / (norms[i] - 1), n2)
+
+    extend(0, 1.0, 1)
+    return total[0]
 
 # class-number-formula oracles (independent of the L-series code path)
 RESIDUE_ORACLES = {
@@ -114,6 +148,25 @@ class TestRational:
         with pytest.raises(ValueError):
             singular_series_rational(0, 100)
 
+    @pytest.mark.parametrize("P", [2, 3, 100, 10**4])
+    def test_euler_primes_from_sieve(self, P):
+        primes, _ = _rational_euler_data(P)
+        assert primes == tuple(primerange(3, P + 1))
+        assert all(type(p) is int for p in primes)
+
+    def test_euler_data_bounds(self):
+        with pytest.raises(UsageError):
+            _rational_euler_data(1)
+        with pytest.raises(BudgetError):
+            _rational_euler_data(PRIME_BUDGET + 1)
+
+    @pytest.mark.parametrize("P", [3, 100, 10**4])
+    def test_matches_factorization_reference(self, P):
+        large = [10**12, 2**40 * 3, 2 * 999_983, 2 * 3 * 5 * 7 * 11 * 13 * 17 * 19 * 23,
+                 -2 * 7919 * 104_729]
+        for h in [*range(-2000, 0), *range(1, 2001), *large]:
+            assert singular_series_rational(h, P).value == rational_reference(h, P), h
+
 
 class TestSievedBox:
     def test_matches_pointwise_exactly(self):
@@ -191,19 +244,26 @@ class TestHeadlineSums:
 
 class TestMobiusPhi:
     def test_tiny_values(self):
-        assert mobius_phi_partial_sum(Qi, 1) == 1.0
-        assert mobius_phi_partial_sum(Qi, 2) == 2.0
+        assert mobius_phi_profile(Qi, [1, 2]) == [1.0, 2.0]
 
     def test_profile_matches_individual(self):
-        ys = [10, 100, 1000]
-        prof = mobius_phi_profile(Qi, ys)
-        for y, v in zip(ys, prof):
-            assert v == pytest.approx(mobius_phi_partial_sum(Qi, y), rel=1e-12)
+        # one walk for all cutoffs adds the same terms in the same order as
+        # a walk per cutoff, so the sums are equal, not just close
+        ys = [1000, 10, 10, 1, 5000]
+        for field in (Qi, make_field(-3), make_field(10)):
+            norms = [pi.norm for pi in enumerate_prime_ideals(field, max(ys))]
+            want = [phi_inverse_dfs([n for n in norms if n <= y], y) for y in ys]
+            assert mobius_phi_profile(field, ys) == want
+
+    def test_bad_cutoffs(self):
+        for ys in ([0], [10, 0], [], [-5]):
+            with pytest.raises(UsageError):
+                mobius_phi_profile(Qi, ys)
+        with pytest.raises(BudgetError):
+            mobius_phi_profile(Qi, [10, PRIME_BUDGET + 1])
 
     def test_log_growth(self):
         rk = math.pi / 4
-        drifts = [
-            mobius_phi_partial_sum(Qi, y) - rk * math.log(y)
-            for y in (10**3, 10**4, 10**5)
-        ]
+        ys = (10**3, 10**4, 10**5)
+        drifts = [s - rk * math.log(y) for s, y in zip(mobius_phi_profile(Qi, ys), ys)]
         assert max(drifts) - min(drifts) < 0.1
