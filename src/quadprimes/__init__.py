@@ -36,6 +36,7 @@ from .singular_series import (
     singular_series,
     singular_series_rational,
     singular_sum_smoothed,
+    singular_sums_smoothed,
 )
 from .smoothing import Kind, TestFunction, fourier_probe
 from .statistics import (

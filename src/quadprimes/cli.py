@@ -32,7 +32,7 @@ from .singular_series import (
     montgomery_sum,
     residue_rk,
     singular_series,
-    singular_sum_smoothed,
+    singular_sums_smoothed,
 )
 from .smoothing import Kind, TestFunction
 from .statistics import DENSITY_MODELS, Sampler, grid_extent, variance_profile, zbaseline_row
@@ -183,8 +183,7 @@ def cmd_sum_singular(args) -> int:
         raise UsageError(f"bad --H {args.H!r}: expected comma-separated numbers") from None
     rk = residue_rk(field, 1e-8)
     rows = []
-    for H in Hs:
-        res = singular_sum_smoothed(field, w, H, args.cutoff)
+    for H, res in zip(Hs, singular_sums_smoothed(field, w, Hs, args.cutoff)):
         target = -w.value_at_zero * rk.value * math.log(H**2)
         rows.append((field.spec_string(), args.w, args.cutoff, H, res.value,
                      target, res.value / target))
@@ -242,6 +241,8 @@ def cmd_variance_z(args) -> int:
 def cmd_diagnose(args) -> int:
     field = parse_field_spec(args.field)
     name = field.spec_string()
+    if args.Y < 1:
+        raise UsageError(f"--Y must be at least 1, got {args.Y}")
     if args.topic == "dual-count":
         rows = []
         for q in enumerate_squarefree_ideals(field, args.Y):

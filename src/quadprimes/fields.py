@@ -12,8 +12,6 @@ import enum
 from dataclasses import dataclass
 from typing import Optional
 
-from sympy import primefactors
-
 from .errors import FieldSpecError
 
 
@@ -22,18 +20,25 @@ class BasisKind(enum.Enum):
     HALF = "half"         # basis {1, (1+sqrt(D))/2}, requires D = 1 (mod 4)
 
 
-def _is_squarefree(n: int) -> bool:
+def _prime_factors(n: int) -> list[int]:
+    """Prime factors of n != 0 with multiplicity, ascending, by trial division
+    up to sqrt|n|."""
     n = abs(n)
-    if n == 0:
-        return False
+    out = []
     d = 2
     while d * d <= n:
-        if n % (d * d) == 0:
-            return False
         while n % d == 0:
+            out.append(d)
             n //= d
         d += 1
-    return True
+    if n > 1:
+        out.append(n)
+    return out
+
+
+def _is_squarefree(n: int) -> bool:
+    factors = _prime_factors(n)
+    return n != 0 and len(set(factors)) == len(factors)
 
 
 @dataclass(frozen=True, slots=True)
@@ -98,7 +103,7 @@ def class_group_2_rank(field: FieldSpec) -> int:
     square, and so removes one rank, exactly when d > 0 and some prime
     = 3 (mod 4) divides d (-1 is then not a local norm at that prime).
     """
-    primes = primefactors(abs(field.discriminant))
+    primes = sorted(set(_prime_factors(field.discriminant)))
     rank = len(primes) - 1
     if field.discriminant > 0 and any(p % 4 == 3 for p in primes):
         rank -= 1

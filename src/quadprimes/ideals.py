@@ -4,9 +4,9 @@ ideal lattices.
 Lists of rational primes come from one sieve (`_prime_sieve`); a single
 number is tested with `miller_rabin`.  Prime ideals are found by splitting
 the sieved primes according to the Kronecker symbol of the field
-discriminant.  Squarefree ideals are products of distinct prime ideals and
-carry their Moebius value, totient and norm; they are enumerated by one walk
-(`walk_squarefree`).  Each squarefree ideal also induces a rank-2 sublattice
+discriminant, with roots from Tonelli-Shanks (`sqrt_mod`).  Squarefree
+ideals are products of distinct prime ideals and carry their Moebius value,
+totient and norm; they are enumerated by one walk (`walk_squarefree`).  Each squarefree ideal also induces a rank-2 sublattice
 of the coordinate lattice, kept in Hermite normal form; the lattice is what
 the singular-series sieve and the smoothed-count diagnostics walk.
 """
@@ -21,7 +21,6 @@ from functools import lru_cache
 from typing import Iterable, Optional
 
 import numpy as np
-from sympy.ntheory.residue_ntheory import sqrt_mod
 
 from .errors import BudgetError, UsageError
 from .fields import BasisKind, FieldSpec, QuadInt
@@ -65,6 +64,34 @@ def _prime_sieve(limit: int) -> np.ndarray:
         if sieve[p]:
             sieve[p * p :: p] = False
     return sieve
+
+
+def sqrt_mod(a: int, p: int) -> int:
+    """A square root of the quadratic residue a modulo the prime p
+    (Tonelli-Shanks); raises ValueError when a is a non-residue."""
+    a %= p
+    if p == 2 or a == 0:
+        return a
+    if pow(a, (p - 1) // 2, p) != 1:
+        raise ValueError(f"{a} is not a quadratic residue modulo {p}")
+    q, s = p - 1, 0
+    while q % 2 == 0:
+        q //= 2
+        s += 1
+    z = 2
+    while pow(z, (p - 1) // 2, p) != p - 1:
+        z += 1
+    c, t, r = pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
+    while t != 1:
+        # least i with t^(2^i) = 1; then i < s
+        i, t2 = 0, t
+        while t2 != 1:
+            t2 = t2 * t2 % p
+            i += 1
+        b = pow(c, 1 << (s - i - 1), p)
+        s, c = i, b * b % p
+        t, r = t * c % p, r * b % p
+    return r
 
 
 def kronecker(a: int, n: int) -> int:
@@ -226,7 +253,8 @@ def walk_squarefree(norms: list[int], max_norm: int, state, step, visit) -> None
     """Pre-order walk over the squarefree products of norm <= max_norm of
     prime ideals with the ascending `norms`, the unit ideal (with `state`)
     first.  A product extended by prime i has state step(state, i);
-    visit(state, norm) is called once per product, in walk order.
+    visit(state, norm) is called once per product, in walk order.  Nothing
+    is visited when max_norm < 1.
     """
 
     def extend(start: int, state, norm: int):
@@ -237,11 +265,13 @@ def walk_squarefree(norms: list[int], max_norm: int, state, step, visit) -> None
                 break
             extend(i + 1, step(state, i), n2)
 
-    extend(0, state, 1)
+    if max_norm >= 1:
+        extend(0, state, 1)
 
 
 def enumerate_squarefree_ideals(field: FieldSpec, max_norm: int) -> list[SquarefreeIdeal]:
-    """All squarefree ideals of norm <= max_norm, the unit ideal included."""
+    """All squarefree ideals of norm <= max_norm, the unit ideal included
+    when max_norm >= 1."""
     primes = enumerate_prime_ideals(field, max_norm)
     out: list[SquarefreeIdeal] = []
     walk_squarefree(

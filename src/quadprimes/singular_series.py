@@ -6,9 +6,12 @@ from the same sieve, both bounded by `ideals.PRIME_BUDGET`.
 Truncated Euler products are evaluated with one fixed floating-point recipe:
 a cached base product over all prime ideals of norm >= 3 (taken in ascending
 norm order), then the norm-2 factors (0 or 2 exactly), then one correction
-ratio per prime ideal containing the shift.  The box sieve replays exactly the
-same multiplication sequence per lattice point, so sieved values are
-bit-identical to pointwise evaluation.  The mu^2/phi partial sums take one
+ratio per prime ideal containing the shift.  The box sieve enumerates the
+points of every ideal's coordinate lattice inside the box and applies all the
+correction ratios with `np.multiply.at`, the points listed in ascending ideal
+order.  `ufunc.at` applies repeated indices in the order given, so each entry
+receives exactly the multiplication sequence of pointwise evaluation and
+sieved values are bit-identical to it.  The mu^2/phi partial sums take one
 walk over the squarefree ideals for all their cutoffs.
 """
 
@@ -35,6 +38,10 @@ from .ideals import (
 )
 
 DEFAULT_CUTOFF = 100_000
+
+# largest number of character-sum terms, (blocks + moments) * |d|, that
+# residue_rk evaluates
+RESIDUE_TERM_BUDGET = 20_000_000
 
 
 # ---------------------------------------------------------------------------
@@ -65,17 +72,11 @@ def residue_rk(field: FieldSpec, tol: float, blocks: int = 128) -> ResidueValue:
         raise UsageError(f"tol must be positive, got {tol!r}")
     d = field.discriminant
     q = abs(d)
-    chi = _character_table(d)
-    direct = math.fsum(
-        chi[n % q] / n for n in range(1, blocks * q) if chi[n % q]
-    )
-    # tail: sum over j >= blocks, r in 1..q of chi(r)/(j q + r), expanded in
-    # powers of r/(j q); the k = 0 moment vanishes for a nonprincipal character
-    kmax = 18
-    tail = 0.0
-    for k in range(1, kmax + 1):
-        m_k = sum(chi[r % q] * r**k for r in range(1, q))
-        tail += (-1) ** k * (m_k / q ** (k + 1)) * float(hurwitz_zeta(k + 1, blocks))
+    kmax = 18  # character moments in the tail
+    terms = (blocks + kmax) * q
+    if terms > RESIDUE_TERM_BUDGET:
+        raise BudgetError(f"the residue for |d| = {q} needs {terms} character-sum "
+                          f"terms, over the budget of {RESIDUE_TERM_BUDGET}")
     remainder = 2.0 * blocks ** (-(kmax + 1)) * (1.0 + blocks / kmax)
     rounding = 4.0e-16 * (1.0 + math.log(max(blocks * q, 2)))
     bound = remainder + rounding
@@ -83,6 +84,16 @@ def residue_rk(field: FieldSpec, tol: float, blocks: int = 128) -> ResidueValue:
         raise BudgetError(
             f"cannot certify tolerance {tol:g}; reachable bound is {bound:g}"
         )
+    chi = _character_table(d)
+    direct = math.fsum(
+        chi[n % q] / n for n in range(1, blocks * q) if chi[n % q]
+    )
+    # tail: sum over j >= blocks, r in 1..q of chi(r)/(j q + r), expanded in
+    # powers of r/(j q); the k = 0 moment vanishes for a nonprincipal character
+    tail = 0.0
+    for k in range(1, kmax + 1):
+        m_k = sum(chi[r % q] * r**k for r in range(1, q))
+        tail += (-1) ** k * (m_k / q ** (k + 1)) * float(hurwitz_zeta(k + 1, blocks))
     return ResidueValue(direct + tail, bound, "character-series+moment-tail")
 
 
@@ -106,6 +117,34 @@ class _EulerData:
     ratios: tuple[float, ...]            # member/base ratio per ideal
     norm2: tuple[PrimeIdeal, ...]        # the (at most two) norm-2 ideals
     base: float                          # product of base factors, norm >= 3
+    # the same ideals as arrays, for the box sieve: rows b1x, b1y, b2x, b2y
+    # of a reduced basis of each coordinate lattice, and the ratios
+    bases: np.ndarray                    # (4, n) int64
+    ratio_array: np.ndarray              # (n,) float64
+
+
+def _reduced_bases(ideals: tuple[PrimeIdeal, ...]) -> np.ndarray:
+    """Lagrange-Gauss reduced bases of the ideals' coordinate lattices, as
+    rows b1x, b1y, b2x, b2y with |b1| <= |b2|.
+
+    A split or ramified ideal (p, omega - root) starts from (p, 0), (-root, 1)
+    and an inert one from (p, 0), (0, p); all ideals are reduced together.
+    """
+    n = len(ideals)
+    p = np.fromiter((pi.p for pi in ideals), np.int64, n)
+    inert = np.fromiter((pi.split_type is SplitType.INERT for pi in ideals), bool, n)
+    root = np.fromiter((pi.root or 0 for pi in ideals), np.int64, n)
+    x1, y1 = p, np.zeros(n, np.int64)
+    x2, y2 = np.where(inert, 0, -root), np.where(inert, p, 1)
+    while True:
+        swap = x2 * x2 + y2 * y2 < x1 * x1 + y1 * y1
+        x1, x2 = np.where(swap, x2, x1), np.where(swap, x1, x2)
+        y1, y2 = np.where(swap, y2, y1), np.where(swap, y1, y2)
+        n1 = x1 * x1 + y1 * y1
+        mu = (2 * (x1 * x2 + y1 * y2) + n1) // (2 * n1)  # nearest integer
+        if not mu.any():
+            return np.stack([x1, y1, x2, y2])
+        x2, y2 = x2 - mu * x1, y2 - mu * y1
 
 
 @lru_cache(maxsize=16)
@@ -119,7 +158,9 @@ def _euler_data(field: FieldSpec, cutoff: int) -> _EulerData:
     for pi in rest:
         base *= _base_factor(pi.norm)
     ratios = tuple(_member_ratio(pi.norm) for pi in rest)
-    return _EulerData(rest, ratios, norm2, base)
+    bases, ratio_array = _reduced_bases(rest), np.array(ratios, dtype=np.float64)
+    bases.flags.writeable = ratio_array.flags.writeable = False
+    return _EulerData(rest, ratios, norm2, base, bases, ratio_array)
 
 
 @dataclass(frozen=True, slots=True)
@@ -210,14 +251,25 @@ class SingularBox:
         return SingularValue(float(self.values[k1 + M, k2 + M]), self.cutoff, self.tail_bound)
 
 
+# lattice-point candidates per np.multiply.at call of the box sieve
+_SIEVE_CHUNK = 1 << 18
+
+
 def sieved_singular_box(
     field: FieldSpec, radius: int, cutoff: int = DEFAULT_CUTOFF
 ) -> SingularBox:
     """Sieve the singular series over a full coordinate box.
 
-    Per entry, the multiplication sequence is identical to `singular_series`:
-    base product, norm-2 factors, then member ratios in ascending norm order,
-    so entries agree bit-for-bit with pointwise evaluation.
+    After the base fill and the norm-2 factors, every prime ideal of norm >= 3
+    multiplies its ratio into the entries at the points of its coordinate
+    lattice.  With a reduced basis b1, b2 of determinant det, Cramer's rule
+    bounds the coefficients of a box point u*b1 + v*b2 by
+    |u| <= radius*|b2|_1/det and |v| <= radius*|b1|_1/det; each ideal's
+    (u, v) rectangle is listed, in ascending ideal order, filtered to the box
+    and applied with `np.multiply.at` in chunks of `_SIEVE_CHUNK` candidates.
+    `ufunc.at` applies repeated indices in order, so each entry is multiplied
+    by its ideals' ratios in ascending norm order, as in `singular_series`,
+    and entries agree bit-for-bit with pointwise evaluation.
     """
     if radius < 1:
         raise ValueError("radius must be at least 1")
@@ -231,19 +283,28 @@ def sieved_singular_box(
     for pi in data.norm2:
         member = ((k[:, None] + pi.root * k[None, :]) % 2) == 0
         vals *= np.where(member, 2.0, 0.0)
-    for pi, ratio in zip(data.ideals, data.ratios):
-        if pi.split_type is SplitType.INERT:
-            start = M % pi.p
-            vals[start :: pi.p, start :: pi.p] *= ratio
-        else:
-            p, r = pi.p, pi.root
-            c_start = (M - r * k) % p  # first k1-index in each k2-column
-            maxn = (W - 1) // p + 1
-            rows = c_start[None, :] + p * np.arange(maxn)[:, None]
-            valid = rows < W
-            cols = np.broadcast_to(np.arange(W)[None, :], rows.shape)
-            flat = rows[valid] * W + cols[valid]
-            vals.flat[flat] *= ratio
+    x1, y1, x2, y2 = data.bases
+    det = np.abs(x1 * y2 - y1 * x2)
+    U = M * (np.abs(x2) + np.abs(y2)) // det
+    V = M * (np.abs(x1) + np.abs(y1)) // det
+    width = 2 * V + 1
+    sizes = (2 * U + 1) * width
+    ends = np.cumsum(sizes)
+    starts = ends - sizes
+    flat = vals.reshape(-1)
+    total = int(ends[-1]) if ends.size else 0
+    for lo in range(0, total, _SIEVE_CHUNK):
+        hi = min(lo + _SIEVE_CHUNK, total)
+        a, b = np.searchsorted(ends, lo, "right"), np.searchsorted(starts, hi, "left")
+        taken = np.minimum(ends[a:b], hi) - np.maximum(starts[a:b], lo)
+        i = np.repeat(np.arange(a, b), taken)
+        u, v = np.divmod(np.arange(lo, hi) - starts[i], width[i])
+        u -= U[i]
+        v -= V[i]
+        k1 = u * x1[i] + v * x2[i]
+        k2 = u * y1[i] + v * y2[i]
+        inside = (np.abs(k1) <= M) & (np.abs(k2) <= M)
+        np.multiply.at(flat, ((k1 + M) * W + (k2 + M))[inside], data.ratio_array[i[inside]])
     vals[M, M] = np.nan
     return SingularBox(field, radius, cutoff, _tail_bound(cutoff), vals)
 
@@ -256,28 +317,45 @@ class SmoothedSumResult:
     cutoff: int
 
 
+def singular_sums_smoothed(
+    field: FieldSpec, w, Hs: list[float], cutoff: int = DEFAULT_CUTOFF
+) -> list[SmoothedSumResult]:
+    """Smoothed sums of (singular series - 1) over nonzero shifts, one per H.
+
+    Sums (S(eta) - 1) * w(m(eta)/H) over the scaled support box.  One box is
+    sieved at the largest H; every entry depends only on its lattice point,
+    so the centre slice of that box equals the box of a smaller H, and each
+    slice is copied to a contiguous array so the sums reduce in the same order
+    as over a box of its own.  The reported uncertainty is the conservative
+    per-term tail bound; membership and avoidance corrections beyond the
+    cutoff cancel on average, so the realized truncation error is far smaller.
+    """
+    for H in Hs:
+        if not 2 <= H < math.inf:
+            raise UsageError(f"H must be a finite number >= 2, got {H!r}")
+    if not Hs:
+        return []
+    Mmax = math.floor(max(Hs) * w.support_radius)
+    box = sieved_singular_box(field, Mmax, cutoff)
+    results = []
+    for H in Hs:
+        M = math.floor(H * w.support_radius)
+        vals = box.values[Mmax - M : Mmax + M + 1, Mmax - M : Mmax + M + 1].copy()
+        vals[M, M] = 1.0  # origin excluded: contributes (1 - 1) * w = 0
+        k = np.arange(-M, M + 1)
+        wgrid = np.asarray(w.eval(k[:, None] / H, k[None, :] / H), dtype=np.float64)
+        wgrid[M, M] = 0.0
+        total = float(np.sum((vals - 1.0) * wgrid))
+        uncertainty = box.tail_bound * float(np.sum(np.abs(vals) * wgrid))
+        results.append(SmoothedSumResult(total, uncertainty, H, cutoff))
+    return results
+
+
 def singular_sum_smoothed(
     field: FieldSpec, w, H: float, cutoff: int = DEFAULT_CUTOFF
 ) -> SmoothedSumResult:
-    """Smoothed sum of (singular series - 1) over nonzero shifts.
-
-    Sums (S(eta) - 1) * w(m(eta)/H) over the scaled support box using the
-    sieve.  The reported uncertainty is the conservative per-term tail bound;
-    membership and avoidance corrections beyond the cutoff cancel on average,
-    so the realized truncation error is far smaller.
-    """
-    if not 2 <= H < math.inf:
-        raise UsageError(f"H must be a finite number >= 2, got {H!r}")
-    M = math.floor(H * w.support_radius)
-    box = sieved_singular_box(field, M, cutoff)
-    vals = box.values.copy()
-    vals[M, M] = 1.0  # origin excluded: contributes (1 - 1) * w = 0
-    k = np.arange(-M, M + 1)
-    wgrid = np.asarray(w.eval(k[:, None] / H, k[None, :] / H), dtype=np.float64)
-    wgrid[M, M] = 0.0
-    total = float(np.sum((vals - 1.0) * wgrid))
-    uncertainty = box.tail_bound * float(np.sum(np.abs(vals) * wgrid))
-    return SmoothedSumResult(total, uncertainty, H, cutoff)
+    """`singular_sums_smoothed` at one H."""
+    return singular_sums_smoothed(field, w, [H], cutoff)[0]
 
 
 # ---------------------------------------------------------------------------

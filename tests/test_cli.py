@@ -240,6 +240,11 @@ class TestHostileInputs:
         (["diagnose", "condensation", "--Y", "3000000"], 3),
         (["variance-z", "--X", "1"], 2),
         (["variance-z", "--X", "1000", "--deltas", "1.5"], 2),
+        (["diagnose", "condensation", "--Y", "0"], 2),
+        (["diagnose", "smooth-count", "--Y", "-5", "--H", "3"], 2),
+        (["diagnose", "dual-count", "--Y", "0"], 2),
+        (["residue", "--field", "D=-100000007"], 3),
+        (["field-info", "--field", "D=-1000003"], 3),
     ])
     def test_one_error_line(self, capsys, argv, code):
         got, out, err = run(capsys, *argv)

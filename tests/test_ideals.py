@@ -1,10 +1,14 @@
 import itertools
 import math
+import os
 import pathlib
 import re
+import subprocess
+import sys
 
 import pytest
 from sympy import primerange
+from sympy.ntheory.residue_ntheory import quadratic_residues
 
 import quadprimes
 from quadprimes.errors import BudgetError
@@ -25,6 +29,7 @@ from quadprimes.ideals import (
     ramanujan_smoothed_sum_scaled,
     ramanujan_sum,
     split_prime,
+    sqrt_mod,
 )
 from quadprimes.smoothing import Kind, TestFunction
 
@@ -139,6 +144,9 @@ class TestSquarefree:
         assert len(enumerate_squarefree_ideals(Qi, 4)) == 2
         assert len(enumerate_squarefree_ideals(Qi, 10)) == 7
         assert len(enumerate_squarefree_ideals(Qi, 1)) == 1
+        # no ideal has norm below 1, not even the unit ideal
+        assert enumerate_squarefree_ideals(Qi, 0) == []
+        assert enumerate_squarefree_ideals(Qi, -5) == []
 
     def test_mu_phi_norm(self):
         for q in enumerate_squarefree_ideals(Qi, 100):
@@ -271,11 +279,43 @@ class TestSmoothedCounts:
             assert ramanujan_smoothed_sum_scaled(q, H) == direct
 
 
+class TestSqrtMod:
+    def test_every_residue_below_2000(self):
+        for p in primerange(2, 2000):
+            residues = set(quadratic_residues(p))
+            for a in range(p):
+                if a in residues:
+                    r = sqrt_mod(a, p)
+                    assert 0 <= r < p and r * r % p == a, (a, p)
+                else:
+                    with pytest.raises(ValueError):
+                        sqrt_mod(a, p)
+
+    def test_reduces_its_argument(self):
+        assert sqrt_mod(-1, 13) ** 2 % 13 == 12
+        assert sqrt_mod(13 + 4, 13) ** 2 % 13 == 4
+
+
 def test_one_prime_path():
-    # rational primes come from the sieve and single numbers from
-    # miller_rabin; a sympy prime listing, test or factorization in the
-    # package would be a second path
+    # rational primes come from the sieve, single numbers from miller_rabin
+    # and square roots from sqrt_mod; a sympy prime listing, test,
+    # factorization or any other sympy import in the package would be a
+    # second path, and sympy is a test dependency only
     src = pathlib.Path(quadprimes.__file__).parent
     for path in sorted(src.glob("*.py")):
-        found = re.findall(r"\b(primerange|isprime|factorint)\b", path.read_text())
+        text = path.read_text()
+        found = re.findall(r"\b(primerange|isprime|factorint)\b", text)
         assert not found, f"{path.name} uses {sorted(set(found))}"
+        imports = re.findall(r"^\s*(?:from|import)\s+sympy\b.*$", text, re.M)
+        assert not imports, f"{path.name} imports sympy: {imports}"
+
+
+def test_cli_import_leaves_out_sympy():
+    src = str(pathlib.Path(quadprimes.__file__).parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, quadprimes.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'sympy'))"],
+        capture_output=True, text=True, env=env, check=True,
+    ).stdout
+    assert out.strip() == "[]"

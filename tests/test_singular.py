@@ -1,3 +1,4 @@
+import importlib
 import math
 
 import numpy as np
@@ -6,8 +7,9 @@ from sympy import factorint, primerange
 
 from quadprimes.errors import BudgetError, UsageError
 from quadprimes.fields import make_field
-from quadprimes.ideals import PRIME_BUDGET, enumerate_prime_ideals
+from quadprimes.ideals import PRIME_BUDGET, SplitType, enumerate_prime_ideals
 from quadprimes.singular_series import (
+    RESIDUE_TERM_BUDGET,
     _base_factor,
     _member_ratio,
     _rational_euler_data,
@@ -19,10 +21,13 @@ from quadprimes.singular_series import (
     singular_series,
     singular_series_rational,
     singular_sum_smoothed,
+    singular_sums_smoothed,
 )
 from quadprimes.smoothing import Kind, TestFunction
 
 Qi = make_field(-1)
+# the package namespace binds `singular_series` to the function
+singular_series_module = importlib.import_module("quadprimes.singular_series")
 
 
 def rational_reference(h: int, cutoff: int) -> float:
@@ -85,6 +90,25 @@ class TestResidue:
     def test_positive_for_real_and_imaginary(self):
         for D in (-5, -7, 3, 10, 13):
             assert residue_rk(make_field(D), 1e-8).value > 0
+
+    def test_term_budget(self):
+        # |d| = 1000003 needs (128 + 18) * |d| terms, over the budget
+        assert (128 + 18) * 1_000_003 > RESIDUE_TERM_BUDGET
+        with pytest.raises(BudgetError):
+            residue_rk(make_field(-1_000_003), 1e-8)
+        with pytest.raises(BudgetError):
+            residue_rk(make_field(-100_000_007), 1e-8, blocks=1)
+        # |d| = 100003, which takes a few seconds, stays inside it
+        assert (128 + 18) * 100_003 <= RESIDUE_TERM_BUDGET
+
+    def test_budgets_checked_before_summing(self, monkeypatch):
+        def summed(d):
+            pytest.fail("character table built before the budget checks")
+
+        monkeypatch.setattr(singular_series_module, "_character_table", summed)
+        for D, tol in ((-100_003, 1e-18), (-1_000_003, 1e-8)):
+            with pytest.raises(BudgetError):
+                residue_rk(make_field(D), tol)
 
 
 class TestSingularSeries:
@@ -190,6 +214,46 @@ class TestSievedBox:
                     F.element(k1, k2), 500
                 ).value
 
+    @pytest.mark.parametrize("D", [-7, 17, 10, -5])
+    def test_matches_pointwise_across_splitting(self, D):
+        # 2 splits for D = -7 and 17; 2 and 5 ramify for D = 10 and D = -5.
+        # With 81 columns and cutoff 5000 the box meets split or ramified
+        # ideals with p > 81 and inert ideals with p <= 81 < p^2.
+        F, r, P = make_field(D), 40, 5000
+        W = 2 * r + 1
+        ideals = enumerate_prime_ideals(F, P)
+        assert any(pi.split_type is not SplitType.INERT and pi.p > W for pi in ideals)
+        assert any(pi.split_type is SplitType.INERT and pi.p <= W < pi.p**2 for pi in ideals)
+        box = sieved_singular_box(F, r, P)
+        for k1 in range(-r, r + 1):
+            for k2 in range(-r, r + 1):
+                if (k1, k2) == (0, 0):
+                    continue
+                assert box.value_at(k1, k2).value == singular_series(
+                    F.element(k1, k2), P
+                ).value, (k1, k2)
+
+    @pytest.mark.parametrize("D", [-1, 17])
+    def test_centre_slice_equals_smaller_box(self, D):
+        F, R, P = make_field(D), 50, 5000
+        big = sieved_singular_box(F, R, P).values
+        for r in (1, 7, 40):
+            small = sieved_singular_box(F, r, P).values
+            assert np.array_equal(big[R - r : R + r + 1, R - r : R + r + 1], small,
+                                  equal_nan=True)
+
+    @pytest.mark.parametrize("D", [-1, 10])
+    def test_chunk_size_does_not_change_values(self, D, monkeypatch):
+        # small chunks split ideals' candidate lists across np.multiply.at
+        # calls; the per-entry multiplication order must not change
+        F, r, P = make_field(D), 20, 3000
+        want = sieved_singular_box(F, r, P).values
+        for chunk in (13, 97, 4096):
+            monkeypatch.setattr(singular_series_module, "_SIEVE_CHUNK", chunk)
+            got = sieved_singular_box(F, r, P).values
+            assert np.array_equal(got, want, equal_nan=True)
+        assert singular_series(F.element(3, 5), P).value == want[r + 3, r + 5]
+
     def test_origin_is_nan_and_rejected(self):
         box = sieved_singular_box(Qi, 3, 100)
         assert math.isnan(box.values[3, 3])
@@ -230,6 +294,29 @@ class TestHeadlineSums:
 
         res = singular_sum_smoothed(Qi, ZeroW(), 16, 500)
         assert res.value == 0.0
+
+    @pytest.mark.parametrize("kind", [Kind.SQUARE_AUTOCORR, Kind.DISC_AUTOCORR])
+    @pytest.mark.parametrize("D", [-1, -7])
+    def test_batch_equals_single_calls(self, D, kind):
+        # one sieve at the largest H, sliced for the others; the box of
+        # D = -7 is not symmetric under (k1, k2) -> (k2, k1), so a slice
+        # summed in another memory order would round differently
+        F, w = make_field(D), TestFunction(kind)
+        Hs = [64.0, 32.0, 128.0]
+        batch = singular_sums_smoothed(F, w, Hs, 2000)
+        assert [res.H for res in batch] == Hs
+        for H, res in zip(Hs, batch):
+            one = singular_sum_smoothed(F, w, H, 2000)
+            assert res.value == one.value
+            assert res.uncertainty == one.uncertainty
+            assert res.cutoff == one.cutoff == 2000
+
+    def test_batch_rejects_bad_H(self):
+        w = TestFunction(Kind.SQUARE_AUTOCORR)
+        assert singular_sums_smoothed(Qi, w, [], 500) == []
+        for Hs in ([16.0, 1.5], [math.nan], [16.0, math.inf]):
+            with pytest.raises(UsageError):
+                singular_sums_smoothed(Qi, w, Hs, 500)
 
     def test_successive_differences_track_log(self):
         # consecutive dyadic H differ by about -w(0) * r_K * 2 log 2
