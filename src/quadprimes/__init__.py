@@ -43,9 +43,7 @@ from .statistics import (
     Sampler,
     VarianceRow,
     ZBaselineRow,
-    expectation_E,
     variance_profile,
     variance_rational_lambda,
     variance_rational_prime,
-    variance_V,
 )

@@ -142,6 +142,10 @@ def cmd_primes(args) -> int:
                               "total_weight": grid.total_weight()})
         return 0
     x1, x2 = args.center
+    if not (math.isfinite(x1) and math.isfinite(x2)):
+        raise UsageError(f"--center must be finite, got {x1},{x2}")
+    if not 0 <= args.H < math.inf:
+        raise UsageError(f"--H must be a finite number >= 0, got {args.H}")
     if args.grid:
         grid = load_grid(args.grid)
         if grid.field != field:

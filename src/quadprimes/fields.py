@@ -149,9 +149,6 @@ class QuadInt:
             return self.k1 * self.k1 + self.k1 * self.k2 + self.k2 * self.k2 * (1 - D) // 4
         return self.k1 * self.k1 - D * self.k2 * self.k2
 
-    def sup_norm(self) -> int:
-        return max(abs(self.k1), abs(self.k2))
-
     def conjugate(self) -> "QuadInt":
         if self.field.basis is BasisKind.HALF:
             return QuadInt(self.field, self.k1 + self.k2, -self.k2)

@@ -6,9 +6,11 @@ number is tested with `miller_rabin`.  Prime ideals are found by splitting
 the sieved primes according to the Kronecker symbol of the field
 discriminant, with roots from Tonelli-Shanks (`sqrt_mod`).  Squarefree
 ideals are products of distinct prime ideals and carry their Moebius value,
-totient and norm; they are enumerated by one walk (`walk_squarefree`).  Each squarefree ideal also induces a rank-2 sublattice
-of the coordinate lattice, kept in Hermite normal form; the lattice is what
-the singular-series sieve and the smoothed-count diagnostics walk.
+totient and norm; they are enumerated by one walk (`walk_squarefree`).
+Each squarefree ideal also induces a rank-2 sublattice of the coordinate
+lattice, kept in Hermite normal form and built directly by CRT over the
+rational primes below the ideal (`ideal_lattice`); the lattice is what the
+smoothed-count and dual-count diagnostics walk.
 """
 
 from __future__ import annotations
@@ -321,62 +323,29 @@ class IdealLattice:
     def det(self) -> int:
         return self.a * self.c
 
-    def contains_point(self, k1: int, k2: int) -> bool:
-        if k2 % self.c:
-            return False
-        s = k2 // self.c
-        return (k1 - self.b * s) % self.a == 0
-
-
-def _hnf_from_columns(cols: list[tuple[int, int]]) -> IdealLattice:
-    """Column HNF of a rank-2 set of integer generators."""
-    # reduce second coordinates to a single generator by gcd
-    cols = [c for c in cols if c != (0, 0)]
-    while True:
-        nz = [c for c in cols if c[1] != 0]
-        if len(nz) <= 1:
-            break
-        nz.sort(key=lambda v: abs(v[1]))
-        x, y = nz[0], nz[1]
-        q = y[1] // x[1]
-        y2 = (y[0] - q * x[0], y[1] - q * x[1])
-        cols.remove(y)
-        if y2 != (0, 0):
-            cols.append(y2)
-    v2 = next(c for c in cols if c[1] != 0)
-    if v2[1] < 0:
-        v2 = (-v2[0], -v2[1])
-    firsts = [abs(c[0]) for c in cols if c[1] == 0 and c[0] != 0]
-    a = math.gcd(*firsts) if firsts else 0
-    if a == 0:
-        raise ValueError("generators do not span a rank-2 lattice")
-    b, c = v2[0] % a, v2[1]
-    return IdealLattice(a, b, c)
-
 
 def ideal_lattice(q: SquarefreeIdeal) -> IdealLattice:
-    """HNF basis of {m(alpha) : alpha in q}; det equals the ideal norm."""
-    lat = IdealLattice(1, 0, 1)
-    for f in sorted(q.factors, key=PrimeIdeal.sort_key):
-        p = f.p
-        cols = [(lat.a, 0), (lat.b, lat.c)]
-        if f.split_type is SplitType.INERT:
-            assert lat.det % p != 0, "inert prime repeated in squarefree ideal"
-            lat = IdealLattice(lat.a * p, (lat.b * p) % (lat.a * p), lat.c * p)
-            continue
-        r = f.root
-        phi = [(v[0] + r * v[1]) % p for v in cols]
-        if phi[0] != 0:
-            inv = pow(phi[0], -1, p)
-            new_cols = [(cols[0][0] * p, 0),
-                        (cols[1][0] - (phi[1] * inv % p) * cols[0][0],
-                         cols[1][1] - (phi[1] * inv % p) * cols[0][1])]
-        else:
-            assert phi[1] != 0, "lattice already inside prime ideal"
-            new_cols = [cols[0], (cols[1][0] * p, cols[1][1] * p)]
-        lat = _hnf_from_columns(new_cols)
-    assert lat.det == q.norm
-    return lat
+    """HNF basis of {m(alpha) : alpha in q}, assembled by CRT over the
+    rational primes p below q; det equals the ideal norm.
+
+    Every p multiplies a by p.  It also multiplies c when q contains all of
+    pO_K: p is inert, or both ideals above a split p divide q.  Otherwise q
+    has the one factor (p, omega - root) above p, and b = -root*c (mod p);
+    b = 0 modulo the other primes.  A repeated factor raises ValueError.
+    """
+    if len(set(q.factors)) < len(q.factors):
+        raise ValueError("a squarefree ideal cannot repeat a prime factor")
+    roots: dict[int, list] = {}
+    for f in q.factors:
+        roots.setdefault(f.p, []).append(f.root)
+    a = math.prod(roots)
+    c = math.prod(p for p, rs in roots.items() if len(rs) == 2 or rs[0] is None)
+    b = 0
+    for p, rs in roots.items():
+        if len(rs) == 1 and rs[0] is not None:
+            m = a // p
+            b += -rs[0] * c * m * pow(m, -1, p)
+    return IdealLattice(a, b % a, c)
 
 
 def dual_lattice_count(lat: IdealLattice, r: float, budget: int = 10_000_000) -> int:

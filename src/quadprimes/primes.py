@@ -4,10 +4,12 @@ An element is prime exactly when its principal ideal is a prime ideal: the
 absolute norm is a rational prime, or the square of an inert prime with the
 element an associate of that prime.  Grids tabulate 2D prefix sums of the
 prime indicator and of the 1/log|N| weight (over all elements of norm > 1),
-so any coordinate box is answered by four corner lookups.  `box_sums`
-gathers the corners for arbitrary centers; `grid_box_sums` answers the
-boxes around every integer point of [-M, M]^2 at once, where each corner
-term is one contiguous slice of the table.
+so any coordinate box is answered by four corner lookups, combined by the
+one inclusion-exclusion expression in `_corners`.  The scalar queries pass it
+int indices; `box_sums` gathers the corners for arbitrary centers by index
+arrays; `grid_box_sums` answers the boxes around every integer point of
+[-M, M]^2 at once, where each corner term is one contiguous slice of the
+table.  All three give the same value for the same box, bit for bit.
 
 The 1/log|N| weight divided by r_K is the first-order expected number of
 prime elements per lattice point.  Prime elements generate prime ideals only,
@@ -144,7 +146,21 @@ def build_grid(field: FieldSpec, extent: int, square_weights: bool = False) -> P
     return PrefixGrid(field, R, counts, weights, sq_table)
 
 
+def _corners(table: np.ndarray, a, b, c, d):
+    """Four-corner inclusion-exclusion: the sum over prefix-table rows a..b-1
+    and columns c..d-1.  The indices may be ints, index arrays or slices."""
+    return table[b, d] - table[a, d] - table[b, c] + table[a, c]
+
+
 def _box_bounds(grid: PrefixGrid, x1: float, x2: float, H: float):
+    """Table indices (a, b, c, d) of the closed box of radius H around (x1, x2).
+
+    Since H >= 0, b >= a and d >= c.  An empty box (b == a or d == c) counts
+    0 primes; its weight is +0.0 when b == a, and when d == c the corner terms
+    cancel only up to rounding, as they do in `box_sums`.
+    """
+    if not H >= 0:
+        raise UsageError(f"box radius H must be >= 0, got {H!r}")
     lo1, hi1 = math.ceil(x1 - H), math.floor(x1 + H)
     lo2, hi2 = math.ceil(x2 - H), math.floor(x2 + H)
     R = grid.extent
@@ -152,42 +168,30 @@ def _box_bounds(grid: PrefixGrid, x1: float, x2: float, H: float):
         raise ExtentError(
             f"box [{lo1},{hi1}]x[{lo2},{hi2}] exceeds the grid extent {R}"
         )
-    return lo1, hi1, lo2, hi2
-
-
-def _corner_query(table: np.ndarray, R: int, lo1, hi1, lo2, hi2):
-    if hi1 < lo1 or hi2 < lo2:
-        return table.dtype.type(0)
-    a, b = lo1 + R, hi1 + R + 1
-    c, d = lo2 + R, hi2 + R + 1
-    return table[b, d] - table[a, d] - table[b, c] + table[a, c]
+    return lo1 + R, hi1 + R + 1, lo2 + R, hi2 + R + 1
 
 
 def count_primes_box(grid: PrefixGrid, x1: float, x2: float, H: float) -> int:
     """Number of prime elements with sup-norm distance <= H from (x1, x2)."""
-    lo1, hi1, lo2, hi2 = _box_bounds(grid, x1, x2, H)
-    return int(_corner_query(grid.prime_count, grid.extent, lo1, hi1, lo2, hi2))
+    return int(_corners(grid.prime_count, *_box_bounds(grid, x1, x2, H)))
 
 
 def log_weight_box(grid: PrefixGrid, x1: float, x2: float, H: float) -> float:
     """Sum of 1/log|N| over elements of norm > 1 in the closed box."""
-    lo1, hi1, lo2, hi2 = _box_bounds(grid, x1, x2, H)
-    return float(_corner_query(grid.log_weight, grid.extent, lo1, hi1, lo2, hi2))
+    return float(_corners(grid.log_weight, *_box_bounds(grid, x1, x2, H)))
 
 
-def _batch_bounds(grid: PrefixGrid, centers: np.ndarray, H: float):
-    lo = np.ceil(centers - H).astype(np.int64)
-    hi = np.floor(centers + H).astype(np.int64)
+def _array_bounds(grid: PrefixGrid, x: np.ndarray, H: float):
+    """Table indices (a, b) of the intervals [x - H, x + H], elementwise,
+    rounded as `_box_bounds` rounds them."""
+    if not H >= 0:
+        raise UsageError(f"box radius H must be >= 0, got {H!r}")
+    lo = np.ceil(x - H).astype(np.int64)
+    hi = np.floor(x + H).astype(np.int64)
     R = grid.extent
     if lo.min() < -R or hi.max() > R:
-        raise ExtentError("some query box exceeds the grid extent")
-    return lo, hi
-
-
-def _batch_query(table: np.ndarray, R: int, lo: np.ndarray, hi: np.ndarray):
-    a, b = lo[:, 0] + R, hi[:, 0] + R + 1
-    c, d = lo[:, 1] + R, hi[:, 1] + R + 1
-    return table[b, d] - table[a, d] - table[b, c] + table[a, c]
+        raise ExtentError(f"some box of radius {H} exceeds the grid extent {R}")
+    return lo + R, hi + R + 1
 
 
 def box_sums(
@@ -198,8 +202,8 @@ def box_sums(
     The box bounds are computed once and shared by all the tables; the four
     corners of each box are gathered by index.
     """
-    lo, hi = _batch_bounds(grid, centers, H)
-    return [_batch_query(table, grid.extent, lo, hi) for table in tables]
+    a, b = _array_bounds(grid, centers, H)
+    return [_corners(table, a[:, 0], b[:, 0], a[:, 1], b[:, 1]) for table in tables]
 
 
 def grid_box_sums(
@@ -215,25 +219,15 @@ def grid_box_sums(
     below an integer and large |k|), the terms are gathered by row and column
     index vectors instead, with the same values.
     """
-    k = np.arange(-M, M + 1, dtype=np.float64)
-    lo = np.ceil(k - H).astype(np.int64)
-    hi = np.floor(k + H).astype(np.int64)
-    R = grid.extent
-    if lo.min() < -R or hi.max() > R:
-        raise ExtentError(f"boxes of radius {H} around [-{M}, {M}]^2 exceed the grid extent {R}")
-    a, b = lo + R, hi + R + 1
-    n = len(k)
+    a, b = _array_bounds(grid, np.arange(-M, M + 1, dtype=np.float64), H)
+    n = len(a)
     if np.array_equal(a, a[0] + np.arange(n)) and np.array_equal(b, b[0] + np.arange(n)):
         a_rows = a_cols = slice(a[0], a[0] + n)
         b_rows = b_cols = slice(b[0], b[0] + n)
     else:
         a_rows, a_cols = a[:, None], a[None, :]
         b_rows, b_cols = b[:, None], b[None, :]
-    return [
-        (table[b_rows, b_cols] - table[a_rows, b_cols] - table[b_rows, a_cols]
-         + table[a_rows, a_cols]).ravel()
-        for table in tables
-    ]
+    return [_corners(table, a_rows, b_rows, a_cols, b_cols).ravel() for table in tables]
 
 
 def count_primes_boxes(grid: PrefixGrid, centers: np.ndarray, H: float) -> np.ndarray:

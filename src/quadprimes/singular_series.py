@@ -2,7 +2,8 @@
 smoothed sums they control.
 
 Prime ideals come from `ideals.enumerate_prime_ideals` and rational primes
-from the same sieve, both bounded by `ideals.PRIME_BUDGET`.
+from the same sieve, both bounded by `ideals.PRIME_BUDGET`, as is the number
+of rational shifts.
 Truncated Euler products are evaluated with one fixed floating-point recipe:
 a cached base product over all prime ideals of norm >= 3 (taken in ascending
 norm order), then the norm-2 factors (0 or 2 exactly), then one correction
@@ -371,6 +372,8 @@ def sieved_singular_rational(hmax: int, cutoff: int = DEFAULT_CUTOFF) -> np.ndar
     """
     if hmax < 1:
         raise ValueError("hmax must be at least 1")
+    if hmax > PRIME_BUDGET:
+        raise BudgetError(f"hmax {hmax} exceeds the prime budget {PRIME_BUDGET}")
     primes, base = _rational_euler_data(cutoff)
     vals = np.full(hmax + 1, base, dtype=np.float64)
     vals[2::2] *= 2.0

@@ -1,17 +1,19 @@
 """Short-interval expectation/variance statistics and rational baselines.
 
-The field statistics average box counts of prime elements over centers in the
-sup-norm ball of radius X, with the density-weighted correction subtracted
-per center.  The correction is the expected count of the box under one of
-two density models: "first-order" (the default) subtracts the 1/log|N|
-weight over r_K; "second-order" also subtracts kappa_K / (r_K sqrt|N| log|N|)
-for the prime-ideal squares that are principal (see `variance_profile`).
-With the grid sampler the box sums for all centers are contiguous slices of
-the prefix tables (`grid_box_sums`), so no center array is built; the
-jitter sampler's centers are gathered (`box_sums`).
+The field statistics are the rows of `variance_profile`, its one entry point:
+per interval exponent delta, E is the mean count of prime elements in the
+boxes of radius H = X^delta around centers in the sup-norm ball of radius X,
+and V the mean square of each count minus its expected count.  The expected
+count follows one of two density models: "first-order" (the default)
+subtracts the 1/log|N| weight over r_K; "second-order" also subtracts
+kappa_K / (r_K sqrt|N| log|N|) for the prime-ideal squares that are
+principal.  With the grid sampler the box sums for all centers are
+contiguous slices of the prefix tables (`grid_box_sums`), so no center array
+is built; the jitter sampler's centers are gathered (`box_sums`).
 The rational baselines are exact: for integer interval length the
 window counts are piecewise constant in the left endpoint, so the averages
-are finite sums over integer shifts computed from prefix arrays.
+are finite sums over integer shifts computed from prefix arrays, of length
+at most `ideals.PRIME_BUDGET`.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import numpy as np
 
 from .errors import BudgetError, UsageError
 from .fields import FieldSpec, class_group_2_rank
-from .ideals import _prime_sieve
+from .ideals import PRIME_BUDGET, _prime_sieve
 from .primes import PrefixGrid, box_sums, build_grid, grid_box_sums
 from .singular_series import residue_rk
 
@@ -87,66 +89,6 @@ def grid_extent(X: float, deltas: list[float]) -> int:
     return math.ceil(X + X ** max(deltas)) + 2
 
 
-def _box_moments(
-    field: FieldSpec, grid: PrefixGrid, X: float, Hs: list[float], sampler: Sampler,
-    second_order: bool = False,
-) -> list[tuple[int, float, float]]:
-    """(n_samples, E, V) per box radius H: the mean box count and the mean
-    square of the count minus its expected count (see `variance_profile`).
-
-    The grid sampler's box sums are slices of the prefix tables
-    (`grid_box_sums`); the jitter sampler's are gathered at its centers
-    (`box_sums`), which are drawn once for all H.
-    """
-    tables = [grid.prime_count, grid.log_weight]
-    if second_order:
-        if grid.sqrt_log_weight is None:
-            raise ValueError("second-order density needs a grid built with square_weights=True")
-        tables.append(grid.sqrt_log_weight)
-        kappa = 2.0 ** class_group_2_rank(field) / 2.0
-    M = sampler.radius(X)
-    centers = None if sampler.kind == "grid" else sampler.centers(X)
-    rk = _residue(field)
-    moments = []
-    for H in Hs:
-        if centers is None:
-            sums = grid_box_sums(grid, tables, M, H)
-        else:
-            sums = box_sums(grid, tables, centers, H)
-        counts, expected, *squares = sums
-        counts = counts.astype(np.float64)
-        if squares:
-            expected = expected - kappa * squares[0]
-        tilde = counts - expected / rk
-        moments.append((counts.size, float(counts.mean()), float(np.mean(tilde * tilde))))
-    return moments
-
-
-@dataclass(frozen=True, slots=True)
-class ExpectationResult:
-    value: float
-    reference: float  # vol(B_H) / (r_K log vol(B_X))
-    n_samples: int
-
-
-def expectation_E(
-    field: FieldSpec, grid: PrefixGrid, X: float, H: float, sampler: Sampler = Sampler()
-) -> ExpectationResult:
-    """Average prime count over sampled centers, with the density reference."""
-    ((n, E, _),) = _box_moments(field, grid, X, [H], sampler)
-    log_vol = math.log((2.0 * X) ** 2) if X > 0.5 else math.nan
-    reference = (2.0 * H) ** 2 / (_residue(field) * log_vol)
-    return ExpectationResult(E, reference, n)
-
-
-def variance_V(
-    field: FieldSpec, grid: PrefixGrid, X: float, H: float, sampler: Sampler = Sampler()
-) -> float:
-    """Average of the squared density-corrected count over sampled centers."""
-    ((_, _, V),) = _box_moments(field, grid, X, [H], sampler)
-    return V
-
-
 @dataclass(frozen=True, slots=True)
 class VarianceRow:
     field: str
@@ -192,16 +134,33 @@ def variance_profile(
     if density not in DENSITY_MODELS:
         raise UsageError(f"unknown density model {density!r}")
     second_order = density == "second-order"
-    sampler.radius(X)  # fail on the sample budget before building a grid
+    M = sampler.radius(X)  # fail on the sample budget before building a grid
     if grid is None:
         grid = build_grid(field, grid_extent(X, deltas), square_weights=second_order)
-    Hs = [X**delta for delta in deltas]
-    moments = _box_moments(field, grid, X, Hs, sampler, second_order)
-    return [
-        VarianceRow(field.spec_string(), X, delta, H, n, E, V,
-                    V / E if E else math.nan, 1.0 - delta)
-        for delta, H, (n, E, V) in zip(deltas, Hs, moments)
-    ]
+    tables = [grid.prime_count, grid.log_weight]
+    if second_order:
+        if grid.sqrt_log_weight is None:
+            raise ValueError("second-order density needs a grid built with square_weights=True")
+        tables.append(grid.sqrt_log_weight)
+        kappa = 2.0 ** class_group_2_rank(field) / 2.0
+    centers = None if sampler.kind == "grid" else sampler.centers(X)
+    rk = _residue(field)
+    rows = []
+    for delta in deltas:
+        H = X**delta
+        if centers is None:
+            sums = grid_box_sums(grid, tables, M, H)
+        else:
+            sums = box_sums(grid, tables, centers, H)
+        counts, expected, *squares = sums
+        counts = counts.astype(np.float64)
+        if squares:
+            expected = expected - kappa * squares[0]
+        tilde = counts - expected / rk
+        E, V = float(counts.mean()), float(np.mean(tilde * tilde))
+        rows.append(VarianceRow(field.spec_string(), X, delta, H, counts.size, E, V,
+                                V / E if E else math.nan, 1.0 - delta))
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -211,6 +170,8 @@ def variance_profile(
 @lru_cache(maxsize=8)
 def _rational_prefixes(limit: int):
     """Prefix sums of the prime indicator, 1/log n, and the von Mangoldt fn."""
+    if limit > PRIME_BUDGET:
+        raise BudgetError(f"prefix length {limit} exceeds the prime budget {PRIME_BUDGET}")
     sieve = _prime_sieve(limit)
     pi = np.zeros(limit + 1, dtype=np.int64)
     np.cumsum(sieve, out=pi)
@@ -259,22 +220,6 @@ def variance_rational_lambda(X: int, H: int) -> float:
     k = np.arange(X)
     dev = psi[k + H] - psi[k] - float(H)
     return float(np.mean(dev * dev))
-
-
-def prime_power_correction(x: float, H: float) -> float:
-    """Sum of 1/k over proper prime powers p^k in the window (x, x+H]."""
-    hi = math.floor(x + H)
-    if hi < 4:
-        return 0.0
-    total = 0.0
-    for p in np.flatnonzero(_prime_sieve(math.isqrt(hi))).tolist():
-        pk, k = p * p, 2
-        while pk <= hi:
-            if pk > x:
-                total += 1.0 / k
-            pk *= p
-            k += 1
-    return total
 
 
 @dataclass(frozen=True, slots=True)

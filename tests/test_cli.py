@@ -245,6 +245,13 @@ class TestHostileInputs:
         (["diagnose", "dual-count", "--Y", "0"], 2),
         (["residue", "--field", "D=-100000007"], 3),
         (["field-info", "--field", "D=-1000003"], 3),
+        (["primes", "count", "--field", "D=-1", "--center", "nan,0"], 2),
+        (["primes", "count", "--field", "D=-1", "--center", "inf,0"], 2),
+        (["primes", "count", "--field", "D=-1", "--H", "nan"], 2),
+        (["primes", "count", "--field", "D=-1", "--H", "inf"], 2),
+        (["primes", "count", "--field", "D=-1", "--H", "-3", "--center", "10,10"], 2),
+        (["variance-z", "--X", "100000000000"], 3),
+        (["montgomery", "--Hmax", "100000000000"], 3),
     ])
     def test_one_error_line(self, capsys, argv, code):
         got, out, err = run(capsys, *argv)

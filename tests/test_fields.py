@@ -129,9 +129,6 @@ class TestDivision:
         assert make_field(-3).element(0, 1).is_unit()       # sixth root of unity
         assert not make_field(-1).element(1, 1).is_unit()
 
-    def test_sup_norm(self):
-        assert make_field(-1).element(-3, 2).sup_norm() == 3
-
 
 class TestClassGroup2Rank:
     # |Cl_K[2]| from known class groups: h = 1 (or odd, D=79: h = 3);

@@ -208,11 +208,37 @@ class TestIdealLattice:
     def test_split_five(self):
         pi = next(p for p in split_prime(5, Qi) if p.root == 2)
         lat = ideal_lattice(SquarefreeIdeal(Qi, (pi,)))
-        assert lat.det == 5
+        assert lat == IdealLattice(5, 3, 1)  # b = -root * c mod 5
+        points = set(lattice_points_in_box(lat, 5))
         # (-2, 1) solves k1 + 2 k2 = 0 mod 5
-        assert lat.contains_point(-2, 1)
-        assert lat.contains_point(5, 0)
-        assert not lat.contains_point(1, 0)
+        assert (-2, 1) in points
+        assert (5, 0) in points
+        assert (1, 0) not in points
+
+    @pytest.mark.parametrize("D", [-1, -3, 5, 10, 17])
+    def test_matches_brute_force_hnf(self, D):
+        # the HNF is unique: a is the least k1 > 0 with (k1, 0) in q, c the
+        # least k2 > 0 occurring in q, and b the k1 in [0, a) with (b, c) in q
+        field = make_field(D)
+        full_split = 0
+        for q in enumerate_squarefree_ideals(field, 300):
+            def inside(k1, k2):
+                return q.contains(field.element(k1, k2))
+
+            a = next(k for k in itertools.count(1) if inside(k, 0))
+            c = next(k for k in itertools.count(1) if any(inside(k1, k) for k1 in range(a)))
+            b = next(k1 for k1 in range(a) if inside(k1, c))
+            assert ideal_lattice(q) == IdealLattice(a, b, c)
+            ps = [f.p for f in q.factors]
+            full_split += any(ps.count(p) == 2 for p in ps)
+        assert full_split  # some q holds both ideals above a split prime
+
+    def test_repeated_factor_raises(self):
+        [p3] = split_prime(3, Qi)
+        p5 = split_prime(5, Qi)[0]
+        for factors in ((p3, p3), (p5, p5)):
+            with pytest.raises(ValueError):
+                ideal_lattice(SquarefreeIdeal(Qi, factors))
 
     def test_det_equals_norm_and_membership(self):
         for field in (Qi, make_field(-3), make_field(2), make_field(5)):

@@ -5,7 +5,13 @@ import numpy as np
 import pytest
 from sympy import isprime
 
-from quadprimes.errors import BudgetError, ExtentError, GridFileError, QuadPrimesError
+from quadprimes.errors import (
+    BudgetError,
+    ExtentError,
+    GridFileError,
+    QuadPrimesError,
+    UsageError,
+)
 from quadprimes.fields import make_field
 from quadprimes.ideals import miller_rabin
 from quadprimes.primes import (
@@ -162,6 +168,46 @@ class TestBoxQueries:
         for i, (x1, x2) in enumerate(centers):
             assert cs[i] == count_primes_box(g, x1, x2, 6.5)
             assert ws[i] == pytest.approx(log_weight_box(g, x1, x2, 6.5), rel=1e-12)
+
+
+class TestOneCornerExpression:
+    """The scalar queries and `box_sums` share one corner expression."""
+
+    @pytest.mark.parametrize("D", [-1, -3, 10])
+    def test_scalar_equals_box_sums(self, D):
+        R = 10
+        g = build_grid(make_field(D), R)
+        rng = np.random.default_rng(5)
+        cases = [(rng.uniform(-R + 5, R - 5, size=(60, 2)), H) for H in (0.0, 2.5, 4.0)]
+        # half-integer coordinates: H = 0 and 0.2 give empty boxes, H = 0.5
+        # boxes of two rows or columns, up to the edge
+        half = [(i + 0.5, j) for i in range(-R, R) for j in range(-R, R + 1)]
+        half = np.array(half + [(j, i) for i, j in half])
+        cases += [(half, H) for H in (0.0, 0.2, 0.5)]
+        # boxes with a side on the edge of the grid
+        edge = np.array([(s * (R - 3), t) for s in (-1, 1) for t in range(-R + 3, R - 2)])
+        cases += [(edge, 3.0), (edge[:, ::-1], 3.0)]
+        for centers, H in cases:
+            counts, weights = box_sums(g, [g.prime_count, g.log_weight], centers, H)
+            for (x1, x2), want_c, want_w in zip(centers.tolist(), counts, weights):
+                assert count_primes_box(g, x1, x2, H) == want_c
+                assert log_weight_box(g, x1, x2, H) == want_w
+            if H < 0.5 and centers is half:
+                assert not counts.any()
+                assert np.abs(weights).max() < 1e-12
+
+    @pytest.mark.parametrize("H", [-1.0, -1e-300, math.nan, -math.inf])
+    def test_bad_radius(self, H):
+        g = build_grid(Qi, 10)
+        calls = [
+            lambda: count_primes_box(g, 0.0, 0.0, H),
+            lambda: log_weight_box(g, 0.0, 0.0, H),
+            lambda: box_sums(g, [g.prime_count], np.zeros((3, 2)), H),
+            lambda: grid_box_sums(g, [g.prime_count], 2, H),
+        ]
+        for call in calls:
+            with pytest.raises(UsageError):
+                call()
 
 
 class TestSquareWeightTable:

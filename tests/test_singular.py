@@ -184,6 +184,15 @@ class TestRational:
         with pytest.raises(BudgetError):
             _rational_euler_data(PRIME_BUDGET + 1)
 
+    def test_shift_budget(self, monkeypatch):
+        def no_euler_data(cutoff):
+            pytest.fail("Euler data built before the shift budget check")
+
+        monkeypatch.setattr(singular_series_module, "_rational_euler_data", no_euler_data)
+        for call in (sieved_singular_rational, montgomery_sum):
+            with pytest.raises(BudgetError):
+                call(PRIME_BUDGET + 1)
+
     @pytest.mark.parametrize("P", [3, 100, 10**4])
     def test_matches_factorization_reference(self, P):
         large = [10**12, 2**40 * 3, 2 * 999_983, 2 * 3 * 5 * 7 * 11 * 13 * 17 * 19 * 23,

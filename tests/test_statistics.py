@@ -6,18 +6,16 @@ import pytest
 import quadprimes.statistics as statistics
 from quadprimes.errors import BudgetError, UsageError
 from quadprimes.fields import class_group_2_rank, make_field
+from quadprimes.ideals import PRIME_BUDGET
 from quadprimes.primes import box_sums, build_grid
 from quadprimes.statistics import (
     Sampler,
     _residue,
-    expectation_E,
     expectation_rational,
     grid_extent,
-    prime_power_correction,
     variance_profile,
     variance_rational_lambda,
     variance_rational_prime,
-    variance_V,
     zbaseline_row,
 )
 
@@ -65,34 +63,22 @@ class TestSampler:
 
 
 class TestFieldStatistics:
-    def test_expectation_whole_grid_single_center(self):
-        g = build_grid(Qi, 30)
-        res = expectation_E(Qi, g, 0.0, 30.0)
-        assert res.value == g.total_primes()
-        assert res.n_samples == 1
-
-    def test_expectation_near_reference(self):
-        # convergence to the density reference is slow; ~16% off at X = 1000
-        X, H = 1000.0, 1000.0**0.5
-        g = build_grid(Qi, 1035)
-        res = expectation_E(Qi, g, X, H)
-        assert res.value == pytest.approx(res.reference, rel=0.25)
-
     def test_variance_identity_expansion(self):
-        # mean(t^2) = mean(c^2) - 2 mean(c w)/r + mean(w^2)/r^2
+        # mean(t^2) = mean(c^2) - 2 mean(c w)/r + mean(w^2)/r^2, at the row's H
         from quadprimes.primes import count_primes_boxes, log_weight_boxes
-        from quadprimes.statistics import _residue
 
-        X, H = 60.0, 6.0
+        X = 60.0
         g = build_grid(Qi, 70)
+        (row,) = variance_profile(Qi, X, [0.5], grid=g)
         centers = Sampler().centers(X)
-        c = count_primes_boxes(g, centers, H).astype(float)
-        w = log_weight_boxes(g, centers, H)
+        c = count_primes_boxes(g, centers, row.H).astype(float)
+        w = log_weight_boxes(g, centers, row.H)
         rk = _residue(Qi)
         expanded = (
             np.mean(c * c) - 2 * np.mean(c * w) / rk + np.mean(w * w) / rk**2
         )
-        assert variance_V(Qi, g, X, H) == pytest.approx(expanded, rel=1e-9)
+        assert row.E == c.mean()
+        assert row.V == pytest.approx(expanded, rel=1e-9)
 
     def test_full_lattice_indicator_near_deterministic(self):
         # replace primes by the full lattice: integer H boxes have constant counts
@@ -261,11 +247,11 @@ class TestRationalBaselines:
         assert 0.3 < row.ratio_prime < 2.0
         assert 0.3 < row.ratio_lambda < 2.0
 
-    def test_prime_power_window(self):
-        assert prime_power_correction(7, 2) == pytest.approx(1 / 3 + 1 / 2)
-        assert prime_power_correction(50, 10) == pytest.approx(0.0)  # (50,60]: none
-        assert prime_power_correction(120, 10) == pytest.approx(1 / 2 + 1 / 3 + 1 / 7)
-        # (120,130]: 121 = 11^2, 125 = 5^3, 128 = 2^7
+    def test_prefix_budget(self):
+        with pytest.raises(BudgetError):
+            statistics._rational_prefixes(PRIME_BUDGET + 1)
+        with pytest.raises(BudgetError):
+            zbaseline_row(10**11, 0.5)
 
     def test_appendix_consistency_desk_scale(self):
         X = 10**4
