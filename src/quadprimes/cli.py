@@ -20,6 +20,7 @@ from . import __version__
 from .errors import BudgetError, QuadPrimesError, UsageError
 from .fields import parse_field_spec
 from .ideals import (
+    PRIME_BUDGET,
     condensation_sum,
     dual_lattice_count,
     enumerate_squarefree_ideals,
@@ -199,6 +200,10 @@ def cmd_sum_singular(args) -> int:
 def cmd_montgomery(args) -> int:
     if args.Hmax < 8:
         raise UsageError(f"--Hmax must be at least 8 (two rows for the slope), got {args.Hmax}")
+    top = 1 << (args.Hmax.bit_length() - 1)  # the largest dyadic row
+    if top > PRIME_BUDGET:
+        raise BudgetError(f"--Hmax {args.Hmax} needs the row H = {top}, "
+                          f"over the prime budget {PRIME_BUDGET}")
     rows = []
     H = 4
     while H <= args.Hmax:

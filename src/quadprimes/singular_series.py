@@ -56,18 +56,74 @@ class ResidueValue:
     method: str
 
 
-def _character_table(d: int) -> list[int]:
+# character-sum terms (and moment rows) per numpy chunk of residue_rk
+_RESIDUE_CHUNK = 1 << 15
+
+
+def _character_table(d: int) -> np.ndarray:
+    """kronecker(d, r) for r in 0..|d|-1, sieved as a completely
+    multiplicative function from its values at the primes below |d|."""
     q = abs(d)
-    return [kronecker(d, r) for r in range(q)]
+    chi = np.ones(q, dtype=np.int64)
+    chi[0] = kronecker(d, 0)
+    for p in np.flatnonzero(_prime_sieve(q - 1)).tolist():
+        k = kronecker(d, p)
+        if k == 0:
+            chi[p::p] = 0
+        elif k == -1:
+            pk = p
+            while pk < q:
+                chi[pk::pk] *= -1
+                pk *= p
+    return chi
+
+
+def _exact_sum(chi: np.ndarray, stop: int) -> float:
+    """Correctly rounded sum of the floats chi[n % q] / n over 1 <= n < stop.
+
+    Each term t is a multiple of 2^-S with S = 53 + stop.bit_length(), so
+    t * 2^S is an integer.  It is split exactly into floor(t * 2^A), at most
+    2^A in size, and the remainder scaled by 2^(S-A), below 2^(S-A); both are
+    summed as int64 over one chunk, then as Python ints.  Under the term
+    budget (stop < 2^25) S <= 78, so a chunk of up to 2^20 terms sums below
+    2^60.  The one final division rounds half to even, as `math.fsum` does.
+    """
+    q = len(chi)
+    S = 53 + stop.bit_length()
+    A = S // 2
+    hi_scale, lo_scale = 2.0**A, 2.0 ** (S - A)
+    total = 0
+    for lo in range(1, stop, _RESIDUE_CHUNK):
+        n = np.arange(lo, min(lo + _RESIDUE_CHUNK, stop))
+        x = (chi[n % q] / n) * hi_scale
+        hi = np.floor(x)
+        rest = (x - hi) * lo_scale
+        total += (int(hi.astype(np.int64).sum()) << (S - A)) + int(rest.astype(np.int64).sum())
+    return total / (1 << S)
+
+
+def _moments(chi: np.ndarray, kmax: int) -> list[int]:
+    """The character moments sum_r chi(r) r^k for k = 1..kmax, as exact ints."""
+    q = len(chi)
+    moments = [0] * kmax
+    for lo in range(1, q, _RESIDUE_CHUNK):
+        r = np.arange(lo, min(lo + _RESIDUE_CHUNK, q))
+        power = chi[r].astype(object)
+        r = r.astype(object)
+        for k in range(kmax):
+            np.multiply(power, r, out=power)
+            moments[k] += int(power.sum())
+    return moments
 
 
 def residue_rk(field: FieldSpec, tol: float, blocks: int = 128) -> ResidueValue:
     """L(1, chi_d) for the field discriminant d, i.e. Res_{s=1} zeta_K.
 
     The series is summed over `blocks` full periods of the character exactly
-    (fsum), and the remainder is evaluated analytically from the character
-    moments and Hurwitz zeta values; the reported error bound is dominated by
-    float rounding of the direct part.
+    (an integer sum of the float terms, rounded once), and the remainder is
+    evaluated analytically from the exact character moments and Hurwitz zeta
+    values; the reported error bound is dominated by float rounding of the
+    direct part.
     """
     if not tol > 0:
         raise UsageError(f"tol must be positive, got {tol!r}")
@@ -86,14 +142,11 @@ def residue_rk(field: FieldSpec, tol: float, blocks: int = 128) -> ResidueValue:
             f"cannot certify tolerance {tol:g}; reachable bound is {bound:g}"
         )
     chi = _character_table(d)
-    direct = math.fsum(
-        chi[n % q] / n for n in range(1, blocks * q) if chi[n % q]
-    )
+    direct = _exact_sum(chi, blocks * q)
     # tail: sum over j >= blocks, r in 1..q of chi(r)/(j q + r), expanded in
     # powers of r/(j q); the k = 0 moment vanishes for a nonprincipal character
     tail = 0.0
-    for k in range(1, kmax + 1):
-        m_k = sum(chi[r % q] * r**k for r in range(1, q))
+    for k, m_k in enumerate(_moments(chi, kmax), start=1):
         tail += (-1) ** k * (m_k / q ** (k + 1)) * float(hurwitz_zeta(k + 1, blocks))
     return ResidueValue(direct + tail, bound, "character-series+moment-tail")
 

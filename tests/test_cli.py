@@ -4,6 +4,7 @@ import os
 
 import pytest
 
+from quadprimes import cli
 from quadprimes.cli import main
 from quadprimes.statistics import grid_extent
 
@@ -259,3 +260,15 @@ class TestHostileInputs:
         assert out == ""
         assert err.startswith("error:") and err.count("\n") == 1
         assert "Traceback" not in err
+
+    def test_montgomery_hmax_checked_before_any_row(self, capsys, monkeypatch):
+        def summed(H, cutoff):
+            pytest.fail("a Montgomery row computed before the --Hmax budget check")
+
+        monkeypatch.setattr(cli, "montgomery_sum", summed)
+        got, out, err = run(capsys, "montgomery", "--Hmax", str(2**21))
+        assert (got, out) == (3, "")
+        assert err.startswith("error:") and err.count("\n") == 1 and "--Hmax" in err
+        # the largest row of 2^21 - 1 is 2^20, inside the prime budget
+        monkeypatch.setattr(cli, "montgomery_sum", lambda H, cutoff: 0.0)
+        assert run(capsys, "montgomery", "--Hmax", str(2**21 - 1))[0] == 0

@@ -3,14 +3,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
+from scipy.special import zeta as hurwitz_zeta
 from sympy import factorint, primerange
 
 from quadprimes.errors import BudgetError, UsageError
-from quadprimes.fields import make_field
-from quadprimes.ideals import PRIME_BUDGET, SplitType, enumerate_prime_ideals
+from quadprimes.fields import _is_squarefree, make_field
+from quadprimes.ideals import PRIME_BUDGET, SplitType, enumerate_prime_ideals, kronecker
 from quadprimes.singular_series import (
     RESIDUE_TERM_BUDGET,
     _base_factor,
+    _character_table,
     _member_ratio,
     _rational_euler_data,
     mobius_phi_profile,
@@ -60,6 +63,36 @@ def phi_inverse_dfs(norms: list[int], max_norm: int) -> float:
     extend(0, 1.0, 1)
     return total[0]
 
+
+def residue_tail(chi: list[int], blocks: int) -> float:
+    """The moment tail of `residue_rk`, from Python-int moments."""
+    q = len(chi)
+    tail = 0.0
+    for k in range(1, 19):
+        m_k = sum(chi[r % q] * r**k for r in range(1, q))
+        tail += (-1) ** k * (m_k / q ** (k + 1)) * float(hurwitz_zeta(k + 1, blocks))
+    return tail
+
+
+def residue_reference(D: int, blocks: int) -> tuple[float, float]:
+    """(value, error_bound) of `residue_rk` by the pure-Python recipe:
+    math.fsum over the character-sum terms, then the moment tail."""
+    d = make_field(D).discriminant
+    q = abs(d)
+    chi = [kronecker(d, r) for r in range(q)]
+    direct = math.fsum(chi[n % q] / n for n in range(1, blocks * q) if chi[n % q])
+    remainder = 2.0 * blocks ** (-19) * (1.0 + blocks / 18)
+    rounding = 4.0e-16 * (1.0 + math.log(max(blocks * q, 2)))
+    return direct + residue_tail(chi, blocks), remainder + rounding
+
+
+# squarefree D whose field discriminant has |d| <= 3000, by |d|
+FIELDS_TO_3000 = sorted(
+    (D for D in range(-3000, 3001)
+     if D not in (0, 1) and _is_squarefree(D) and abs(make_field(D).discriminant) <= 3000),
+    key=lambda D: abs(make_field(D).discriminant),
+)
+
 # class-number-formula oracles (independent of the L-series code path)
 RESIDUE_ORACLES = {
     -1: math.pi / 4,
@@ -98,7 +131,7 @@ class TestResidue:
             residue_rk(make_field(-1_000_003), 1e-8)
         with pytest.raises(BudgetError):
             residue_rk(make_field(-100_000_007), 1e-8, blocks=1)
-        # |d| = 100003, which takes a few seconds, stays inside it
+        # |d| = 100003, the largest residue the benchmark computes, stays inside it
         assert (128 + 18) * 100_003 <= RESIDUE_TERM_BUDGET
 
     def test_budgets_checked_before_summing(self, monkeypatch):
@@ -109,6 +142,52 @@ class TestResidue:
         for D, tol in ((-100_003, 1e-18), (-1_000_003, 1e-8)):
             with pytest.raises(BudgetError):
                 residue_rk(make_field(D), tol)
+
+    @settings(max_examples=40, deadline=None)
+    @given(D=st.sampled_from(FIELDS_TO_3000), blocks=st.sampled_from([1, 4, 128]))
+    @example(D=-1, blocks=128)
+    @example(D=2, blocks=4)
+    @example(D=-743, blocks=1)
+    @example(D=-749, blocks=128)  # d = -2996
+    @example(D=746, blocks=128)  # d = 2984
+    @example(D=2993, blocks=128)
+    def test_bit_identical_to_fsum_recipe(self, D, blocks):
+        res = residue_rk(make_field(D), math.inf, blocks)
+        assert (res.value, res.error_bound) == residue_reference(D, blocks)
+
+    def test_pinned_large_discriminant(self):
+        res = residue_rk(make_field(-100_003), 1e-8)
+        assert res.value == 0.3874431307626732
+        assert res.error_bound == 6.945994291375942e-15
+
+    @pytest.mark.parametrize("D", [-7, 10, -1003])
+    def test_chunk_size_does_not_change_values(self, D, monkeypatch):
+        want = residue_rk(make_field(D), 1e-8)
+        for chunk in (7, 1 << 20):
+            monkeypatch.setattr(singular_series_module, "_RESIDUE_CHUNK", chunk)
+            assert residue_rk(make_field(D), 1e-8) == want
+
+    def test_exact_at_the_term_budget(self):
+        # the most terms the budget admits, with the smallest period: the
+        # int64 limb sums of a chunk must not overflow
+        q, blocks = 3, RESIDUE_TERM_BUDGET // 3 - 18
+        chi = [kronecker(-3, r) for r in range(q)]
+        table = np.array(chi, dtype=np.int64)
+
+        def terms():
+            for lo in range(1, blocks * q, 1 << 20):
+                n = np.arange(lo, min(lo + (1 << 20), blocks * q))
+                yield from (table[n % q] / n).tolist()
+
+        want = math.fsum(terms()) + residue_tail(chi, blocks)
+        assert residue_rk(make_field(-3), 1e-8, blocks).value == want
+
+    def test_character_table_matches_kronecker(self):
+        for D in FIELDS_TO_3000:
+            d = make_field(D).discriminant
+            if abs(d) > 2000:
+                break
+            assert _character_table(d).tolist() == [kronecker(d, r) for r in range(abs(d))]
 
 
 class TestSingularSeries:
