@@ -94,11 +94,6 @@ def _parse_pair(text: str, cast):
     return cast(parts[0]), cast(parts[1])
 
 
-def _w_kind(name: str) -> TestFunction:
-    return TestFunction({"square": Kind.SQUARE_AUTOCORR, "disc": Kind.DISC_AUTOCORR,
-                         "triangle": Kind.TRIANGLE_1D}[name])
-
-
 def _slope(xs, ys) -> float:
     return float(np.polyfit(np.asarray(xs, dtype=float), np.asarray(ys, dtype=float), 1)[0])
 
@@ -179,9 +174,7 @@ def cmd_sstar(args) -> int:
 
 def cmd_sum_singular(args) -> int:
     field = parse_field_spec(args.field)
-    w = _w_kind(args.w)
-    if w.dimension != 2:
-        raise QuadPrimesError("sum-singular needs a 2D weight (square or disc)")
+    w = TestFunction(Kind(args.w))
     try:
         Hs = [float(h) for h in args.H.split(",")]
     except ValueError:
@@ -264,7 +257,7 @@ def cmd_diagnose(args) -> int:
         _emit(args, ["field", "norm", "r", "count", "normalized"], rows, {})
         return 0
     if args.topic == "smooth-count":
-        w = _w_kind("square")
+        w = TestFunction(Kind.SQUARE_AUTOCORR)
         rows = []
         for q in enumerate_squarefree_ideals(field, args.Y):
             cnt = ideal_smoothed_count(q, w, args.H)

@@ -1,9 +1,13 @@
 """Exact arithmetic in real and imaginary quadratic fields Q(sqrt(D)).
 
-Elements are stored in integral-basis coordinates (k1, k2), either over the
-basis {1, sqrt(D)} or, when D = 1 (mod 4), over {1, (1+sqrt(D))/2} so that the
-coordinates always span the full ring of integers.  All arithmetic is exact
-(Python integers), so products, norms and exact divisions never overflow.
+Elements are stored in integral-basis coordinates (k1, k2), meaning
+k1 + k2*omega.  The basis is chosen once, in `FieldSpec`: omega = sqrt(D),
+or (1+sqrt(D))/2 when D = 1 (mod 4), so that the coordinates always span the
+full ring of integers.  Everything else follows from omega's minimal
+polynomial x^2 + b x + c (`FieldSpec.minpoly_omega`): the discriminant
+b^2 - 4c, the norm form, conjugation, products and, in `ideals`, the
+splitting of rational primes.  All arithmetic is exact (Python integers), so
+products, norms and exact divisions never overflow.
 """
 
 from __future__ import annotations
@@ -47,8 +51,8 @@ class FieldSpec:
 
     D must be squarefree and different from 0 and 1.  The basis is HALF
     exactly when D = 1 (mod 4), so the coordinate lattice is always the full
-    ring of integers and the discriminant is the field discriminant
-    (D when D = 1 mod 4, else 4D).
+    ring of integers and the discriminant b^2 - 4c of omega's minimal
+    polynomial is the field discriminant (D when D = 1 mod 4, else 4D).
     """
 
     D: int
@@ -57,25 +61,27 @@ class FieldSpec:
     def __post_init__(self):
         if self.D in (0, 1) or not _is_squarefree(self.D):
             raise FieldSpecError(f"D={self.D} must be squarefree and not 0 or 1")
-        if self.basis is BasisKind.HALF and self.D % 4 != 1:
+        if (self.basis is BasisKind.HALF) != (self.D % 4 == 1):
             raise FieldSpecError(
-                f"half-integer basis requires D = 1 (mod 4), got D={self.D}"
-            )
-        if self.basis is BasisKind.SQRT_D and self.D % 4 == 1:
-            raise FieldSpecError(
-                f"D={self.D} = 1 (mod 4): use the half-integer basis so that "
-                "coordinates span the full ring of integers"
+                f"D={self.D}: the half-integer basis is required exactly when "
+                "D = 1 (mod 4), so that coordinates span the ring of integers"
             )
 
     @property
     def discriminant(self) -> int:
-        return self.D if self.basis is BasisKind.HALF else 4 * self.D
+        b, c = self.minpoly_omega()
+        return b * b - 4 * c
 
     def minpoly_omega(self) -> tuple[int, int]:
         """(b, c) with the non-trivial basis element a root of x^2 + b x + c."""
         if self.basis is BasisKind.HALF:
             return (-1, (1 - self.D) // 4)
         return (0, -self.D)
+
+    def norm_form(self, k1, k2):
+        """N(k1 + k2*omega) = k1 (k1 - b k2) + c k2^2, for ints or int arrays."""
+        b, c = self.minpoly_omega()
+        return k1 * (k1 - b * k2) + c * k2 * k2
 
     def element(self, k1: int, k2: int) -> "QuadInt":
         return QuadInt(self, k1, k2)
@@ -112,9 +118,7 @@ def class_group_2_rank(field: FieldSpec) -> int:
 
 def make_field(D: int) -> FieldSpec:
     """Field for a squarefree D, choosing the maximal-order basis."""
-    if D % 4 == 1:
-        return FieldSpec(D, BasisKind.HALF)
-    return FieldSpec(D, BasisKind.SQRT_D)
+    return FieldSpec(D, BasisKind.HALF if D % 4 == 1 else BasisKind.SQRT_D)
 
 
 def parse_field_spec(text: str) -> FieldSpec:
@@ -129,8 +133,6 @@ def parse_field_spec(text: str) -> FieldSpec:
     if len(parts) == 1:
         return make_field(D)
     if len(parts) == 2 and parts[1] == "half":
-        if D % 4 != 1:
-            raise FieldSpecError(f"'half' requires D = 1 (mod 4), got D={D}")
         return FieldSpec(D, BasisKind.HALF)
     raise FieldSpecError(f"unrecognized field spec: {text!r}")
 
@@ -144,15 +146,12 @@ class QuadInt:
     k2: int
 
     def norm(self) -> int:
-        D = self.field.D
-        if self.field.basis is BasisKind.HALF:
-            return self.k1 * self.k1 + self.k1 * self.k2 + self.k2 * self.k2 * (1 - D) // 4
-        return self.k1 * self.k1 - D * self.k2 * self.k2
+        return self.field.norm_form(self.k1, self.k2)
 
     def conjugate(self) -> "QuadInt":
-        if self.field.basis is BasisKind.HALF:
-            return QuadInt(self.field, self.k1 + self.k2, -self.k2)
-        return QuadInt(self.field, self.k1, -self.k2)
+        # the other root of x^2 + b x + c is -b - omega
+        b, _ = self.field.minpoly_omega()
+        return QuadInt(self.field, self.k1 - b * self.k2, -self.k2)
 
     def is_unit(self) -> bool:
         return self.norm() in (1, -1)
@@ -178,12 +177,9 @@ class QuadInt:
     def __mul__(self, other: "QuadInt") -> "QuadInt":
         self._check_same_field(other)
         a1, a2, b1, b2 = self.k1, self.k2, other.k1, other.k2
-        D = self.field.D
-        if self.field.basis is BasisKind.HALF:
-            # omega^2 = omega + (D-1)/4
-            c = (D - 1) // 4
-            return QuadInt(self.field, a1 * b1 + a2 * b2 * c, a1 * b2 + a2 * b1 + a2 * b2)
-        return QuadInt(self.field, a1 * b1 + D * a2 * b2, a1 * b2 + a2 * b1)
+        b, c = self.field.minpoly_omega()
+        # omega^2 = -b omega - c
+        return QuadInt(self.field, a1 * b1 - c * a2 * b2, a1 * b2 + a2 * b1 - b * a2 * b2)
 
 
 def divide_exact(beta: QuadInt, alpha: QuadInt) -> Optional[QuadInt]:

@@ -2,9 +2,12 @@
 ideal lattices.
 
 Lists of rational primes come from one sieve (`_prime_sieve`); a single
-number is tested with `miller_rabin`.  Prime ideals are found by splitting
-the sieved primes according to the Kronecker symbol of the field
-discriminant, with roots from Tonelli-Shanks (`sqrt_mod`).  Squarefree
+number is tested with `miller_rabin`.  A sieved prime p splits as omega's
+minimal polynomial x^2 + b x + c factors mod p: each root r gives the prime
+ideal (p, omega - r), so two roots mean split, a double root ramified and no
+root inert.  For odd p the roots are (-b +- sqrt(d))/2 with d = b^2 - 4c,
+present unless the Kronecker symbol (d|p) is -1, and the square root comes
+from Tonelli-Shanks (`sqrt_mod`).  Squarefree
 ideals are products of distinct prime ideals and carry their Moebius value,
 totient and norm; they are enumerated by one walk (`walk_squarefree`).
 Each squarefree ideal also induces a rank-2 sublattice of the coordinate
@@ -25,11 +28,13 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .errors import BudgetError, UsageError
-from .fields import BasisKind, FieldSpec, QuadInt
+from .fields import FieldSpec, QuadInt
 
 # largest prime-ideal norm, and largest rational prime, that an enumeration
 # accepts: it bounds every Euler product cutoff and squarefree-ideal walk
 PRIME_BUDGET = 2_000_000
+# largest number of candidate points that one lattice walk may visit
+LATTICE_POINT_BUDGET = 10_000_000
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -165,33 +170,20 @@ def split_prime(p: int, field: FieldSpec) -> list[PrimeIdeal]:
 
 
 def _split(p: int, field: FieldSpec) -> list[PrimeIdeal]:
+    # Dedekind-Kummer: O_K = Z[omega], so p factors as x^2 + b x + c does mod p
+    b, c = field.minpoly_omega()
     d = field.discriminant
-    D = field.D
     if p == 2:
-        if d % 2 == 0:
-            # always ramified for the sqrt basis
-            root = 1 if D % 2 else 0
-            return [PrimeIdeal(field, 2, SplitType.RAMIFIED, root)]
-        if d % 8 == 1:
-            return [PrimeIdeal(field, 2, SplitType.SPLIT, 0),
-                    PrimeIdeal(field, 2, SplitType.SPLIT, 1)]
-        return [PrimeIdeal(field, 2, SplitType.INERT, None)]
-    if d % p == 0:
-        if field.basis is BasisKind.HALF:
-            root = (1 * pow(2, -1, p)) % p  # (1 + sqrt(D))/2 with sqrt(D) = 0
-        else:
-            root = 0
-        return [PrimeIdeal(field, p, SplitType.RAMIFIED, root)]
-    sym = kronecker(d, p)
-    if sym == -1:
-        return [PrimeIdeal(field, p, SplitType.INERT, None)]
-    s = sqrt_mod(D % p, p)
-    if field.basis is BasisKind.HALF:
-        inv2 = pow(2, -1, p)
-        roots = sorted({((1 + s) * inv2) % p, ((1 - s) * inv2) % p})
+        roots = [r for r in (0, 1) if (r * r + b * r + c) % 2 == 0]
+    elif kronecker(d, p) == -1:
+        roots = []
     else:
-        roots = sorted({s % p, (-s) % p})
-    return [PrimeIdeal(field, p, SplitType.SPLIT, r) for r in roots]
+        s, half = sqrt_mod(d, p), (p + 1) // 2
+        roots = sorted({(s - b) * half % p, (-s - b) * half % p})
+    if not roots:
+        return [PrimeIdeal(field, p, SplitType.INERT, None)]
+    kind = SplitType.SPLIT if len(roots) == 2 else SplitType.RAMIFIED
+    return [PrimeIdeal(field, p, kind, r) for r in roots]
 
 
 @lru_cache(maxsize=32)
@@ -348,7 +340,7 @@ def ideal_lattice(q: SquarefreeIdeal) -> IdealLattice:
     return IdealLattice(a, b % a, c)
 
 
-def dual_lattice_count(lat: IdealLattice, r: float, budget: int = 10_000_000) -> int:
+def dual_lattice_count(lat: IdealLattice, r: float, budget: int = LATTICE_POINT_BUDGET) -> int:
     """Nonzero dual-lattice vectors of Euclidean length <= r, by enumeration.
 
     The dual basis is the inverse transpose of the HNF basis; enumeration runs
@@ -383,9 +375,17 @@ def dual_lattice_count(lat: IdealLattice, r: float, budget: int = 10_000_000) ->
 
 
 def lattice_points_in_box(lat: IdealLattice, radius: int):
-    """Yield lattice points (k1, k2) with sup-norm at most `radius`."""
+    """Yield lattice points (k1, k2) with sup-norm at most `radius`.
+
+    Raises BudgetError, before the first point, when the walk would visit
+    more than LATTICE_POINT_BUDGET candidates.
+    """
     c = lat.c
     s_max = radius // c
+    rows, cols = 2 * s_max + 1, 2 * radius // lat.a + 1
+    if rows > 0 and rows * cols > LATTICE_POINT_BUDGET:
+        raise BudgetError(f"a walk over {rows * cols} lattice candidates in the box of "
+                          f"radius {radius} exceeds the budget {LATTICE_POINT_BUDGET}")
     for s in range(-s_max, s_max + 1):
         k2 = c * s
         base = lat.b * s

@@ -45,8 +45,7 @@ def is_prime_element(alpha: QuadInt) -> bool:
     p = math.isqrt(m)
     if p * p != m or not miller_rabin(p):
         return False
-    d = alpha.field.discriminant
-    if d % p == 0 or kronecker(d, p) != -1:
+    if kronecker(alpha.field.discriminant, p) != -1:
         return False
     quot = divide_exact(alpha, alpha.field.element(p, 0))
     return quot is not None and quot.is_unit()
@@ -102,13 +101,7 @@ def build_grid(field: FieldSpec, extent: int, square_weights: bool = False) -> P
         raise BudgetError(f"grid with {W * W} cells exceeds the memory budget")
     k = np.arange(-R, R + 1, dtype=np.int64)
     K1, K2 = k[:, None], k[None, :]
-    D = field.D
-    if field.basis is BasisKind.HALF:
-        norms = K1 * K1 + K1 * K2 + K2 * K2 * ((1 - D) // 4)
-    else:
-        norms = K1 * K1 - D * K2 * K2
-    abs_norm = np.abs(norms)
-    del norms
+    abs_norm = np.abs(field.norm_form(K1, K2))
     max_norm = int(abs_norm.max()) if abs_norm.size else 0
     if max_norm > 2_000_000_000:
         raise BudgetError(f"norms up to {max_norm} exceed the sieve budget")
@@ -122,7 +115,7 @@ def build_grid(field: FieldSpec, extent: int, square_weights: bool = False) -> P
     inert = np.zeros(limit + 1, dtype=bool)
     for p in np.flatnonzero(sieve[: limit + 1]):
         p = int(p)
-        inert[p] = d % p != 0 and kronecker(d, p) == -1
+        inert[p] = kronecker(d, p) == -1
     prime_mask |= square & inert[np.minimum(root, limit)]
     del sieve, root, square  # the prefix sums below set the peak memory
 

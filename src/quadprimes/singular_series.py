@@ -416,7 +416,6 @@ def singular_sum_smoothed(
 # Rational-integer sieve and Montgomery's weighted sum
 
 
-@lru_cache(maxsize=16)
 def sieved_singular_rational(hmax: int, cutoff: int = DEFAULT_CUTOFF) -> np.ndarray:
     """Singular-series values for shifts 1..hmax (index 0 is NaN).
 

@@ -28,10 +28,6 @@ class TestFunction:
     kind: Kind
 
     @property
-    def dimension(self) -> int:
-        return 1 if self.kind is Kind.TRIANGLE_1D else 2
-
-    @property
     def value_at_zero(self) -> float:
         # volume of the body being autocorrelated
         if self.kind is Kind.SQUARE_AUTOCORR:

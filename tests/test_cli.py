@@ -1,6 +1,7 @@
 import importlib.util
 import json
 import os
+import time
 
 import pytest
 
@@ -260,6 +261,14 @@ class TestHostileInputs:
         assert out == ""
         assert err.startswith("error:") and err.count("\n") == 1
         assert "Traceback" not in err
+
+    def test_smooth_count_walk_budget_fails_fast(self, capsys):
+        # the unit ideal's walk at H = 10^5 would visit 400001^2 points
+        start = time.perf_counter()
+        got, out, err = run(capsys, "diagnose", "smooth-count", "--Y", "2", "--H", "100000")
+        assert time.perf_counter() - start < 1.0
+        assert (got, out) == (3, "")
+        assert err.startswith("error:") and err.count("\n") == 1
 
     def test_montgomery_hmax_checked_before_any_row(self, capsys, monkeypatch):
         def summed(H, cutoff):

@@ -1,6 +1,12 @@
+import ast
+import pathlib
+import re
+
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import quadprimes
 from quadprimes.errors import FieldSpecError
 from quadprimes.fields import (
     BasisKind,
@@ -98,6 +104,14 @@ class TestArithmetic:
         assert a + (-a) == field.zero()
         assert a * field.one() == a
 
+    @pytest.mark.parametrize("field", FIELDS, ids=str)
+    def test_norm_form_on_arrays(self, field):
+        k = np.arange(-30, 31, dtype=np.int64)
+        norms = field.norm_form(k[:, None], k[None, :])
+        assert norms.dtype == np.int64
+        assert norms.tolist() == [[field.element(a, b).norm() for b in k.tolist()]
+                                  for a in k.tolist()]
+
     def test_mixed_field_operations_rejected(self):
         with pytest.raises(ValueError):
             make_field(-1).element(1, 0) + make_field(2).element(1, 0)
@@ -140,3 +154,25 @@ class TestClassGroup2Rank:
     ])
     def test_known_class_groups(self, D, size):
         assert 2 ** class_group_2_rank(make_field(D)) == size
+
+
+def test_basis_decided_in_fields_only():
+    # FieldSpec chooses the basis once; every other module works from omega's
+    # minimal polynomial.  Only the package exports, the grid file's basis
+    # byte and field-info's basis column may name the basis
+    allowed = {"primes.py": {"_BASIS_CODE", "save_grid", "load_grid"},
+               "cli.py": {"cmd_field_info"}}
+    src = pathlib.Path(quadprimes.__file__).parent
+    for path in sorted(src.glob("*.py")):
+        if path.name in ("fields.py", "__init__.py"):
+            continue
+        text = path.read_text()
+        for node in ast.parse(text).body:
+            names = {getattr(node, "name", None)}
+            names |= {t.id for t in getattr(node, "targets", []) if isinstance(t, ast.Name)}
+            if names & allowed.get(path.name, set()):
+                continue
+            if path.name == "primes.py" and isinstance(node, ast.ImportFrom):
+                continue
+            found = re.findall(r"\bBasisKind\b|\.basis\b", ast.get_source_segment(text, node))
+            assert not found, f"{path.name}, line {node.lineno}: {sorted(set(found))}"

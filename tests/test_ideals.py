@@ -7,12 +7,14 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import example, given, strategies as st
 from sympy import primerange
 from sympy.ntheory.residue_ntheory import quadratic_residues
 
 import quadprimes
+from quadprimes import ideals
 from quadprimes.errors import BudgetError
-from quadprimes.fields import make_field
+from quadprimes.fields import _is_squarefree, _prime_factors, make_field
 from quadprimes.ideals import (
     PRIME_BUDGET,
     IdealLattice,
@@ -24,6 +26,7 @@ from quadprimes.ideals import (
     enumerate_squarefree_ideals,
     ideal_lattice,
     ideal_smoothed_count,
+    ideal_smoothed_count_scaled,
     kronecker,
     lattice_points_in_box,
     ramanujan_smoothed_sum_scaled,
@@ -35,6 +38,15 @@ from quadprimes.smoothing import Kind, TestFunction
 
 Qi = make_field(-1)
 SQUARE = TestFunction(Kind.SQUARE_AUTOCORR)
+PRIMES_2000 = list(primerange(2, 2001))
+
+
+@st.composite
+def field_and_prime(draw):
+    """A squarefree D with |D| <= 10^4 and a prime p <= 2000 or dividing d."""
+    D = draw(st.integers(-10**4, 10**4).filter(lambda D: D != 1 and _is_squarefree(D)))
+    ramified = sorted(set(_prime_factors(make_field(D).discriminant)))
+    return D, draw(st.sampled_from(PRIMES_2000) | st.sampled_from(ramified))
 
 
 class TestKronecker:
@@ -72,6 +84,28 @@ class TestSplitting:
             for pi in enumerate_prime_ideals(field, 200):
                 if pi.root is not None:
                     assert (pi.root**2 + b * pi.root + c) % pi.p == 0
+
+    # p = 2 split (17), inert (-3), ramified with root 1 (-1, -5) and 0 (2, 10);
+    # odd ramified p in both bases (-3, 5, 10)
+    @given(field_and_prime())
+    @example((17, 2))
+    @example((-3, 2))
+    @example((-1, 2))
+    @example((-5, 2))
+    @example((2, 2))
+    @example((10, 2))
+    @example((-3, 3))
+    @example((5, 5))
+    @example((10, 5))
+    def test_ideals_are_the_minpoly_roots(self, case):
+        D, p = case
+        field = make_field(D)
+        b, c = field.minpoly_omega()
+        roots = [r for r in range(p) if (r * r + b * r + c) % p == 0]
+        pis = split_prime(p, field)
+        assert [pi.root for pi in pis] == (roots or [None])
+        kind = {2: SplitType.SPLIT, 1: SplitType.RAMIFIED, 0: SplitType.INERT}[len(roots)]
+        assert all(pi.split_type is kind for pi in pis)
 
     def test_non_prime_rejected(self):
         for n in (0, 1, 6, 561, 2**61 + 1):
@@ -291,6 +325,35 @@ class TestSmoothedCounts:
         H = 200.0
         total = ideal_smoothed_count(SquarefreeIdeal.unit(Qi), SQUARE, H)
         assert total / H**2 == pytest.approx(SQUARE.fourier_at_zero, rel=1e-3)
+
+    @pytest.mark.parametrize("lat, radius, bound", [
+        (IdealLattice(1, 0, 1), 3, 49),
+        (IdealLattice(5, 3, 1), 12, 25 * 5),
+        (IdealLattice(3, 0, 3), 12, 9 * 9),
+        (IdealLattice(10, 7, 2), 9, 9 * 2),
+    ])
+    def test_walk_budget_bound(self, monkeypatch, lat, radius, bound):
+        # (2 (radius // c) + 1) (2 radius // a + 1) candidates bound the walk
+        # and are checked before the first point
+        monkeypatch.setattr(ideals, "LATTICE_POINT_BUDGET", bound)
+        points = list(lattice_points_in_box(lat, radius))
+        assert 0 < len(points) <= bound
+        monkeypatch.setattr(ideals, "LATTICE_POINT_BUDGET", bound - 1)
+        with pytest.raises(BudgetError):
+            next(lattice_points_in_box(lat, radius))
+
+    def test_walk_budget(self, monkeypatch):
+        unit = SquarefreeIdeal.unit(Qi)
+        with pytest.raises(BudgetError):
+            next(lattice_points_in_box(IdealLattice(1, 0, 1), 10**5))
+        with pytest.raises(BudgetError):
+            ideal_smoothed_count(unit, SQUARE, 1e5)
+        # both smoothed counts walk under the budget
+        monkeypatch.setattr(ideals, "LATTICE_POINT_BUDGET", 100)
+        with pytest.raises(BudgetError):
+            ideal_smoothed_count(unit, SQUARE, 50.0)
+        with pytest.raises(BudgetError):
+            ideal_smoothed_count_scaled(unit, 50)
 
     def test_moebius_inversion_matches_direct(self):
         # H^2 S_q from inversion vs the definition as a double sum over the

@@ -247,6 +247,12 @@ class TestRational:
         for h in range(1, 1001):
             assert vals[h] == singular_series_rational(h, 10**4).value
 
+    def test_returned_array_is_not_shared(self):
+        v = sieved_singular_rational(100, 1000)
+        first = v.copy()
+        v[5] = v[6] = 7.0
+        assert np.array_equal(sieved_singular_rational(100, 1000), first, equal_nan=True)
+
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
             singular_series_rational(0, 100)
