@@ -13,10 +13,16 @@ products, norms and exact divisions never overflow.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import FieldSpecError
+from .errors import BudgetError, FieldSpecError
+
+# largest prime-ideal norm, and largest rational prime, that an enumeration
+# accepts: it bounds every Euler product cutoff and squarefree-ideal walk, and
+# the trial division that checks D
+PRIME_BUDGET = 2_000_000
 
 
 class BasisKind(enum.Enum):
@@ -59,6 +65,9 @@ class FieldSpec:
     basis: BasisKind
 
     def __post_init__(self):
+        if math.isqrt(abs(self.D)) > PRIME_BUDGET:
+            raise BudgetError(f"D={self.D}: checking that |D| is squarefree needs trial"
+                              f" division past the prime budget {PRIME_BUDGET}")
         if self.D in (0, 1) or not _is_squarefree(self.D):
             raise FieldSpecError(f"D={self.D} must be squarefree and not 0 or 1")
         if (self.basis is BasisKind.HALF) != (self.D % 4 == 1):

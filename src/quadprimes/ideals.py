@@ -28,11 +28,8 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .errors import BudgetError, UsageError
-from .fields import FieldSpec, QuadInt
+from .fields import PRIME_BUDGET, FieldSpec, QuadInt
 
-# largest prime-ideal norm, and largest rational prime, that an enumeration
-# accepts: it bounds every Euler product cutoff and squarefree-ideal walk
-PRIME_BUDGET = 2_000_000
 # largest number of candidate points that one lattice walk may visit
 LATTICE_POINT_BUDGET = 10_000_000
 

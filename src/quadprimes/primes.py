@@ -11,6 +11,13 @@ arrays; `grid_box_sums` answers the boxes around every integer point of
 [-M, M]^2 at once, where each corner term is one contiguous slice of the
 table.  All three give the same value for the same box, bit for bit.
 
+`build_grid` walks the box in strips of `_STRIP_ROWS` rows, so only the
+tables themselves are box-sized: each strip's norm surface, prime mask and
+weights are summed down the columns on top of a carried row of column sums
+(int64 for counts, longdouble for weights), then along the rows, and written
+into the tables.  Each prefix entry sees the same additions in the same order
+as a cumsum over the whole box.
+
 The 1/log|N| weight divided by r_K is the first-order expected number of
 prime elements per lattice point.  Prime elements generate prime ideals only,
 not squares of prime ideals, so the expectation has a second-order term
@@ -34,6 +41,7 @@ from .ideals import _prime_sieve, kronecker, miller_rabin
 GRID_MAGIC = b"SINF"
 GRID_VERSION = 1
 _GRID_CELL_BUDGET = 60_000_000
+_STRIP_ROWS = 64  # box rows per strip of build_grid
 
 def is_prime_element(alpha: QuadInt) -> bool:
     """Whether the principal ideal generated by alpha is prime."""
@@ -75,23 +83,29 @@ class PrefixGrid:
         return float(self.log_weight[-1, -1])
 
 
-def _prefix_table(values: np.ndarray, acc_dtype, dtype) -> np.ndarray:
-    """2D prefix sums of a (W, W) array, accumulated in acc_dtype and stored
-    as dtype, with a zero row/column in front."""
-    W = values.shape[0]
-    table = np.zeros((W + 1, W + 1), dtype=dtype)
-    table[1:, 1:] = values.astype(acc_dtype).cumsum(axis=0).cumsum(axis=1)
-    return table
+def _accumulate(table: np.ndarray, carry: np.ndarray, values: np.ndarray, i0: int) -> None:
+    """Write the prefix sums of the strip `values`, box rows i0.., into `table`.
+
+    `carry` holds the column sums of the rows above the strip, in the
+    accumulation dtype, and is advanced past it.
+    """
+    acc = values.astype(carry.dtype)
+    acc[0] += carry
+    np.cumsum(acc, axis=0, out=acc)
+    carry[:] = acc[-1]
+    np.cumsum(acc, axis=1, out=acc)
+    table[i0 + 1 : i0 + 1 + len(acc), 1:] = acc
 
 
 def build_grid(field: FieldSpec, extent: int, square_weights: bool = False) -> PrefixGrid:
-    """Scan the full box once and accumulate the prefix tables.
+    """Accumulate the prefix tables of the box [-R, R]^2, strip by strip.
 
-    The norm surface is evaluated vectorized; prime norms come from a sieve
-    up to max|N|, and the inert-square case is resolved through a per-prime
-    inertness table (an element of norm p^2 with p inert is automatically an
-    associate of p, since no ideal of norm p exists).  With square_weights
-    the same norm surface also gives the `sqrt_log_weight` table.
+    A first pass over the strips finds max|N|, which sizes the prime sieve
+    and the per-prime inertness table (an element of norm p^2 with p inert is
+    automatically an associate of p, since no ideal of norm p exists).  The
+    second pass evaluates each strip's norm surface again and adds its prime
+    mask and weights to the tables.  With square_weights the same norm
+    surface also gives the `sqrt_log_weight` table.
     """
     if extent < 0:
         raise UsageError(f"extent must be nonnegative, got {extent}")
@@ -100,43 +114,44 @@ def build_grid(field: FieldSpec, extent: int, square_weights: bool = False) -> P
     if W * W > _GRID_CELL_BUDGET:
         raise BudgetError(f"grid with {W * W} cells exceeds the memory budget")
     k = np.arange(-R, R + 1, dtype=np.int64)
-    K1, K2 = k[:, None], k[None, :]
-    abs_norm = np.abs(field.norm_form(K1, K2))
-    max_norm = int(abs_norm.max()) if abs_norm.size else 0
+    strips = range(0, W, _STRIP_ROWS)
+
+    def strip_norms(i0):
+        return np.abs(field.norm_form(k[i0 : i0 + _STRIP_ROWS, None], k[None, :]))
+
+    max_norm = max(int(strip_norms(i0).max()) for i0 in strips)
     if max_norm > 2_000_000_000:
         raise BudgetError(f"norms up to {max_norm} exceed the sieve budget")
     sieve = _prime_sieve(max(max_norm, 2))
-    prime_mask = sieve[abs_norm]
-    # inert squares: |N| = p^2 with p inert
-    root = np.rint(np.sqrt(abs_norm.astype(np.float64))).astype(np.int64)
-    square = (root * root == abs_norm) & (abs_norm > 1)
     limit = math.isqrt(max(max_norm, 1))
     d = field.discriminant
     inert = np.zeros(limit + 1, dtype=bool)
     for p in np.flatnonzero(sieve[: limit + 1]):
         p = int(p)
         inert[p] = kronecker(d, p) == -1
-    prime_mask |= square & inert[np.minimum(root, limit)]
-    del sieve, root, square  # the prefix sums below set the peak memory
 
-    counts = _prefix_table(prime_mask, np.int64, np.int64)
-    del prime_mask
-    with np.errstate(divide="ignore"):
-        wts = np.where(abs_norm > 1, 1.0 / np.log(np.maximum(abs_norm, 2)), 0.0)
-    sq_wts = None
-    if square_weights:
-        n = np.maximum(abs_norm, 2).astype(np.float64)
-        sq_wts = 1.0 / (np.sqrt(n) * np.log(n))
-        del n
-        sq_wts[abs_norm <= 1] = 0.0
-    del abs_norm
-    # extended-precision accumulation keeps the 10^7-term prefix sums tight
-    weights = _prefix_table(wts, np.longdouble, np.float64)
-    del wts
-    sq_table = None
-    if sq_wts is not None:
-        sq_table = _prefix_table(sq_wts, np.longdouble, np.float64)
-    return PrefixGrid(field, R, counts, weights, sq_table)
+    dtypes = [np.int64, np.float64, np.float64][: 3 if square_weights else 2]
+    tables = [np.zeros((W + 1, W + 1), dtype) for dtype in dtypes]
+    # extended-precision column sums keep the 10^7-term weight sums tight
+    carries = [np.zeros(W, np.int64 if dtype is np.int64 else np.longdouble) for dtype in dtypes]
+    for i0 in strips:
+        abs_norm = strip_norms(i0)
+        prime_mask = sieve[abs_norm]
+        # inert squares: |N| = p^2 with p inert
+        root = np.rint(np.sqrt(abs_norm.astype(np.float64))).astype(np.int64)
+        square = (root * root == abs_norm) & (abs_norm > 1)
+        prime_mask |= square & inert[np.minimum(root, limit)]
+        with np.errstate(divide="ignore"):
+            wts = np.where(abs_norm > 1, 1.0 / np.log(np.maximum(abs_norm, 2)), 0.0)
+        strip = [prime_mask, wts]
+        if square_weights:
+            n = np.maximum(abs_norm, 2).astype(np.float64)
+            sq_wts = 1.0 / (np.sqrt(n) * np.log(n))
+            sq_wts[abs_norm <= 1] = 0.0
+            strip.append(sq_wts)
+        for table, carry, values in zip(tables, carries, strip):
+            _accumulate(table, carry, values, i0)
+    return PrefixGrid(field, R, *tables)
 
 
 def _corners(table: np.ndarray, a, b, c, d):
@@ -254,8 +269,8 @@ def save_grid(grid: PrefixGrid, path: str) -> None:
                 grid.extent,
             )
         )
-        f.write(grid.prime_count.astype("<u4").tobytes())
-        f.write(grid.log_weight.astype("<f8").tobytes())
+        grid.prime_count.astype("<u4").tofile(f)
+        grid.log_weight.astype("<f8", copy=False).tofile(f)
 
 
 def load_grid(path: str) -> PrefixGrid:
@@ -281,8 +296,8 @@ def load_grid(path: str) -> PrefixGrid:
             raise GridFileError(f"{path}: unknown basis code {basis_code}")
         try:
             field = FieldSpec(D, BasisKind.HALF if basis_code else BasisKind.SQRT_D)
-        except FieldSpecError as exc:
+        except (FieldSpecError, BudgetError) as exc:
             raise GridFileError(f"{path}: {exc}") from None
-        counts = np.frombuffer(f.read(4 * W1 * W1), dtype="<u4").astype(np.int64)
-        weights = np.frombuffer(f.read(8 * W1 * W1), dtype="<f8").astype(np.float64)
+        counts = np.fromfile(f, dtype="<u4", count=W1 * W1).astype(np.int64)
+        weights = np.fromfile(f, dtype="<f8", count=W1 * W1)
     return PrefixGrid(field, R, counts.reshape(W1, W1), weights.reshape(W1, W1))

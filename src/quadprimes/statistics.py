@@ -153,12 +153,18 @@ def variance_profile(
         else:
             sums = box_sums(grid, tables, centers, H)
         counts, expected, *squares = sums
-        counts = counts.astype(np.float64)
+        del sums
         if squares:
-            expected = expected - kappa * squares[0]
-        tilde = counts - expected / rk
-        E, V = float(counts.mean()), float(np.mean(tilde * tilde))
-        rows.append(VarianceRow(field.spec_string(), X, delta, H, counts.size, E, V,
+            expected -= kappa * squares[0]
+            del squares
+        expected /= rk
+        counts = counts.astype(np.float64)
+        n, E = counts.size, float(counts.mean())
+        tilde = np.subtract(counts, expected, out=expected)
+        del counts
+        np.multiply(tilde, tilde, out=tilde)
+        V = float(tilde.mean())
+        rows.append(VarianceRow(field.spec_string(), X, delta, H, n, E, V,
                                 V / E if E else math.nan, 1.0 - delta))
     return rows
 

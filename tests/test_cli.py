@@ -270,6 +270,14 @@ class TestHostileInputs:
         assert (got, out) == (3, "")
         assert err.startswith("error:") and err.count("\n") == 1
 
+    def test_huge_field_budget_fails_fast(self, capsys):
+        # the squarefree check would trial-divide up to sqrt|D| = 10^9
+        start = time.perf_counter()
+        got, out, err = run(capsys, "field-info", "--field", "D=-1000000000000000003")
+        assert time.perf_counter() - start < 1.0
+        assert (got, out) == (3, "")
+        assert err.startswith("error:") and err.count("\n") == 1
+
     def test_montgomery_hmax_checked_before_any_row(self, capsys, monkeypatch):
         def summed(H, cutoff):
             pytest.fail("a Montgomery row computed before the --Hmax budget check")

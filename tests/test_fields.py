@@ -7,8 +7,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 import quadprimes
-from quadprimes.errors import FieldSpecError
+from quadprimes import ideals
+from quadprimes.errors import BudgetError, FieldSpecError
 from quadprimes.fields import (
+    PRIME_BUDGET,
     BasisKind,
     FieldSpec,
     QuadInt,
@@ -42,6 +44,15 @@ class TestFieldSpec:
     def test_rejects_non_squarefree(self, bad):
         with pytest.raises(FieldSpecError):
             make_field(bad)
+
+    def test_trial_division_budget(self):
+        # sqrt|D| past the prime budget is refused before any trial division
+        with pytest.raises(BudgetError):
+            make_field(-(PRIME_BUDGET + 1) ** 2)
+        # at the budget the squarefree check runs (and finds the factor 2^2)
+        with pytest.raises(FieldSpecError):
+            make_field(-PRIME_BUDGET**2)
+        assert ideals.PRIME_BUDGET is PRIME_BUDGET
 
     def test_half_basis_requires_1_mod_4(self):
         with pytest.raises(FieldSpecError):

@@ -1,5 +1,7 @@
 import math
 import random
+import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,8 +14,9 @@ from quadprimes.errors import (
     QuadPrimesError,
     UsageError,
 )
+from quadprimes import primes
 from quadprimes.fields import make_field
-from quadprimes.ideals import miller_rabin
+from quadprimes.ideals import _prime_sieve, kronecker, miller_rabin
 from quadprimes.primes import (
     box_sums,
     build_grid,
@@ -110,6 +113,122 @@ class TestBuildGrid:
     def test_budget(self):
         with pytest.raises(BudgetError):
             build_grid(Qi, 10**5)
+
+
+def _prefix_table(values, acc_dtype, dtype):
+    """2D prefix sums of a whole (W, W) array, accumulated in acc_dtype and
+    stored as dtype, with a zero row/column in front."""
+    W = values.shape[0]
+    table = np.zeros((W + 1, W + 1), dtype=dtype)
+    table[1:, 1:] = values.astype(acc_dtype).cumsum(axis=0).cumsum(axis=1)
+    return table
+
+
+def _whole_box_tables(field, R, square_weights):
+    """The tables of `build_grid`, each surface evaluated over the whole box
+    at once and prefix-summed by `_prefix_table`: the oracle of the strip
+    build."""
+    k = np.arange(-R, R + 1, dtype=np.int64)
+    abs_norm = np.abs(field.norm_form(k[:, None], k[None, :]))
+    max_norm = int(abs_norm.max())
+    sieve = _prime_sieve(max(max_norm, 2))
+    limit = math.isqrt(max(max_norm, 1))
+    inert = np.array([bool(sieve[p]) and kronecker(field.discriminant, p) == -1
+                      for p in range(limit + 1)])
+    root = np.rint(np.sqrt(abs_norm.astype(np.float64))).astype(np.int64)
+    square = (root * root == abs_norm) & (abs_norm > 1)
+    prime_mask = sieve[abs_norm] | (square & inert[np.minimum(root, limit)])
+    with np.errstate(divide="ignore"):
+        wts = np.where(abs_norm > 1, 1.0 / np.log(np.maximum(abs_norm, 2)), 0.0)
+    tables = [_prefix_table(prime_mask, np.int64, np.int64),
+              _prefix_table(wts, np.longdouble, np.float64)]
+    if square_weights:
+        n = np.maximum(abs_norm, 2).astype(np.float64)
+        sq_wts = 1.0 / (np.sqrt(n) * np.log(n))
+        sq_wts[abs_norm <= 1] = 0.0
+        tables.append(_prefix_table(sq_wts, np.longdouble, np.float64))
+    return tables
+
+
+STRIP = primes._STRIP_ROWS
+ORACLE_FIELDS = (-1, -3, 5, 10, -7, 2)
+
+
+class TestStripBuild:
+    def assert_matches_oracle(self, D, R, square_weights):
+        F = make_field(D)
+        g = build_grid(F, R, square_weights=square_weights)
+        got = [g.prime_count, g.log_weight]
+        if square_weights:
+            got.append(g.sqrt_log_weight)
+        else:
+            assert g.sqrt_log_weight is None
+        for table, want in zip(got, _whole_box_tables(F, R, square_weights), strict=True):
+            assert table.dtype == want.dtype
+            assert np.array_equal(table, want)
+
+    # The width W = 2R + 1 is odd, so an even _STRIP_ROWS cannot equal it:
+    # that case runs with strips one row longer, at W = _STRIP_ROWS + 1.
+    @pytest.mark.parametrize("W, strip", [
+        (1, STRIP),
+        (STRIP - 1 + STRIP % 2, STRIP),
+        (STRIP + 1 - STRIP % 2, STRIP + 1 - STRIP % 2),
+        (STRIP + 1 + STRIP % 2, STRIP),
+        (2 * STRIP + 1, STRIP),
+    ], ids=["one-row", "below-strip", "one-strip", "above-strip", "two-strips-and-a-row"])
+    @pytest.mark.parametrize("square_weights", [False, True])
+    @pytest.mark.parametrize("D", ORACLE_FIELDS)
+    def test_widths_around_the_strip(self, monkeypatch, D, square_weights, W, strip):
+        monkeypatch.setattr(primes, "_STRIP_ROWS", strip)
+        self.assert_matches_oracle(D, (W - 1) // 2, square_weights)
+
+    @pytest.mark.parametrize("strip", [1, 7, 1000])
+    @pytest.mark.parametrize("square_weights", [False, True])
+    @pytest.mark.parametrize("D", ORACLE_FIELDS)
+    def test_strip_sizes(self, monkeypatch, D, square_weights, strip):
+        monkeypatch.setattr(primes, "_STRIP_ROWS", strip)
+        for R in (0, 3, 24):
+            self.assert_matches_oracle(D, R, square_weights)
+
+    def test_cell_budget_boundary(self, monkeypatch):
+        # 7747^2 cells exceed the 60M budget; 7745^2 pass it and reach the sieve
+        with pytest.raises(BudgetError, match="grid with 60016009 cells"):
+            build_grid(Qi, 3873)
+
+        def sieve(n):
+            raise LookupError(n)
+
+        monkeypatch.setattr(primes, "_prime_sieve", sieve)
+        with pytest.raises(LookupError):
+            build_grid(Qi, 3872)
+
+    def test_sieve_budget_boundary(self, monkeypatch):
+        # D = -100003 has the half basis and the norm form k1^2 + k1 k2 + 25001 k2^2;
+        # the sieve budget of 2e9 falls between extents 282 and 283
+        F = make_field(-100003)
+        max_norm = max(abs(F.norm_form(a, b)) for a in (-283, 283) for b in range(-283, 284))
+        with pytest.raises(BudgetError, match=f"norms up to {max_norm} exceed"):
+            build_grid(F, 283)
+
+        def sieve(n):
+            raise LookupError(n)
+
+        monkeypatch.setattr(primes, "_prime_sieve", sieve)
+        with pytest.raises(LookupError) as exc:
+            build_grid(F, 282)
+        assert exc.value.args[0] == max(
+            abs(F.norm_form(a, b)) for a in range(-282, 283) for b in range(-282, 283))
+
+    def test_traced_peak_near_table_bytes(self):
+        # the whole-box build peaked at 2.66x the tables' bytes
+        tracemalloc.start()
+        try:
+            g = build_grid(make_field(10), 400, square_weights=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        tables = g.prime_count.nbytes + g.log_weight.nbytes + g.sqrt_log_weight.nbytes
+        assert peak <= 1.6 * tables
 
 
 class TestBoxQueries:
@@ -280,6 +399,19 @@ class TestPersistence:
         assert np.array_equal(g2.prime_count, g.prime_count)
         assert np.array_equal(g2.log_weight, g.log_weight)
 
+    def test_file_bytes_and_loaded_arrays(self, tmp_path):
+        g = build_grid(make_field(-3), 30)
+        path = tmp_path / "grid.bin"
+        save_grid(g, str(path))
+        header = struct.pack("<4sIqBI", b"SINF", 1, -3, 1, 30)
+        assert path.read_bytes() == (header + g.prime_count.astype("<u4").tobytes()
+                                     + g.log_weight.astype("<f8").tobytes())
+        g2 = load_grid(str(path))
+        for got, want in ((g2.prime_count, g.prime_count), (g2.log_weight, g.log_weight)):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.flags.writeable and got.flags.c_contiguous
+            assert np.array_equal(got, want)
+
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "junk.bin"
         path.write_bytes(b"NOPE" + b"\0" * 64)
@@ -295,7 +427,9 @@ class TestPersistence:
         lambda b: b[:16] + bytes([2]) + b[17:],
         lambda b: b[:8] + (4).to_bytes(8, "little", signed=True) + b[16:],
         lambda b: b[:17] + (21).to_bytes(4, "little") + b[21:],
-    ], ids=["truncated", "short-header", "extra-byte", "basis-code", "bad-D", "wrong-R"])
+        lambda b: b[:8] + (-(10**18) - 3).to_bytes(8, "little", signed=True) + b[16:],
+    ], ids=["truncated", "short-header", "extra-byte", "basis-code", "bad-D", "wrong-R",
+            "huge-D"])
     def test_corrupt_file(self, tmp_path, corrupt):
         # D = -3 takes the half basis, so any nonzero basis code would pass
         # the field check
