@@ -38,7 +38,7 @@ from .singular_series import (
     singular_sum_smoothed,
     singular_sums_smoothed,
 )
-from .smoothing import Kind, TestFunction, fourier_probe
+from .smoothing import Kind, TestFunction
 from .statistics import (
     Sampler,
     VarianceRow,

@@ -100,12 +100,12 @@ def _accumulate(table: np.ndarray, carry: np.ndarray, values: np.ndarray, i0: in
 def build_grid(field: FieldSpec, extent: int, square_weights: bool = False) -> PrefixGrid:
     """Accumulate the prefix tables of the box [-R, R]^2, strip by strip.
 
-    A first pass over the strips finds max|N|, which sizes the prime sieve
-    and the per-prime inertness table (an element of norm p^2 with p inert is
-    automatically an associate of p, since no ideal of norm p exists).  The
-    second pass evaluates each strip's norm surface again and adds its prime
-    mask and weights to the tables.  With square_weights the same norm
-    surface also gives the `sqrt_log_weight` table.
+    max|N| over the box sizes the prime sieve and the per-prime inertness
+    table (an element of norm p^2 with p inert is automatically an associate
+    of p, since no ideal of norm p exists).  Each strip's norm surface then
+    gives its prime mask and weights, added to the tables.  With
+    square_weights the same norm surface also gives the `sqrt_log_weight`
+    table.
     """
     if extent < 0:
         raise UsageError(f"extent must be nonnegative, got {extent}")
@@ -114,12 +114,14 @@ def build_grid(field: FieldSpec, extent: int, square_weights: bool = False) -> P
     if W * W > _GRID_CELL_BUDGET:
         raise BudgetError(f"grid with {W * W} cells exceeds the memory budget")
     k = np.arange(-R, R + 1, dtype=np.int64)
-    strips = range(0, W, _STRIP_ROWS)
-
-    def strip_norms(i0):
-        return np.abs(field.norm_form(k[i0 : i0 + _STRIP_ROWS, None], k[None, :]))
-
-    max_norm = max(int(strip_norms(i0).max()) for i0 in strips)
+    # max|N| lies on the box's edges: N = k1^2 - b k1 k2 + c k2^2 is convex in
+    # k1, so max N is on k1 = +-R; for c < 0 (real fields) it is concave in
+    # k2, so min N is on k2 = +-R, and for c > 0 N >= 0.  The edges are
+    # evaluated in Python ints, which a huge |D| cannot overflow.
+    ko = k.astype(object)
+    edges = [field.norm_form(R, ko), field.norm_form(-R, ko),
+             field.norm_form(ko, R), field.norm_form(ko, -R)]
+    max_norm = int(np.abs(np.concatenate(edges)).max())
     if max_norm > 2_000_000_000:
         raise BudgetError(f"norms up to {max_norm} exceed the sieve budget")
     sieve = _prime_sieve(max(max_norm, 2))
@@ -134,8 +136,8 @@ def build_grid(field: FieldSpec, extent: int, square_weights: bool = False) -> P
     tables = [np.zeros((W + 1, W + 1), dtype) for dtype in dtypes]
     # extended-precision column sums keep the 10^7-term weight sums tight
     carries = [np.zeros(W, np.int64 if dtype is np.int64 else np.longdouble) for dtype in dtypes]
-    for i0 in strips:
-        abs_norm = strip_norms(i0)
+    for i0 in range(0, W, _STRIP_ROWS):
+        abs_norm = np.abs(field.norm_form(k[i0 : i0 + _STRIP_ROWS, None], k[None, :]))
         prime_mask = sieve[abs_norm]
         # inert squares: |N| = p^2 with p inert
         root = np.rint(np.sqrt(abs_norm.astype(np.float64))).astype(np.int64)

@@ -389,22 +389,30 @@ def test_one_prime_path():
     # rational primes come from the sieve, single numbers from miller_rabin
     # and square roots from sqrt_mod; a sympy prime listing, test,
     # factorization or any other sympy import in the package would be a
-    # second path, and sympy is a test dependency only
+    # second path; sympy and scipy are test dependencies only
     src = pathlib.Path(quadprimes.__file__).parent
     for path in sorted(src.glob("*.py")):
         text = path.read_text()
         found = re.findall(r"\b(primerange|isprime|factorint)\b", text)
         assert not found, f"{path.name} uses {sorted(set(found))}"
-        imports = re.findall(r"^\s*(?:from|import)\s+sympy\b.*$", text, re.M)
-        assert not imports, f"{path.name} imports sympy: {imports}"
+        imports = re.findall(r"^\s*(?:from|import)\s+(?:sympy|scipy)\b.*$", text, re.M)
+        assert not imports, f"{path.name} imports a test dependency: {imports}"
+
+
+def cli_import_loads(package: str) -> str:
+    """The modules of `package` that a fresh `import quadprimes.cli` loads."""
+    src = str(pathlib.Path(quadprimes.__file__).parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run(
+        [sys.executable, "-c",
+         f"import sys, quadprimes.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == {package!r}))"],
+        capture_output=True, text=True, env=env, check=True,
+    ).stdout.strip()
 
 
 def test_cli_import_leaves_out_sympy():
-    src = str(pathlib.Path(quadprimes.__file__).parent.parent)
-    env = dict(os.environ, PYTHONPATH=src)
-    out = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, quadprimes.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'sympy'))"],
-        capture_output=True, text=True, env=env, check=True,
-    ).stdout
-    assert out.strip() == "[]"
+    assert cli_import_loads("sympy") == "[]"
+
+
+def test_cli_import_leaves_out_scipy():
+    assert cli_import_loads("scipy") == "[]"

@@ -15,7 +15,7 @@ from quadprimes.errors import (
     UsageError,
 )
 from quadprimes import primes
-from quadprimes.fields import make_field
+from quadprimes.fields import _is_squarefree, make_field
 from quadprimes.ideals import _prime_sieve, kronecker, miller_rabin
 from quadprimes.primes import (
     box_sums,
@@ -218,6 +218,30 @@ class TestStripBuild:
             build_grid(F, 282)
         assert exc.value.args[0] == max(
             abs(F.norm_form(a, b)) for a in range(-282, 283) for b in range(-282, 283))
+
+    def test_sieve_sized_by_the_whole_box_max(self, monkeypatch):
+        # build_grid takes max|N| from the box's edges only; over every
+        # squarefree |D| <= 300 it equals the maximum over the whole box
+        def sieve(n):
+            raise LookupError(n)
+
+        monkeypatch.setattr(primes, "_prime_sieve", sieve)
+        for D in range(-300, 301):
+            if D in (0, 1) or not _is_squarefree(D):
+                continue
+            F = make_field(D)
+            for R in (*range(40), 63, 64, 65, 127, 128, 255):
+                k = np.arange(-R, R + 1)
+                want = int(np.abs(F.norm_form(k[:, None], k[None, :])).max())
+                with pytest.raises(LookupError) as exc:
+                    build_grid(F, R)
+                assert exc.value.args[0] == max(want, 2), (D, R)
+
+    def test_sieve_budget_exact_for_huge_norms(self):
+        # c k2^2 = 700000000001 * 3872^2 is beyond int64; the reported max is
+        # the exact corner norm 3872^2 (1 + c), not an overflow or a wrapped value
+        with pytest.raises(BudgetError, match=f"norms up to {3872**2 * 700000000002} exceed"):
+            build_grid(make_field(-700000000001), 3872)
 
     def test_traced_peak_near_table_bytes(self):
         # the whole-box build peaked at 2.66x the tables' bytes

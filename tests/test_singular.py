@@ -1,10 +1,11 @@
 import importlib
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
-from scipy.special import zeta as hurwitz_zeta
+from scipy.special import zeta as scipy_zeta
 from sympy import factorint, primerange
 
 from quadprimes.errors import BudgetError, UsageError
@@ -14,7 +15,10 @@ from quadprimes.singular_series import (
     RESIDUE_TERM_BUDGET,
     _base_factor,
     _character_table,
+    _exact_sum,
+    _hurwitz_zeta,
     _member_ratio,
+    _moments,
     _rational_euler_data,
     mobius_phi_profile,
     montgomery_sum,
@@ -65,12 +69,13 @@ def phi_inverse_dfs(norms: list[int], max_norm: int) -> float:
 
 
 def residue_tail(chi: list[int], blocks: int) -> float:
-    """The moment tail of `residue_rk`, from Python-int moments."""
+    """The moment tail of `residue_rk`, from Python-int moments and the
+    package's Hurwitz zeta values (checked on their own in TestHurwitzZeta)."""
     q = len(chi)
     tail = 0.0
     for k in range(1, 19):
         m_k = sum(chi[r % q] * r**k for r in range(1, q))
-        tail += (-1) ** k * (m_k / q ** (k + 1)) * float(hurwitz_zeta(k + 1, blocks))
+        tail += (-1) ** k * (m_k / q ** (k + 1)) * _hurwitz_zeta(k + 1, blocks)
     return tail
 
 
@@ -155,6 +160,23 @@ class TestResidue:
         res = residue_rk(make_field(D), math.inf, blocks)
         assert (res.value, res.error_bound) == residue_reference(D, blocks)
 
+    @pytest.mark.parametrize("D", [-100_003, -3, 10, -1, 2])
+    def test_equals_scipy_zeta_recipe(self, D):
+        # the residues the benchmark and the acceptance tests read are those
+        # of the moment tail with scipy's Hurwitz zeta, bit for bit
+        d = make_field(D).discriminant
+        q = abs(d)
+        chi = _character_table(d)
+        tail = 0.0
+        for k, m_k in enumerate(_moments(chi, 18), start=1):
+            tail += (-1) ** k * (m_k / q ** (k + 1)) * float(scipy_zeta(k + 1, 128))
+        assert residue_rk(make_field(D), 1e-8).value == _exact_sum(chi, 128 * q) + tail
+
+    @pytest.mark.parametrize("blocks", [-3, 0, 2.5])
+    def test_blocks_must_be_a_positive_int(self, blocks):
+        with pytest.raises(UsageError, match="blocks"):
+            residue_rk(Qi, math.inf, blocks)
+
     def test_pinned_large_discriminant(self):
         res = residue_rk(make_field(-100_003), 1e-8)
         assert res.value == 0.3874431307626732
@@ -188,6 +210,24 @@ class TestResidue:
             if abs(d) > 2000:
                 break
             assert _character_table(d).tolist() == [kronecker(d, r) for r in range(abs(d))]
+
+
+HURWITZ_SHIFTS = [*range(1, 41), 64, 127, 128, 129, 1000, 10**4]
+
+
+class TestHurwitzZeta:
+    @pytest.mark.parametrize("s", range(2, 20))
+    def test_matches_mpmath(self, s):
+        with mpmath.workdps(80):
+            for a in HURWITZ_SHIFTS:
+                want = mpmath.zeta(s, a)
+                assert float(abs((_hurwitz_zeta(s, a) - want) / want)) <= 4e-16, a
+
+    @pytest.mark.parametrize("s", range(2, 20))
+    def test_matches_scipy(self, s):
+        for a in HURWITZ_SHIFTS:
+            want = float(scipy_zeta(s, a))
+            assert _hurwitz_zeta(s, a) == pytest.approx(want, rel=1e-15, abs=0), a
 
 
 class TestSingularSeries:
