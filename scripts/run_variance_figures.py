@@ -25,7 +25,6 @@ def main(argv=None):
                     help="delta grid, lo:hi:step or comma list")
     ap.add_argument("--outdir", default="out/variance", help="output directory")
     ap.add_argument("--sampler", default="grid", choices=["grid", "jitter"])
-    ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--density", default="second-order", choices=DENSITY_MODELS,
                     help="expected-count model of V (criterion 6's is second-order)")
     args = ap.parse_args(argv)
@@ -36,7 +35,7 @@ def main(argv=None):
         code = cli_main([
             "variance", "--field", field, "--X", str(args.X),
             "--deltas", args.deltas, "--sampler", args.sampler,
-            "--seed", str(args.seed), "--density", args.density, "--out", out,
+            "--density", args.density, "--out", out,
         ])
         if code != 0:
             print(f"failed on {field} (exit {code})", file=sys.stderr)

@@ -1,10 +1,10 @@
 """Command-line front end: CSV emission, config files, metadata sidecars.
 
-Every subcommand prints CSV (or writes it to --out with a JSON metadata
-sidecar next to it).  All floats use %.12g; all randomness flows from a
-single --seed.  Exit codes: 0 ok, 1 generic (including a file that cannot be
-read or written, or a corrupt grid file), 2 bad field spec / usage, 3 budget
-exceeded, 4 box query outside the grid extent.  Every error prints one `error:` line to stderr.
+Every subcommand prints CSV (or writes it to --out with a JSON metadata sidecar
+next to it).  All floats use %.12g.  Exit codes: 0 ok, 1 generic (including a
+file that cannot be read or written, or a corrupt grid file), 2 bad field spec /
+usage, 3 budget exceeded, 4 box query outside the grid extent.  Every error
+prints one `error:` line to stderr.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from . import __version__
 from .errors import BudgetError, QuadPrimesError, UsageError
 from .fields import parse_field_spec
 from .ideals import (
+    LATTICE_POINT_BUDGET,
     PRIME_BUDGET,
     condensation_sum,
     dual_lattice_count,
@@ -213,7 +214,7 @@ def cmd_montgomery(args) -> int:
 
 def cmd_variance(args) -> int:
     field = parse_field_spec(args.field)
-    sampler = Sampler(kind=args.sampler, q=args.q, seed=args.seed)
+    sampler = Sampler(kind=args.sampler)
     deltas = _parse_deltas(args.deltas)
     rows = variance_profile(field, args.X, deltas, sampler, density=args.density)
     res = residue_rk(field, 1e-8)
@@ -223,7 +224,7 @@ def cmd_variance(args) -> int:
         [(r.field, r.X, r.delta, r.H, r.n_samples, r.E, r.V, r.ratio, r.target)
          for r in rows],
         {"rk": res.value, "rk_error_bound": res.error_bound,
-         "sampler": args.sampler, "seed": args.seed, "density": args.density,
+         "sampler": args.sampler, "density": args.density,
          "grid_extent": grid_extent(args.X, deltas)},
     )
     return 0
@@ -246,14 +247,19 @@ def cmd_diagnose(args) -> int:
     if args.Y < 1:
         raise UsageError(f"--Y must be at least 1, got {args.Y}")
     if args.topic == "dual-count":
-        rows = []
-        for q in enumerate_squarefree_ideals(field, args.Y):
-            if q.norm == 1:
-                continue
+        radii = (0.2, 0.5, 1.0, 2.0)
+        lattices, walk = [], 0
+        for q in enumerate_squarefree_ideals(field, args.Y)[1:]:  # past the unit ideal
             lat = ideal_lattice(q)
-            for r in (0.2, 0.5, 1.0, 2.0):
+            walk += sum(2 * math.floor(r * lat.a) + 1 for r in radii)
+            if walk > LATTICE_POINT_BUDGET:
+                raise BudgetError(f"--Y {args.Y}: over {LATTICE_POINT_BUDGET} lattice rows")
+            lattices.append((q.norm, lat))
+        rows = []
+        for norm, lat in lattices:
+            for r in radii:
                 cnt = dual_lattice_count(lat, r)
-                rows.append((name, q.norm, r, cnt, cnt / (q.norm * r * r)))
+                rows.append((name, norm, r, cnt, cnt / (norm * r * r)))
         _emit(args, ["field", "norm", "r", "count", "normalized"], rows, {})
         return 0
     if args.topic == "smooth-count":
@@ -287,7 +293,6 @@ def cmd_diagnose(args) -> int:
 def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--config", help="key = value file; flags override entries")
     p.add_argument("--out", help="write CSV here (plus <out>.meta.json sidecar)")
-    p.add_argument("--seed", type=int, default=0, help="RNG seed (64-bit)")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -359,7 +364,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--deltas", default="0.1:0.9:0.1",
                    help="lo:hi:step or comma list of exponents")
     p.add_argument("--sampler", choices=["grid", "jitter"], default="grid")
-    p.add_argument("--q", type=int, default=2, help="jitter strata per axis")
     p.add_argument("--density", choices=DENSITY_MODELS, default="first-order",
                    help="expected-count model subtracted in V: 1/log|N|, or "
                    "also the principal prime-ideal squares")

@@ -7,9 +7,9 @@ prime indicator and of the 1/log|N| weight (over all elements of norm > 1),
 so any coordinate box is answered by four corner lookups, combined by the
 one inclusion-exclusion expression in `_corners`.  The scalar queries pass it
 int indices; `box_sums` gathers the corners for arbitrary centers by index
-arrays; `grid_box_sums` answers the boxes around every integer point of
-[-M, M]^2 at once, where each corner term is one contiguous slice of the
-table.  All three give the same value for the same box, bit for bit.
+arrays; `grid_box_sums` answers the boxes at fixed offsets around every
+integer point of [-M, M]^2 at once, each corner term one contiguous slice of
+the table.  All three give the same value for the same box, bit for bit.
 
 `build_grid` walks the box in strips of `_STRIP_ROWS` rows, so only the
 tables themselves are box-sized: each strip's norm surface, prime mask and
@@ -191,19 +191,6 @@ def log_weight_box(grid: PrefixGrid, x1: float, x2: float, H: float) -> float:
     return float(_corners(grid.log_weight, *_box_bounds(grid, x1, x2, H)))
 
 
-def _array_bounds(grid: PrefixGrid, x: np.ndarray, H: float):
-    """Table indices (a, b) of the intervals [x - H, x + H], elementwise,
-    rounded as `_box_bounds` rounds them."""
-    if not H >= 0:
-        raise UsageError(f"box radius H must be >= 0, got {H!r}")
-    lo = np.ceil(x - H).astype(np.int64)
-    hi = np.floor(x + H).astype(np.int64)
-    R = grid.extent
-    if lo.min() < -R or hi.max() > R:
-        raise ExtentError(f"some box of radius {H} exceeds the grid extent {R}")
-    return lo + R, hi + R + 1
-
-
 def box_sums(
     grid: PrefixGrid, tables: list[np.ndarray], centers: np.ndarray, H: float
 ) -> list[np.ndarray]:
@@ -212,32 +199,35 @@ def box_sums(
     The box bounds are computed once and shared by all the tables; the four
     corners of each box are gathered by index.
     """
-    a, b = _array_bounds(grid, centers, H)
+    if not H >= 0:
+        raise UsageError(f"box radius H must be >= 0, got {H!r}")
+    lo = np.ceil(centers - H).astype(np.int64)
+    hi = np.floor(centers + H).astype(np.int64)
+    R = grid.extent
+    if lo.min() < -R or hi.max() > R:
+        raise ExtentError(f"some box of radius {H} exceeds the grid extent {R}")
+    a, b = lo + R, hi + R + 1
     return [_corners(table, a[:, 0], b[:, 0], a[:, 1], b[:, 1]) for table in tables]
 
 
 def grid_box_sums(
-    grid: PrefixGrid, tables: list[np.ndarray], M: int, H: float
+    grid: PrefixGrid, tables: list[np.ndarray], M: int,
+    rows: tuple[int, int], cols: tuple[int, int],
 ) -> list[np.ndarray]:
-    """`box_sums` over the integer centers (k1, k2) in [-M, M]^2, raveled
-    row-major like `Sampler("grid").centers`, without building the centers.
-
-    An integer center's box is k - h .. k + h on both axes, so each of the
-    four corner terms is one contiguous (n, n) slice of the table, with
-    n = 2M + 1.  The bounds are rounded exactly as `box_sums` rounds them;
-    in the rare case that float rounding breaks the constant offset (H just
-    below an integer and large |k|), the terms are gathered by row and column
-    index vectors instead, with the same values.
+    """Box sums of prefix tables over the boxes k1 + lo1 .. k1 + hi1 by
+    k2 + lo2 .. k2 + hi2, with rows = (lo1, hi1) and cols = (lo2, hi2), around
+    the integer centers (k1, k2) in [-M, M]^2, raveled row-major like
+    `Sampler().centers`.  The offsets are the same for every center, so each
+    corner term is one contiguous (n, n) slice of the table, n = 2M + 1.
     """
-    a, b = _array_bounds(grid, np.arange(-M, M + 1, dtype=np.float64), H)
-    n = len(a)
-    if np.array_equal(a, a[0] + np.arange(n)) and np.array_equal(b, b[0] + np.arange(n)):
-        a_rows = a_cols = slice(a[0], a[0] + n)
-        b_rows = b_cols = slice(b[0], b[0] + n)
-    else:
-        a_rows, a_cols = a[:, None], a[None, :]
-        b_rows, b_cols = b[:, None], b[None, :]
-    return [_corners(table, a_rows, b_rows, a_cols, b_cols).ravel() for table in tables]
+    R = grid.extent
+    (lo1, hi1), (lo2, hi2) = rows, cols
+    if -M + min(lo1, lo2) < -R or M + max(hi1, hi2) > R:
+        raise ExtentError(f"boxes {rows} x {cols} around [-{M}, {M}]^2 exceed the extent {R}")
+    # corner indices k + lo + R and k + hi + R + 1 for k = -M..M
+    a, c = (slice(R - M + lo, R + M + lo + 1) for lo in (lo1, lo2))
+    b, d = (slice(R - M + hi + 1, R + M + hi + 2) for hi in (hi1, hi2))
+    return [_corners(table, a, b, c, d).ravel() for table in tables]
 
 
 def count_primes_boxes(grid: PrefixGrid, centers: np.ndarray, H: float) -> np.ndarray:

@@ -148,6 +148,7 @@ def _hurwitz_zeta(s: int, a: int) -> float:
     return math.fsum(terms)
 
 
+@lru_cache(maxsize=32)
 def residue_rk(field: FieldSpec, tol: float, blocks: int = 128) -> ResidueValue:
     """L(1, chi_d) for the field discriminant d, i.e. Res_{s=1} zeta_K.
 

@@ -7,10 +7,11 @@ and V the mean square of each count minus its expected count.  The expected
 count follows one of two density models: "first-order" (the default)
 subtracts the 1/log|N| weight over r_K; "second-order" also subtracts
 kappa_K / (r_K sqrt|N| log|N|) for the prime-ideal squares that are
-principal.  With the grid sampler the box sums for all centers are
-contiguous slices of the prefix tables (`grid_box_sums`), so no center array
-is built; the jitter sampler's centers are gathered (`box_sums`).
-The rational baselines are exact: for integer interval length the
+principal.  Both samplers average exactly, over integer centers or over
+centers uniform in their cells: a box's bounds are constant on at most three
+pieces of the in-cell offset per axis (`Sampler.offsets`), so every average
+is a weighted sum of prefix-table slices (`grid_box_sums`).  The rational
+baselines are exact by the same argument: for integer interval length the
 window counts are piecewise constant in the left endpoint, so the averages
 are finite sums over integer shifts computed from prefix arrays, of length
 at most `ideals.PRIME_BUDGET`.
@@ -21,13 +22,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import product
 
 import numpy as np
 
 from .errors import BudgetError, UsageError
 from .fields import FieldSpec, class_group_2_rank
 from .ideals import PRIME_BUDGET, _prime_sieve
-from .primes import PrefixGrid, box_sums, build_grid, grid_box_sums
+from .primes import PrefixGrid, build_grid, grid_box_sums
 from .singular_series import residue_rk
 
 _SAMPLE_BUDGET = 30_000_000
@@ -35,53 +37,49 @@ _SAMPLE_BUDGET = 30_000_000
 
 @dataclass(frozen=True)
 class Sampler:
-    """Center sampler for the x-average.
-
-    kind "grid": every integer point of the sup-norm ball (exact for the
-    piecewise-constant integrand on the integer-offset granularity).
-    kind "jitter": stratified q x q sub-offsets per integer cell with one
-    uniform jitter per stratum, seeded; estimates the continuous integral.
-    """
+    """Center sampler for the x-average: kind "grid" takes every integer point
+    of the sup-norm ball, kind "jitter" averages exactly over the centers
+    uniform in the unit cells around those points."""
 
     kind: str = "grid"
-    q: int = 2
-    seed: int = 0
 
     def radius(self, X: float) -> int:
         """M = floor(X), the cells' extent, after checking the sample budget."""
         if self.kind not in ("grid", "jitter"):
             raise UsageError(f"unknown sampler kind {self.kind!r}")
-        if self.kind == "jitter" and (self.q < 1 or self.seed < 0):
-            raise UsageError(f"jitter needs q >= 1 and seed >= 0, got q={self.q},"
-                             f" seed={self.seed}")
         M = math.floor(X)
-        n_samples = (2 * M + 1) ** 2 * (self.q * self.q if self.kind == "jitter" else 1)
+        n_samples = (2 * M + 1) ** 2
         if n_samples > _SAMPLE_BUDGET:
             raise BudgetError(f"{n_samples} sample centers exceed the budget")
         return M
 
     def centers(self, X: float) -> np.ndarray:
+        """The integer cells of [-M, M]^2 as an (n, 2) array, row-major."""
         M = self.radius(X)
         k = np.arange(-M, M + 1, dtype=np.float64)
         g1, g2 = np.meshgrid(k, k, indexing="ij")
-        cells = np.column_stack([g1.ravel(), g2.ravel()])
+        return np.column_stack([g1.ravel(), g2.ravel()])
+
+    def offsets(self, H: float) -> list[tuple[float, int, int]]:
+        """Per-axis pieces (weight, lo, hi): the box of radius H around a center
+        in cell k spans k + lo .. k + hi with probability `weight`.  A jitter
+        center k + u, u uniform in [-1/2, 1/2), spans k + ceil(u - H) ..
+        k + floor(u + H); these change only at u in {f - 1, -f, f, 1 - f},
+        f = H - floor(H), so each piece between those cuts is evaluated at its
+        midpoint and weighted by its length."""
+        if not 0 <= H < math.inf:
+            raise UsageError(f"box radius H must be a finite number >= 0, got {H!r}")
+        h = math.floor(H)
         if self.kind == "grid":
-            return cells
-        q = self.q
-        rng = np.random.default_rng(self.seed)
-        strata = np.stack(
-            np.meshgrid(np.arange(q), np.arange(q), indexing="ij"), axis=-1
-        ).reshape(-1, 2)
-        pts = []
-        for s in strata:
-            u = rng.random((len(cells), 2))
-            pts.append(cells + (s + u) / q - 0.5)
-        return np.concatenate(pts, axis=0)
-
-
-@lru_cache(maxsize=32)
-def _residue(field: FieldSpec) -> float:
-    return residue_rk(field, 1e-8).value
+            return [(1.0, -h, h)]
+        f = H - h
+        breaks = {u for u in (f - 1, -f, f, 1 - f) if -0.5 < u < 0.5}
+        cuts = sorted({-0.5, 0.5} | breaks)
+        pieces = []
+        for a, b in zip(cuts, cuts[1:]):
+            mid = (a + b) / 2
+            pieces.append((b - a, math.ceil(mid - H), math.floor(mid + H)))
+        return pieces
 
 
 def grid_extent(X: float, deltas: list[float]) -> int:
@@ -122,10 +120,12 @@ def variance_profile(
     kappa_K = |Cl_K[2]| / 2: prime elements generate prime ideals but not
     prime-ideal squares, and p^2 is principal exactly when [p] lies in
     Cl_K[2].  E is the mean box count under either model.  A grid passed
-    in for "second-order" must be built with `square_weights=True`.
+    in must be built for `field`, and for "second-order" with
+    `square_weights=True`.
 
-    With the grid sampler every box sum is a slice of a prefix table, so
-    the centers are never materialized; the sample budget still applies.
+    E and V sum the means over pairs of the sampler's per-axis pieces, times
+    the pieces' weights.  Every box sum is a slice of a prefix table, so the
+    centers are never materialized; the sample budget still applies.
     """
     if not math.isfinite(X) or X < 0:
         raise UsageError(f"X must be a finite number >= 0, got {X!r}")
@@ -137,34 +137,34 @@ def variance_profile(
     M = sampler.radius(X)  # fail on the sample budget before building a grid
     if grid is None:
         grid = build_grid(field, grid_extent(X, deltas), square_weights=second_order)
+    elif grid.field != field:
+        raise UsageError(f"grid built for {grid.field.spec_string()}, not {field.spec_string()}")
     tables = [grid.prime_count, grid.log_weight]
     if second_order:
         if grid.sqrt_log_weight is None:
             raise ValueError("second-order density needs a grid built with square_weights=True")
         tables.append(grid.sqrt_log_weight)
         kappa = 2.0 ** class_group_2_rank(field) / 2.0
-    centers = None if sampler.kind == "grid" else sampler.centers(X)
-    rk = _residue(field)
+    rk = residue_rk(field, 1e-8).value
     rows = []
     for delta in deltas:
         H = X**delta
-        if centers is None:
-            sums = grid_box_sums(grid, tables, M, H)
-        else:
-            sums = box_sums(grid, tables, centers, H)
-        counts, expected, *squares = sums
-        del sums
-        if squares:
-            expected -= kappa * squares[0]
-            del squares
-        expected /= rk
-        counts = counts.astype(np.float64)
-        n, E = counts.size, float(counts.mean())
-        tilde = np.subtract(counts, expected, out=expected)
-        del counts
-        np.multiply(tilde, tilde, out=tilde)
-        V = float(tilde.mean())
-        rows.append(VarianceRow(field.spec_string(), X, delta, H, n, E, V,
+        # a piece with lo > hi holds no lattice point, so its pairs add exactly 0
+        spans = [(w, (lo, hi)) for w, lo, hi in sampler.offsets(H) if lo <= hi]
+        E = V = 0.0
+        for (w1, span1), (w2, span2) in product(spans, repeat=2):
+            counts, expected, *squares = grid_box_sums(grid, tables, M, span1, span2)
+            if squares:
+                expected -= kappa * squares[0]
+                del squares
+            expected /= rk
+            counts = counts.astype(np.float64)
+            E += w1 * w2 * float(counts.mean())
+            tilde = np.subtract(counts, expected, out=expected)
+            del counts
+            np.multiply(tilde, tilde, out=tilde)
+            V += w1 * w2 * float(tilde.mean())
+        rows.append(VarianceRow(field.spec_string(), X, delta, H, (2 * M + 1) ** 2, E, V,
                                 V / E if E else math.nan, 1.0 - delta))
     return rows
 

@@ -254,6 +254,7 @@ class TestHostileInputs:
         (["primes", "count", "--field", "D=-1", "--H", "-3", "--center", "10,10"], 2),
         (["variance-z", "--X", "100000000000"], 3),
         (["montgomery", "--Hmax", "100000000000"], 3),
+        (["diagnose", "dual-count", "--Y", "4000"], 3),
     ])
     def test_one_error_line(self, capsys, argv, code):
         got, out, err = run(capsys, *argv)

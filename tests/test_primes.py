@@ -346,7 +346,8 @@ class TestOneCornerExpression:
             lambda: count_primes_box(g, 0.0, 0.0, H),
             lambda: log_weight_box(g, 0.0, 0.0, H),
             lambda: box_sums(g, [g.prime_count], np.zeros((3, 2)), H),
-            lambda: grid_box_sums(g, [g.prime_count], 2, H),
+            lambda: Sampler().offsets(H),
+            lambda: Sampler("jitter").offsets(H),
         ]
         for call in calls:
             with pytest.raises(UsageError):
@@ -388,28 +389,46 @@ class TestGridBoxSums:
 
     @pytest.mark.parametrize("D", [-1, -3, 10])
     @pytest.mark.parametrize("X", [7.5, 20.0])
-    # one ulp below 3, k - H rounds to an integer for |k| >= 11, so at X = 20
-    # the rounded bounds are not a constant offset from k
     @pytest.mark.parametrize("H", [3.0, 4.6, float(np.nextafter(3.0, 0.0))])
     def test_equals_box_sums(self, D, X, H):
         g = build_grid(make_field(D), 26, square_weights=True)
-        got = grid_box_sums(g, self.tables(g), math.floor(X), H)
-        want = box_sums(g, self.tables(g), Sampler().centers(X), H)
+        h = math.floor(H)
+        got = grid_box_sums(g, self.tables(g), math.floor(X), (-h, h), (-h, h))
+        # one ulp below 3 the gather path rounds k - H to k - 3 for |k| >= 11,
+        # a radius-3 box; the exact boxes are those of radius floor(H) = 2
+        ref_H = float(h) if H < 3.0 else H
+        want = box_sums(g, self.tables(g), Sampler().centers(X), ref_H)
         assert len(got) == 3
         for a, b in zip(got, want):
             assert a.dtype == b.dtype
             assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("H", [0.2, 2.25, 3.0, 4.6, 4.9])
+    def test_jitter_pieces_equal_box_sums(self, H):
+        # each pair of pieces is the box around cell + (mid1, mid2)
+        g = build_grid(make_field(10), 26, square_weights=True)
+        cells = Sampler().centers(15.0)
+        pieces = Sampler("jitter").offsets(H)
+        starts = np.cumsum([-0.5] + [w for w, _, _ in pieces])
+        for (w1, *rows), a1 in zip(pieces, starts):
+            for (w2, *cols), a2 in zip(pieces, starts):
+                mid = (a1 + w1 / 2, a2 + w2 / 2)
+                got = grid_box_sums(g, self.tables(g), 15, tuple(rows), tuple(cols))
+                want = box_sums(g, self.tables(g), cells + mid, H)
+                for a, b in zip(got, want):
+                    assert np.array_equal(a, b)
+
     def test_grid_edge(self):
         g = build_grid(Qi, 10)
         centers = Sampler().centers(7.0)
         for H in (3.0, 3.9):  # M + floor(H) = R: the boxes touch the edge
-            (got,) = grid_box_sums(g, [g.log_weight], 7, H)
+            (got,) = grid_box_sums(g, [g.log_weight], 7, (-3, 3), (-3, 3))
             assert np.array_equal(got, log_weight_boxes(g, centers, H))
-        with pytest.raises(ExtentError):  # one past the edge
-            grid_box_sums(g, [g.log_weight], 7, 4.0)
+        for rows, cols in [((-4, 4), (-3, 3)), ((-3, 3), (-3, 4)), ((-3, 4), (-3, 3))]:
+            with pytest.raises(ExtentError):  # one past the edge
+                grid_box_sums(g, [g.log_weight], 7, rows, cols)
         with pytest.raises(ExtentError):
-            grid_box_sums(g, [g.log_weight], 8, 3.0)
+            grid_box_sums(g, [g.log_weight], 8, (-3, 3), (-3, 3))
 
 
 class TestPersistence:

@@ -184,10 +184,14 @@ class TestResidue:
 
     @pytest.mark.parametrize("D", [-7, 10, -1003])
     def test_chunk_size_does_not_change_values(self, D, monkeypatch):
+        # residue_rk is cached: clear it so every chunk size is summed afresh
+        residue_rk.cache_clear()
         want = residue_rk(make_field(D), 1e-8)
         for chunk in (7, 1 << 20):
             monkeypatch.setattr(singular_series_module, "_RESIDUE_CHUNK", chunk)
+            residue_rk.cache_clear()
             assert residue_rk(make_field(D), 1e-8) == want
+        residue_rk.cache_clear()
 
     def test_exact_at_the_term_budget(self):
         # the most terms the budget admits, with the smallest period: the

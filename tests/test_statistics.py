@@ -1,16 +1,22 @@
+import importlib
 import math
+import pathlib
+import re
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, strategies as st
 
+import quadprimes
 import quadprimes.statistics as statistics
+from quadprimes.cli import main
 from quadprimes.errors import BudgetError, UsageError
 from quadprimes.fields import class_group_2_rank, make_field
 from quadprimes.ideals import PRIME_BUDGET
 from quadprimes.primes import box_sums, build_grid
+from quadprimes.singular_series import residue_rk
 from quadprimes.statistics import (
     Sampler,
-    _residue,
     expectation_rational,
     grid_extent,
     variance_profile,
@@ -20,6 +26,12 @@ from quadprimes.statistics import (
 )
 
 Qi = make_field(-1)
+# the package's `singular_series` attribute is the function of that name
+singular_series = importlib.import_module("quadprimes.singular_series")
+
+
+def _residue(F):
+    return residue_rk(F, 1e-8).value
 
 
 class TestSampler:
@@ -27,19 +39,6 @@ class TestSampler:
         pts = Sampler().centers(3.0)
         assert pts.shape == (49, 2)
         assert pts.min() == -3 and pts.max() == 3
-
-    def test_jitter_deterministic_and_in_range(self):
-        s = Sampler(kind="jitter", q=2, seed=5)
-        a = s.centers(4.0)
-        b = s.centers(4.0)
-        assert np.array_equal(a, b)
-        assert a.shape == (4 * 81, 2)
-        assert a.min() >= -4.5 and a.max() <= 4.5
-
-    def test_seed_changes_jitter(self):
-        a = Sampler(kind="jitter", seed=1).centers(3.0)
-        b = Sampler(kind="jitter", seed=2).centers(3.0)
-        assert not np.array_equal(a, b)
 
     def test_budget(self):
         with pytest.raises(BudgetError):
@@ -49,17 +48,48 @@ class TestSampler:
         with pytest.raises(ValueError):
             Sampler(kind="sobol").centers(2.0)
 
-    @pytest.mark.parametrize("q, seed", [(0, 0), (-2, 0), (2, -1)])
-    def test_jitter_rejects_bad_q_and_seed(self, q, seed):
-        with pytest.raises(UsageError):
-            Sampler(kind="jitter", q=q, seed=seed).centers(3.0)
-
     def test_radius_checks_budget_without_centers(self):
         assert Sampler().radius(7.9) == 7
         with pytest.raises(BudgetError):
             Sampler().radius(10**5)
+        # jitter averages over the same cells: no extra centers, same budget
+        assert Sampler(kind="jitter").radius(1000.0) == 1000
         with pytest.raises(BudgetError):
-            Sampler(kind="jitter", q=3).radius(1000.0)
+            Sampler(kind="jitter").radius(10**5)
+
+    def test_jitter_centers_are_the_cells(self):
+        assert np.array_equal(Sampler("jitter").centers(3.0), Sampler().centers(3.0))
+
+
+class TestOffsets:
+    """`Sampler.offsets`: per-axis (weight, lo, hi) pieces of the in-cell offset."""
+
+    def test_grid_is_one_integer_piece(self):
+        assert Sampler().offsets(4.6) == [(1.0, -4, 4)]
+        assert Sampler().offsets(3.0) == [(1.0, -3, 3)]
+        assert Sampler().offsets(0.0) == [(1.0, 0, 0)]
+
+    def test_jitter_pieces_by_hand(self):
+        # f = 0.25: cuts at -1/4 and 1/4; f = 0: one cut at 0; f = 1/2: none
+        assert Sampler("jitter").offsets(2.25) == [(0.25, -2, 1), (0.5, -2, 2), (0.25, -1, 2)]
+        assert Sampler("jitter").offsets(3.0) == [(0.5, -3, 2), (0.5, -2, 3)]
+        assert Sampler("jitter").offsets(2.5) == [(1.0, -2, 2)]
+        assert Sampler("jitter").offsets(0.0) == [(0.5, 0, -1), (0.5, 1, 0)]
+
+    @given(st.floats(0.0, 600.0), st.floats(-0.5, 0.5, exclude_max=True))
+    def test_piece_of_u_holds_its_box_bounds(self, H, u):
+        # u at least 1e-9 from every offset where u - H or u + H is an integer
+        assume(all(abs(x - round(x)) >= 1e-9 for x in (u - H, u + H)))
+        pieces = Sampler("jitter").offsets(H)
+        weights = [w for w, _, _ in pieces]
+        assert all(w > 0 for w in weights)
+        assert abs(math.fsum(weights) - 1.0) <= 1e-15
+        start = -0.5
+        for w, lo, hi in pieces:
+            if u < start + w:
+                break
+            start += w
+        assert (lo, hi) == (math.ceil(u - H), math.floor(u + H))
 
 
 class TestFieldStatistics:
@@ -154,24 +184,93 @@ class TestSlicePath:
             assert row.V == float(np.mean(tilde * tilde))
 
     def test_sampler_picks_the_path(self, monkeypatch):
+        # both samplers slice: one call per nonempty pair of pieces, no centers
         calls = []
+        grid_box_sums = statistics.grid_box_sums
 
-        def spy(name, fn):
-            def wrapped(*args):
-                calls.append(name)
-                return fn(*args)
-            monkeypatch.setattr(statistics, name, wrapped)
+        def wrapped(grid, tables, M, rows, cols):
+            calls.append((rows, cols))
+            return grid_box_sums(grid, tables, M, rows, cols)
 
-        spy("box_sums", statistics.box_sums)
-        spy("grid_box_sums", statistics.grid_box_sums)
+        monkeypatch.setattr(statistics, "grid_box_sums", wrapped)
         monkeypatch.setattr(Sampler, "centers", lambda self, X: pytest.fail("centers built"))
         variance_profile(Qi, 20.0, [0.3, 0.6])
-        assert calls == ["grid_box_sums"] * 2
-        monkeypatch.undo()
-        spy("box_sums", statistics.box_sums)
-        spy("grid_box_sums", statistics.grid_box_sums)
+        assert calls == [((-2, 2), (-2, 2)), ((-6, 6), (-6, 6))]
+        calls.clear()
         variance_profile(Qi, 20.0, [0.3, 0.6], Sampler(kind="jitter"))
-        assert calls == ["grid_box_sums"] * 2 + ["box_sums"] * 2
+        spans = [(lo, hi) for H in (20.0**0.3, 20.0**0.6)
+                 for _, lo, hi in Sampler("jitter").offsets(H)]
+        assert len(calls) == 2 * 9 and {s for pair in calls for s in pair} == set(spans)
+
+
+class TestJitterIsExact:
+    """The jitter rows are the continuous average over the cells."""
+
+    @staticmethod
+    def midpoint_rule(F, X, delta, N=100_000):
+        """E and V at N midpoints u per axis, centers cell + u gathered by
+        `box_sums`; the midpoints with equal box bounds share one call."""
+        H = X**delta
+        g = build_grid(F, grid_extent(X, [delta]))
+        u = -0.5 + (np.arange(N) + 0.5) / N
+        bounds = np.stack([np.ceil(u - H), np.floor(u + H)], axis=1)
+        _, first, count = np.unique(bounds, axis=0, return_index=True, return_counts=True)
+        cells = Sampler().centers(X)
+        E = V = 0.0
+        for u1, n1 in zip(u[first], count):
+            for u2, n2 in zip(u[first], count):
+                c, w = box_sums(g, [g.prime_count, g.log_weight], cells + (u1, u2), H)
+                tilde = c - w / _residue(F)
+                E += n1 * n2 / N**2 * c.mean()
+                V += n1 * n2 / N**2 * np.mean(tilde * tilde)
+        return E, V
+
+    @pytest.mark.parametrize("D", [-1, 10])
+    def test_matches_the_midpoint_rule(self, D):
+        F = make_field(D)
+        rows = variance_profile(F, 20.0, [0.3, 0.9], Sampler("jitter"))
+        for row in rows:
+            E, V = self.midpoint_rule(F, 20.0, row.delta)
+            assert row.n_samples == 41 * 41
+            assert row.E == pytest.approx(E, rel=1e-4)
+            assert row.V == pytest.approx(V, rel=1e-4)
+
+    def test_no_lattice_point_at_radius_zero(self):
+        # X = 0, H = 0: a jittered center almost never sits on the origin
+        (row,) = variance_profile(Qi, 0.0, [0.5], Sampler("jitter"))
+        assert (row.n_samples, row.E, row.V) == (1, 0.0, 0.0)
+
+
+class TestVarianceRun:
+    def test_rejects_a_grid_of_another_field(self):
+        F = make_field(-3)
+        g = build_grid(make_field(10), grid_extent(30.0, [0.5]))
+        with pytest.raises(UsageError, match="D=10"):
+            variance_profile(F, 30.0, [0.5], grid=g)
+        own = build_grid(F, grid_extent(30.0, [0.5]))
+        assert variance_profile(F, 30.0, [0.5], grid=own) == variance_profile(F, 30.0, [0.5])
+
+    def test_builds_the_character_table_once(self, monkeypatch, capsys):
+        built = []
+        table = singular_series._character_table
+
+        def spy(d):
+            built.append(d)
+            return table(d)
+
+        monkeypatch.setattr(singular_series, "_character_table", spy)
+        residue_rk.cache_clear()
+        assert main(["variance", "--field", "D=-7", "--X", "10", "--deltas", "0.5"]) == 0
+        assert built == [-7]
+
+
+def test_no_random_numbers():
+    # both samplers average exactly; the package draws no random numbers
+    src = pathlib.Path(quadprimes.__file__).parent
+    for path in sorted(src.glob("*.py")):
+        found = re.findall(r"^\s*(?:from|import)\s+random\b|\b(?:np|numpy)\.random\b"
+                           r"|\bdefault_rng\b", path.read_text(), re.M)
+        assert not found, f"{path.name} uses {found}"
 
 
 class TestDensityModels:
