@@ -248,18 +248,23 @@ def cmd_diagnose(args) -> int:
         raise UsageError(f"--Y must be at least 1, got {args.Y}")
     if args.topic == "dual-count":
         radii = (0.2, 0.5, 1.0, 2.0)
-        lattices, walk = [], 0
-        for q in enumerate_squarefree_ideals(field, args.Y)[1:]:  # past the unit ideal
-            lat = ideal_lattice(q)
-            walk += sum(2 * math.floor(r * lat.a) + 1 for r in radii)
+        walk = 0
+
+        def rows_within_budget(q):
+            # a sum of positive row counts, so the walk order does not matter
+            nonlocal walk
+            if q.factors:
+                walk += sum(2 * math.floor(r * ideal_lattice(q).a) + 1 for r in radii)
             if walk > LATTICE_POINT_BUDGET:
                 raise BudgetError(f"--Y {args.Y}: over {LATTICE_POINT_BUDGET} lattice rows")
-            lattices.append((q.norm, lat))
+
         rows = []
-        for norm, lat in lattices:
+        # past the unit ideal
+        for q in enumerate_squarefree_ideals(field, args.Y, rows_within_budget)[1:]:
+            lat = ideal_lattice(q)
             for r in radii:
                 cnt = dual_lattice_count(lat, r)
-                rows.append((name, norm, r, cnt, cnt / (norm * r * r)))
+                rows.append((name, q.norm, r, cnt, cnt / (q.norm * r * r)))
         _emit(args, ["field", "norm", "r", "count", "normalized"], rows, {})
         return 0
     if args.topic == "smooth-count":

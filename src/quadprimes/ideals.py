@@ -2,12 +2,16 @@
 ideal lattices.
 
 Lists of rational primes come from one sieve (`_prime_sieve`); a single
-number is tested with `miller_rabin`.  A sieved prime p splits as omega's
+number is tested with `miller_rabin`.  A rational prime p splits as omega's
 minimal polynomial x^2 + b x + c factors mod p: each root r gives the prime
 ideal (p, omega - r), so two roots mean split, a double root ramified and no
 root inert.  For odd p the roots are (-b +- sqrt(d))/2 with d = b^2 - 4c,
 present unless the Kronecker symbol (d|p) is -1, and the square root comes
-from Tonelli-Shanks (`sqrt_mod`).  Squarefree
+from Tonelli-Shanks.  `prime_ideal_table` splits all sieved primes at once:
+Euler's criterion and Tonelli-Shanks run over int64 arrays, one lane per
+odd prime (`_sqrt_mod_array`), and the result is one table of arrays per
+field and bound that every enumeration reads.  The scalar `sqrt_mod` and
+`_split` split one prime, for `split_prime`.  Squarefree
 ideals are products of distinct prime ideals and carry their Moebius value,
 totient and norm; they are enumerated by one walk (`walk_squarefree`).
 Each squarefree ideal also induces a rank-2 sublattice of the coordinate
@@ -23,7 +27,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional
 
 import numpy as np
 
@@ -183,20 +187,114 @@ def _split(p: int, field: FieldSpec) -> list[PrimeIdeal]:
     return [PrimeIdeal(field, p, kind, r) for r in roots]
 
 
+def _pow_mod(a: np.ndarray, e: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """a^e mod p lane by lane, by square and multiply over the bits of e.
+    With 0 <= a < p < 2^21 every product stays below 2^42."""
+    out = np.ones_like(a)
+    for bit in range(int(e.max(initial=0)).bit_length()):
+        out = np.where((e >> bit) & 1 == 1, out * a % p, out)
+        a = a * a % p
+    return out
+
+
+def _sqrt_mod_array(a: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """A square root of each quadratic residue a[i] modulo the odd prime p[i]
+    (Tonelli-Shanks, as in `sqrt_mod`).
+
+    Each loop runs only over the lanes it has not finished: the search for
+    the least non-residue z, the rounds of the main loop and, within a
+    round, the search for the least i with t^(2^i) = 1.
+    """
+    low = (p - 1) & (1 - p)  # largest power of 2 dividing p - 1
+    q, m = (p - 1) // low, np.frexp(low.astype(np.float64))[1] - 1
+    x = _pow_mod(a, (q - 1) // 2, p)
+    r, t = x * a % p, x * x % p * a % p  # a^((q+1)/2) and a^q
+    lane = np.flatnonzero((t != 1) & (a != 0))  # the others have their root r
+    p, q, m, t = p[lane], q[lane], m[lane], t[lane]
+    z, todo = np.full(lane.size, 2, np.int64), np.arange(lane.size)
+    while todo.size:
+        todo = todo[_pow_mod(z[todo], (p[todo] - 1) // 2, p[todo]) != p[todo] - 1]
+        z[todo] += 1
+    c = _pow_mod(z, q, p)
+    while lane.size:
+        # least i with t^(2^i) = 1; then i < m
+        i, t2, todo = np.zeros_like(p), t.copy(), np.arange(lane.size)
+        while todo.size:
+            t2[todo] = t2[todo] * t2[todo] % p[todo]
+            i[todo] += 1
+            todo = todo[t2[todo] != 1]
+        b = _pow_mod(c, 1 << (m - i - 1), p)
+        m, c = i, b * b % p
+        t, r[lane] = t * c % p, r[lane] * b % p
+        left = t != 1
+        lane, p, m, c, t = lane[left], p[left], m[left], c[left], t[left]
+    return r
+
+
+# SplitType by the `kind` code of a PrimeIdealTable
+_KINDS = tuple(SplitType)
+
+
+@dataclass(frozen=True)
+class PrimeIdealTable:
+    """All prime ideals of norm <= a bound as read-only int64 arrays, sorted
+    by (norm, p, root): the rational prime `p`, the `root` of (p, omega -
+    root) or -1 when p is inert, the `kind` (an index into `_KINDS`) and the
+    `norm`."""
+
+    p: np.ndarray
+    root: np.ndarray
+    kind: np.ndarray
+    norm: np.ndarray
+
+
+@lru_cache(maxsize=32)
+def prime_ideal_table(field: FieldSpec, max_norm: int) -> PrimeIdealTable:
+    """The prime ideals of norm <= max_norm, splitting every odd prime at
+    once: Euler's criterion gives (d|p) and `_sqrt_mod_array` the square
+    roots.  p = 2 goes through `_split`, and an inert p is listed when
+    p^2 <= max_norm."""
+    if max_norm > PRIME_BUDGET:
+        raise BudgetError(f"norm bound {max_norm} exceeds the prime budget {PRIME_BUDGET}")
+    b, _ = field.minpoly_omega()
+    two = [pi for pi in _split(2, field) if pi.norm <= max_norm] if max_norm >= 2 else []
+    p = np.flatnonzero(_prime_sieve(max(max_norm, 1)))[1:].astype(np.int64)
+    a = field.discriminant % p
+    legendre = _pow_mod(a, (p - 1) // 2, p)
+    split = legendre == 1
+    sp, ram = p[split], p[legendre == 0]
+    ine = p[(legendre == p - 1) & (p * p <= max_norm)]
+
+    def roots(s, q):
+        # (-b +- s)/2 mod q; b is 0 or -1, so every factor is below 2^21
+        half = (q + 1) // 2
+        return (s - b) * half % q, (q - s - b) * half % q
+
+    r1, r2 = roots(_sqrt_mod_array(a[split], sp), sp)
+    odd_kinds = [_KINDS.index(k) for k in (SplitType.SPLIT, SplitType.RAMIFIED, SplitType.INERT)]
+    cols = (  # p, root, kind and norm: first p = 2, then the split, ramified and inert odd p
+        ([pi.p for pi in two], sp, sp, ram, ine),
+        ([-1 if pi.root is None else pi.root for pi in two],
+         np.minimum(r1, r2), np.maximum(r1, r2), roots(0, ram)[0], np.full(ine.size, -1)),
+        ([_KINDS.index(pi.split_type) for pi in two],
+         np.repeat(odd_kinds, [2 * sp.size, ram.size, ine.size])),
+        ([pi.norm for pi in two], sp, sp, ram, ine * ine),
+    )
+    del p, a, legendre  # the per-prime arrays, before the columns are built
+    p, root, kind, norm = (np.concatenate([np.array(c[0], np.int64), *c[1:]]) for c in cols)
+    order = np.lexsort((root, p, norm))
+    table = PrimeIdealTable(p[order], root[order], kind[order], norm[order])
+    for col in (table.p, table.root, table.kind, table.norm):
+        col.flags.writeable = False
+    return table
+
+
 @lru_cache(maxsize=32)
 def enumerate_prime_ideals(field: FieldSpec, max_norm: int) -> tuple[PrimeIdeal, ...]:
     """All prime ideals of norm <= max_norm, sorted by (norm, p, root)."""
-    if max_norm > PRIME_BUDGET:
-        raise BudgetError(f"norm bound {max_norm} exceeds the prime budget {PRIME_BUDGET}")
-    if max_norm < 2:
-        return ()
-    ideals: list[PrimeIdeal] = []
-    for p in np.flatnonzero(_prime_sieve(max_norm)).tolist():
-        for pi in _split(p, field):
-            if pi.norm <= max_norm:
-                ideals.append(pi)
-    ideals.sort(key=PrimeIdeal.sort_key)
-    return tuple(ideals)
+    t = prime_ideal_table(field, max_norm)
+    return tuple([PrimeIdeal(field, p, _KINDS[k], None if r < 0 else r)
+                  for p, k, r in zip(t.p.tolist(), t.kind.tolist(), t.root.tolist())])
 
 
 @dataclass(frozen=True, slots=True)
@@ -260,16 +358,22 @@ def walk_squarefree(norms: list[int], max_norm: int, state, step, visit) -> None
         extend(0, state, 1)
 
 
-def enumerate_squarefree_ideals(field: FieldSpec, max_norm: int) -> list[SquarefreeIdeal]:
+def enumerate_squarefree_ideals(
+    field: FieldSpec, max_norm: int, check: Optional[Callable[[SquarefreeIdeal], None]] = None
+) -> list[SquarefreeIdeal]:
     """All squarefree ideals of norm <= max_norm, the unit ideal included
-    when max_norm >= 1."""
+    when max_norm >= 1.  `check`, when given, sees each ideal as the walk
+    reaches it, before the sort, and may raise to end the walk."""
     primes = enumerate_prime_ideals(field, max_norm)
     out: list[SquarefreeIdeal] = []
-    walk_squarefree(
-        [pi.norm for pi in primes], max_norm, (),
-        lambda chosen, i: chosen + (primes[i],),
-        lambda chosen, norm: out.append(SquarefreeIdeal(field, chosen)),
-    )
+
+    def visit(chosen, norm):
+        out.append(SquarefreeIdeal(field, chosen))
+        if check is not None:
+            check(out[-1])
+
+    walk_squarefree(prime_ideal_table(field, max_norm).norm.tolist(), max_norm, (),
+                    lambda chosen, i: chosen + (primes[i],), visit)
     out.sort(key=lambda q: (q.norm, tuple(f.sort_key() for f in q.factors)))
     return out
 

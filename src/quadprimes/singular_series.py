@@ -1,19 +1,22 @@
 """Singular series over prime ideals, their rational counterpart, and the
 smoothed sums they control.
 
-Prime ideals come from `ideals.enumerate_prime_ideals` and rational primes
+Prime ideals come from `ideals.prime_ideal_table` and rational primes
 from the same sieve, both bounded by `ideals.PRIME_BUDGET`, as is the number
 of rational shifts.
 Truncated Euler products are evaluated with one fixed floating-point recipe:
-a cached base product over all prime ideals of norm >= 3 (taken in ascending
-norm order), then the norm-2 factors (0 or 2 exactly), then one correction
-ratio per prime ideal containing the shift.  The box sieve enumerates the
-points of every ideal's coordinate lattice inside the box and applies all the
-correction ratios with `np.multiply.at`, the points listed in ascending ideal
-order.  `ufunc.at` applies repeated indices in the order given, so each entry
-receives exactly the multiplication sequence of pointwise evaluation and
-sieved values are bit-identical to it.  The mu^2/phi partial sums take one
-walk over the squarefree ideals for all their cutoffs.
+a base product over all prime ideals of norm >= 3, taken sequentially in the
+table's ascending (norm, p, root) order by `np.multiply.accumulate` and
+cached, then the norm-2 factors (0 or 2 exactly), then one correction ratio
+per prime ideal containing the shift, in the same order.  Pointwise
+evaluation tests every ideal's membership at once.  The box sieve enumerates
+the points of every ideal's coordinate lattice inside the box and applies
+all the correction ratios with `np.multiply.at`, the points listed in
+ascending ideal order.  `ufunc.at` applies repeated indices in the order
+given, so each entry receives exactly the multiplication sequence of
+pointwise evaluation and sieved values are bit-identical to it.  The
+mu^2/phi partial sums take one walk over the squarefree ideals for all
+their cutoffs.
 """
 
 from __future__ import annotations
@@ -28,15 +31,7 @@ import numpy as np
 
 from .errors import BudgetError, UsageError
 from .fields import FieldSpec, QuadInt
-from .ideals import (
-    PRIME_BUDGET,
-    PrimeIdeal,
-    SplitType,
-    _prime_sieve,
-    enumerate_prime_ideals,
-    kronecker,
-    walk_squarefree,
-)
+from .ideals import PRIME_BUDGET, _prime_sieve, kronecker, prime_ideal_table, walk_squarefree
 
 DEFAULT_CUTOFF = 100_000
 
@@ -191,40 +186,49 @@ def residue_rk(field: FieldSpec, tol: float, blocks: int = 128) -> ResidueValue:
 # Euler product plumbing (shared by pointwise values and sieves)
 
 
-def _base_factor(n: int) -> float:
-    """Euler factor when the shift avoids the ideal: (1-2/N)/(1-1/N)^2."""
+def _base_factor(n):
+    """Euler factor when the shift avoids the ideal: (1-2/N)/(1-1/N)^2, for
+    an array of norms.  numpy squares by x*x and a Python float by pow(x, 2),
+    which differ for a few N below `PRIME_BUDGET` but for no prime and no
+    prime square, the only norms of prime ideals."""
     return (1.0 - 2.0 / n) / (1.0 - 1.0 / n) ** 2
 
 
-def _member_ratio(n: int) -> float:
-    """Ratio of the member factor to the base factor: (N-1)/(N-2)."""
+def _base_product(norms: np.ndarray) -> float:
+    """The product of the base factors, taken sequentially in the order given:
+    the last partial product of `np.multiply.accumulate`."""
+    return float(np.multiply.accumulate(np.r_[1.0, _base_factor(norms)])[-1])
+
+
+def _member_ratio(n):
+    """Ratio of the member factor to the base factor: (N-1)/(N-2), for an int
+    or an array of ints."""
     return (n - 1.0) / (n - 2.0)
 
 
 @dataclass(frozen=True)
 class _EulerData:
-    ideals: tuple[PrimeIdeal, ...]       # norm >= 3, ascending
-    ratios: tuple[float, ...]            # member/base ratio per ideal
-    norm2: tuple[PrimeIdeal, ...]        # the (at most two) norm-2 ideals
+    norm2_roots: tuple[int, ...]         # roots of the (at most two) norm-2 ideals
     base: float                          # product of base factors, norm >= 3
-    # the same ideals as arrays, for the box sieve: rows b1x, b1y, b2x, b2y
+    # the ideals of norm >= 3 in ascending (norm, p, root) order, as arrays:
+    # the rational prime p, the root (-1 for inert), rows b1x, b1y, b2x, b2y
     # of a reduced basis of each coordinate lattice, and the ratios
+    p: np.ndarray                        # (n,) int64
+    root: np.ndarray                     # (n,) int64
     bases: np.ndarray                    # (4, n) int64
     ratio_array: np.ndarray              # (n,) float64
 
 
-def _reduced_bases(ideals: tuple[PrimeIdeal, ...]) -> np.ndarray:
+def _reduced_bases(p: np.ndarray, root: np.ndarray) -> np.ndarray:
     """Lagrange-Gauss reduced bases of the ideals' coordinate lattices, as
     rows b1x, b1y, b2x, b2y with |b1| <= |b2|.
 
     A split or ramified ideal (p, omega - root) starts from (p, 0), (-root, 1)
-    and an inert one from (p, 0), (0, p); all ideals are reduced together.
+    and an inert one (root -1) from (p, 0), (0, p); all ideals are reduced
+    together.
     """
-    n = len(ideals)
-    p = np.fromiter((pi.p for pi in ideals), np.int64, n)
-    inert = np.fromiter((pi.split_type is SplitType.INERT for pi in ideals), bool, n)
-    root = np.fromiter((pi.root or 0 for pi in ideals), np.int64, n)
-    x1, y1 = p, np.zeros(n, np.int64)
+    inert = root < 0
+    x1, y1 = p, np.zeros_like(p)
     x2, y2 = np.where(inert, 0, -root), np.where(inert, p, 1)
     while True:
         swap = x2 * x2 + y2 * y2 < x1 * x1 + y1 * y1
@@ -241,16 +245,13 @@ def _reduced_bases(ideals: tuple[PrimeIdeal, ...]) -> np.ndarray:
 def _euler_data(field: FieldSpec, cutoff: int) -> _EulerData:
     if cutoff < 2:
         raise UsageError(f"cutoff must be at least 2, got {cutoff}")
-    all_ideals = enumerate_prime_ideals(field, cutoff)
-    norm2 = tuple(pi for pi in all_ideals if pi.norm == 2)
-    rest = tuple(pi for pi in all_ideals if pi.norm >= 3)
-    base = 1.0
-    for pi in rest:
-        base *= _base_factor(pi.norm)
-    ratios = tuple(_member_ratio(pi.norm) for pi in rest)
-    bases, ratio_array = _reduced_bases(rest), np.array(ratios, dtype=np.float64)
+    table = prime_ideal_table(field, cutoff)
+    rest = table.norm >= 3
+    p, root, norm = table.p[rest], table.root[rest], table.norm[rest]
+    bases, ratio_array = _reduced_bases(p, root), _member_ratio(norm)
     bases.flags.writeable = ratio_array.flags.writeable = False
-    return _EulerData(rest, ratios, norm2, base, bases, ratio_array)
+    return _EulerData(tuple(table.root[table.norm == 2].tolist()), _base_product(norm),
+                      p, root, bases, ratio_array)
 
 
 @dataclass(frozen=True, slots=True)
@@ -275,13 +276,22 @@ def singular_series(eta: QuadInt, cutoff: int = DEFAULT_CUTOFF) -> SingularValue
         raise UsageError("the singular series is undefined at eta = 0")
     data = _euler_data(eta.field, cutoff)
     value = data.base
-    for pi in data.norm2:
-        value *= 2.0 if pi.contains(eta) else 0.0
+    for r in data.norm2_roots:
+        value *= 2.0 if (eta.k1 + r * eta.k2) % 2 == 0 else 0.0
     if value != 0.0:
-        for pi, ratio in zip(data.ideals, data.ratios):
-            if pi.contains(eta):
-                value *= ratio
+        p, root = data.p, data.root
+        k1, k2 = _residues(eta.k1, p), _residues(eta.k2, p)
+        member = np.where(root < 0, (k1 == 0) & (k2 == 0), (k1 + root * k2) % p == 0)
+        value = math.prod(data.ratio_array[member].tolist(), start=value)
     return SingularValue(value, cutoff, _tail_bound(cutoff))
+
+
+def _residues(k: int, p: np.ndarray) -> np.ndarray:
+    """k mod each entry of p, for any Python int k."""
+    try:
+        return k % p
+    except OverflowError:  # k does not fit in int64
+        return np.array([k % q for q in p.tolist()], dtype=np.int64)
 
 
 @lru_cache(maxsize=8)
@@ -291,11 +301,8 @@ def _rational_euler_data(cutoff: int) -> tuple[tuple[int, ...], float]:
         raise UsageError(f"cutoff must be at least 2, got {cutoff}")
     if cutoff > PRIME_BUDGET:
         raise BudgetError(f"cutoff {cutoff} exceeds the prime budget {PRIME_BUDGET}")
-    primes = tuple(np.flatnonzero(_prime_sieve(cutoff))[1:].tolist())
-    base = 1.0
-    for p in primes:
-        base *= _base_factor(p)
-    return primes, base
+    primes = np.flatnonzero(_prime_sieve(cutoff))[1:]
+    return tuple(primes.tolist()), _base_product(primes)
 
 
 def singular_series_rational(h: int, cutoff: int = DEFAULT_CUTOFF) -> SingularValue:
@@ -370,8 +377,8 @@ def sieved_singular_box(
     M = radius
     vals = np.full((W, W), data.base, dtype=np.float64)
     k = np.arange(-M, M + 1)
-    for pi in data.norm2:
-        member = ((k[:, None] + pi.root * k[None, :]) % 2) == 0
+    for r in data.norm2_roots:
+        member = ((k[:, None] + r * k[None, :]) % 2) == 0
         vals *= np.where(member, 2.0, 0.0)
     x1, y1, x2, y2 = data.bases
     det = np.abs(x1 * y2 - y1 * x2)
@@ -498,7 +505,7 @@ def mobius_phi_profile(field: FieldSpec, cutoffs: list[int]) -> list[float]:
     if not cutoffs or min(cutoffs) < 1:
         raise UsageError(f"cutoffs must be at least 1, got {cutoffs!r}")
     ys = sorted(set(cutoffs))
-    norms = [pi.norm for pi in enumerate_prime_ideals(field, ys[-1])]
+    norms = prime_ideal_table(field, ys[-1]).norm.tolist()
     totals = [0.0] * len(ys)
 
     def visit(inv_phi: float, norm: int):

@@ -271,6 +271,15 @@ class TestHostileInputs:
         assert (got, out) == (3, "")
         assert err.startswith("error:") and err.count("\n") == 1
 
+    def test_dual_count_budget_ends_the_walk(self, capsys):
+        # about 1.04M squarefree ideals have norm <= 2*10^6; the lattice-row
+        # budget trips after a few of them, before any sort
+        start = time.perf_counter()
+        got, out, err = run(capsys, "diagnose", "dual-count", "--Y", "2000000")
+        assert time.perf_counter() - start < 3.0
+        assert (got, out) == (3, "")
+        assert err == "error: --Y 2000000: over 10000000 lattice rows\n"
+
     def test_huge_field_budget_fails_fast(self, capsys):
         # the squarefree check would trial-divide up to sqrt|D| = 10^9
         start = time.perf_counter()

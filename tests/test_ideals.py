@@ -6,18 +6,20 @@ import re
 import subprocess
 import sys
 
+import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from sympy import primerange
 from sympy.ntheory.residue_ntheory import quadratic_residues
 
 import quadprimes
 from quadprimes import ideals
 from quadprimes.errors import BudgetError
-from quadprimes.fields import _is_squarefree, _prime_factors, make_field
+from quadprimes.fields import BasisKind, _is_squarefree, _prime_factors, make_field
 from quadprimes.ideals import (
     PRIME_BUDGET,
     IdealLattice,
+    PrimeIdeal,
     SplitType,
     SquarefreeIdeal,
     condensation_sum,
@@ -31,6 +33,9 @@ from quadprimes.ideals import (
     lattice_points_in_box,
     ramanujan_smoothed_sum_scaled,
     ramanujan_sum,
+    _split,
+    _sqrt_mod_array,
+    prime_ideal_table,
     split_prime,
     sqrt_mod,
 )
@@ -157,6 +162,65 @@ class TestSplitting:
         # split primes contribute two ideals, each 1 mod 4 prime <= 500
         split_ps = {pi.p for pi in ideals if pi.split_type is SplitType.SPLIT}
         assert all(p % 4 == 1 for p in split_ps)
+
+
+def scalar_listing(field, bound):
+    """The prime ideals of norm <= bound, split one prime at a time by the
+    scalar `_split`."""
+    ideals = [pi for p in primerange(2, bound + 1) for pi in _split(p, field) if pi.norm <= bound]
+    return tuple(sorted(ideals, key=PrimeIdeal.sort_key))
+
+
+class TestPrimeIdealTable:
+    def test_matches_scalar_split(self):
+        seen = set()
+
+        @settings(max_examples=150, deadline=None)
+        @given(D=st.integers(-10**4, 10**4).filter(lambda D: D != 1 and _is_squarefree(D)),
+               bound=st.integers(2, 5000))
+        # p = 2 split (17), inert (-3), ramified (-1, 10); inert p = 3 on
+        # both sides of the p^2 <= bound cut (-1 at 8 and 9)
+        @example(D=17, bound=2)
+        @example(D=-3, bound=4)
+        @example(D=-1, bound=8)
+        @example(D=-1, bound=9)
+        @example(D=10, bound=5000)
+        def check(D, bound):
+            field = make_field(D)
+            want = scalar_listing(field, bound)
+            assert enumerate_prime_ideals(field, bound) == want
+            seen.add(field.basis)
+            for pi in want:
+                seen.add((pi.p == 2, pi.split_type))
+            d = field.discriminant
+            for p in primerange(3, math.isqrt(bound) + 2):
+                if kronecker(d, p) == -1:
+                    seen.add(("inert", p * p <= bound))
+
+        check()
+        assert {BasisKind.SQRT_D, BasisKind.HALF} <= seen
+        assert {(True, kind) for kind in SplitType} <= seen
+        assert (False, SplitType.RAMIFIED) in seen
+        assert {("inert", True), ("inert", False)} <= seen
+
+    def test_matches_scalar_split_at_a_million(self):
+        assert enumerate_prime_ideals(Qi, 10**6) == scalar_listing(Qi, 10**6)
+
+    @pytest.mark.parametrize("D", [-1, -3, 10, 17])
+    def test_table_columns(self, D):
+        field = make_field(D)
+        table = prime_ideal_table(field, 3000)
+        ideals = enumerate_prime_ideals(field, 3000)
+        assert table.p.tolist() == [pi.p for pi in ideals]
+        assert table.norm.tolist() == [pi.norm for pi in ideals]
+        assert table.root.tolist() == [-1 if pi.root is None else pi.root for pi in ideals]
+        for col in (table.p, table.root, table.kind, table.norm):
+            assert col.dtype == np.int64 and not col.flags.writeable
+
+    def test_budget_and_empty(self):
+        assert prime_ideal_table(Qi, 1).p.size == 0
+        with pytest.raises(BudgetError):
+            prime_ideal_table(Qi, PRIME_BUDGET + 1)
 
 
 class TestSquarefree:
@@ -379,6 +443,13 @@ class TestSqrtMod:
                 else:
                     with pytest.raises(ValueError):
                         sqrt_mod(a, p)
+
+    def test_array_roots_below_2000(self):
+        # every residue of every odd prime below 2000, all lanes at once
+        pairs = [(a, p) for p in primerange(3, 2000) for a in quadratic_residues(p)]
+        a, p = (np.array(col, dtype=np.int64) for col in zip(*pairs))
+        r = _sqrt_mod_array(a, p)
+        assert np.all((0 <= r) & (r < p)) and np.array_equal(r * r % p, a)
 
     def test_reduces_its_argument(self):
         assert sqrt_mod(-1, 13) ** 2 % 13 == 12

@@ -1,3 +1,4 @@
+import functools
 import importlib
 import math
 
@@ -10,7 +11,7 @@ from sympy import factorint, primerange
 
 from quadprimes.errors import BudgetError, UsageError
 from quadprimes.fields import _is_squarefree, make_field
-from quadprimes.ideals import PRIME_BUDGET, SplitType, enumerate_prime_ideals, kronecker
+from quadprimes.ideals import PRIME_BUDGET, SplitType, _prime_sieve, enumerate_prime_ideals, kronecker
 from quadprimes.singular_series import (
     RESIDUE_TERM_BUDGET,
     _base_factor,
@@ -49,6 +50,37 @@ def rational_reference(h: int, cutoff: int) -> float:
             if p != 2 and p <= cutoff:
                 value *= _member_ratio(p)
     return value
+
+
+def containing(eta, ideals):
+    """The ideals (PrimeIdeal objects, in their order) that contain eta."""
+    n = eta.norm()
+    return [pi for pi in ideals if n % pi.p == 0 and pi.contains(eta)]
+
+
+def ideal_reference(eta, cutoff: int) -> float:
+    """S(eta) one PrimeIdeal object at a time, in the multiplication order of
+    `singular_series`: the base product by a Python loop, the norm-2
+    factors, then the ratio of every other ideal containing eta."""
+    ideals = enumerate_prime_ideals(eta.field, cutoff)
+    value = python_base_product(eta.field, cutoff)
+    for pi in ideals:
+        if pi.norm == 2:
+            value *= 2.0 if pi.contains(eta) else 0.0
+    if value != 0.0:
+        for pi in containing(eta, ideals):
+            if pi.norm >= 3:
+                value *= _member_ratio(pi.norm)
+    return value
+
+
+@functools.lru_cache(maxsize=None)
+def python_base_product(field, cutoff: int) -> float:
+    base = 1.0
+    for pi in enumerate_prime_ideals(field, cutoff):
+        if pi.norm >= 3:
+            base *= _base_factor(pi.norm)
+    return base
 
 
 def phi_inverse_dfs(norms: list[int], max_norm: int) -> float:
@@ -262,6 +294,39 @@ class TestSingularSeries:
             assert singular_series(-eta, P).value == v
             assert singular_series(eta.conjugate(), P).value == v
 
+    def test_shift_beyond_int64(self):
+        # the member test reduces k1, k2 modulo every p; 2^70 needs Python
+        # ints.  Both coordinates are even, so neither norm-2 ideal of
+        # Q(sqrt -7) zeroes the value before the member test runs.
+        F = make_field(-7)
+        for k1, k2 in [(3 * 2**70, 6), (6, -3 * 2**70), (15 * 2**70, 2 * 3 * 5 * 7 * 11 * 13)]:
+            eta = F.element(k1, k2)
+            assert any(pi.p > 2 for pi in containing(eta, enumerate_prime_ideals(F, 5000)))
+            got = singular_series(eta, 5000).value
+            assert got > 0 and got == ideal_reference(eta, 5000)
+
+    def test_euler_data_matches_python_loops(self):
+        # the sequential products and the ratios at 10^6, against loops over
+        # the PrimeIdeal objects and the rational primes
+        data = singular_series_module._euler_data(Qi, 10**6)
+        ideals = [pi for pi in enumerate_prime_ideals(Qi, 10**6) if pi.norm >= 3]
+        assert data.base == python_base_product(Qi, 10**6)
+        assert data.ratio_array.tolist() == [_member_ratio(pi.norm) for pi in ideals]
+        base = 1.0
+        for p in primerange(3, 10**6 + 1):
+            base *= _base_factor(p)
+        assert _rational_euler_data(10**6)[1] == base
+
+    def test_base_factors_match_python_floats(self):
+        # numpy squares by x*x and Python by pow(x, 2); they differ at some
+        # N (795 is the first) but at no prime and no prime square within
+        # the budget, which are all the norms a prime ideal can have
+        p = np.flatnonzero(_prime_sieve(PRIME_BUDGET))[1:]
+        norms = np.concatenate([p, (p * p)[p * p <= PRIME_BUDGET]])
+        want = np.array([_base_factor(n) for n in norms.tolist()])
+        assert np.array_equal(_base_factor(norms), want)
+        assert _base_factor(np.array([795])) != _base_factor(795)
+
     def test_unit_multiple_invariant(self):
         P = 300
         i = Qi.element(0, 1)
@@ -370,6 +435,30 @@ class TestSievedBox:
                 assert box.value_at(k1, k2).value == singular_series(
                     F.element(k1, k2), P
                 ).value, (k1, k2)
+
+    @pytest.mark.parametrize("D", [-7, 10, -5, 17])
+    def test_array_pointwise_matches_objects_and_sieve(self, D):
+        # the box holds shifts divisible by an inert p (both coordinates)
+        # and by both ideals above a split p
+        F, r, P = make_field(D), 30, 5000
+        ideals = enumerate_prime_ideals(F, P)
+        box = sieved_singular_box(F, r, P)
+        inert_hit = split_pair_hit = False
+        for k1 in range(-r, r + 1):
+            for k2 in range(-r, r + 1):
+                if (k1, k2) == (0, 0):
+                    continue
+                eta = F.element(k1, k2)
+                got = singular_series(eta, P).value
+                assert got == box.value_at(k1, k2).value == ideal_reference(eta, P), (k1, k2)
+                if got == 0.0:
+                    continue
+                members = containing(eta, ideals)
+                inert_hit |= any(pi.split_type is SplitType.INERT and pi.norm >= 3
+                                 for pi in members)
+                split_ps = [pi.p for pi in members if pi.split_type is SplitType.SPLIT]
+                split_pair_hit |= any(split_ps.count(p) == 2 and p > 2 for p in split_ps)
+        assert inert_hit and split_pair_hit
 
     @pytest.mark.parametrize("D", [-1, 17])
     def test_centre_slice_equals_smaller_box(self, D):
