@@ -8,8 +8,9 @@ so any coordinate box is answered by four corner lookups, combined by the
 one inclusion-exclusion expression in `_corners`.  The scalar queries pass it
 int indices; `box_sums` gathers the corners for arbitrary centers by index
 arrays; `grid_box_sums` answers the boxes at fixed offsets around every
-integer point of [-M, M]^2 at once, each corner term one contiguous slice of
-the table.  All three give the same value for the same box, bit for bit.
+integer point of [-M, M]^2 at once, or of a strip of its rows, each corner
+term one contiguous slice of the table.  All three give the same value for
+the same box, bit for bit.
 
 `build_grid` walks the box in strips of `_STRIP_ROWS` rows, so only the
 tables themselves are box-sized: each strip's norm surface, prime mask and
@@ -41,7 +42,7 @@ from .ideals import _prime_sieve, kronecker, miller_rabin
 GRID_MAGIC = b"SINF"
 GRID_VERSION = 1
 _GRID_CELL_BUDGET = 60_000_000
-_STRIP_ROWS = 64  # box rows per strip of build_grid
+_STRIP_ROWS = 64  # box rows per strip of build_grid and of variance_profile's box sums
 
 def is_prime_element(alpha: QuadInt) -> bool:
     """Whether the principal ideal generated by alpha is prime."""
@@ -212,21 +213,26 @@ def box_sums(
 
 def grid_box_sums(
     grid: PrefixGrid, tables: list[np.ndarray], M: int,
-    rows: tuple[int, int], cols: tuple[int, int],
+    rows: tuple[int, int], cols: tuple[int, int], strip: tuple[int, int] | None = None,
 ) -> list[np.ndarray]:
     """Box sums of prefix tables over the boxes k1 + lo1 .. k1 + hi1 by
     k2 + lo2 .. k2 + hi2, with rows = (lo1, hi1) and cols = (lo2, hi2), around
     the integer centers (k1, k2) in [-M, M]^2, raveled row-major like
     `Sampler().centers`.  The offsets are the same for every center, so each
     corner term is one contiguous (n, n) slice of the table, n = 2M + 1.
+    strip = (r0, r1) answers only the center rows r0..r1-1 (k1 = r0 - M ..
+    r1 - 1 - M), which are the entries r0*n .. r1*n - 1 of the full result;
+    the default is all n rows.
     """
     R = grid.extent
     (lo1, hi1), (lo2, hi2) = rows, cols
     if -M + min(lo1, lo2) < -R or M + max(hi1, hi2) > R:
         raise ExtentError(f"boxes {rows} x {cols} around [-{M}, {M}]^2 exceed the extent {R}")
-    # corner indices k + lo + R and k + hi + R + 1 for k = -M..M
-    a, c = (slice(R - M + lo, R + M + lo + 1) for lo in (lo1, lo2))
-    b, d = (slice(R - M + hi + 1, R + M + hi + 2) for hi in (hi1, hi2))
+    r0, r1 = strip or (0, 2 * M + 1)
+    # corner indices k + lo + R and k + hi + R + 1 for the center rows
+    # k = r0 - M .. r1 - 1 - M and the center columns k = -M..M
+    a, b = (slice(R - M + s + r0, R - M + s + r1) for s in (lo1, hi1 + 1))
+    c, d = (slice(R - M + s, R + M + s + 1) for s in (lo2, hi2 + 1))
     return [_corners(table, a, b, c, d).ravel() for table in tables]
 
 

@@ -367,6 +367,11 @@ def sieved_singular_box(
     `ufunc.at` applies repeated indices in order, so each entry is multiplied
     by its ideals' ratios in ascending norm order, as in `singular_series`,
     and entries agree bit-for-bit with pointwise evaluation.
+
+    Every ideal is closed under negation, and S(-eta) = S(eta) factor by
+    factor, so only one point of each +-pair is listed (v > 0, or v = 0 and
+    u > 0) and applied to whichever of eta, -eta has the larger flat index;
+    that half of the box is then mirrored onto the other.
     """
     if radius < 1:
         raise ValueError("radius must be at least 1")
@@ -384,8 +389,8 @@ def sieved_singular_box(
     det = np.abs(x1 * y2 - y1 * x2)
     U = M * (np.abs(x2) + np.abs(y2)) // det
     V = M * (np.abs(x1) + np.abs(y1)) // det
-    width = 2 * V + 1
-    sizes = (2 * U + 1) * width
+    width = 2 * U + 1
+    sizes = V * width + U
     ends = np.cumsum(sizes)
     starts = ends - sizes
     flat = vals.reshape(-1)
@@ -395,13 +400,17 @@ def sieved_singular_box(
         a, b = np.searchsorted(ends, lo, "right"), np.searchsorted(starts, hi, "left")
         taken = np.minimum(ends[a:b], hi) - np.maximum(starts[a:b], lo)
         i = np.repeat(np.arange(a, b), taken)
-        u, v = np.divmod(np.arange(lo, hi) - starts[i], width[i])
+        # v = 0 with u = 1..U, then v = 1..V with u = -U..U
+        v, u = np.divmod(np.arange(lo, hi) - starts[i] + U[i] + 1, width[i])
         u -= U[i]
-        v -= V[i]
         k1 = u * x1[i] + v * x2[i]
         k2 = u * y1[i] + v * y2[i]
         inside = (np.abs(k1) <= M) & (np.abs(k2) <= M)
-        np.multiply.at(flat, ((k1 + M) * W + (k2 + M))[inside], data.ratio_array[i[inside]])
+        idx = ((k1 + M) * W + (k2 + M))[inside]
+        # eta and -eta sit at flat indices idx and W*W - 1 - idx
+        np.multiply.at(flat, np.maximum(idx, W * W - 1 - idx), data.ratio_array[i[inside]])
+    c = W * W // 2
+    flat[:c] = flat[:c:-1]
     vals[M, M] = np.nan
     return SingularBox(field, radius, cutoff, _tail_bound(cutoff), vals)
 

@@ -26,6 +26,7 @@ from itertools import product
 
 import numpy as np
 
+from . import primes
 from .errors import BudgetError, UsageError
 from .fields import FieldSpec, class_group_2_rank
 from .ideals import PRIME_BUDGET, _prime_sieve
@@ -125,7 +126,11 @@ def variance_profile(
 
     E and V sum the means over pairs of the sampler's per-axis pieces, times
     the pieces' weights.  Every box sum is a slice of a prefix table, so the
-    centers are never materialized; the sample budget still applies.
+    centers are never materialized; the sample budget still applies.  Each
+    pair is answered in strips of `primes._STRIP_ROWS` center rows: the
+    counts add up to an exact integer total, and the squared deviations fill
+    one (2M+1)^2 buffer, shared by all pairs, whose single mean keeps V's
+    summation order that of one whole-box array.
     """
     if not math.isfinite(X) or X < 0:
         raise UsageError(f"X must be a finite number >= 0, got {X!r}")
@@ -146,6 +151,8 @@ def variance_profile(
         tables.append(grid.sqrt_log_weight)
         kappa = 2.0 ** class_group_2_rank(field) / 2.0
     rk = residue_rk(field, 1e-8).value
+    n = 2 * M + 1
+    sq = np.empty(n * n)  # one buffer for every pair: a second would be alive while rebinding
     rows = []
     for delta in deltas:
         H = X**delta
@@ -153,18 +160,22 @@ def variance_profile(
         spans = [(w, (lo, hi)) for w, lo, hi in sampler.offsets(H) if lo <= hi]
         E = V = 0.0
         for (w1, span1), (w2, span2) in product(spans, repeat=2):
-            counts, expected, *squares = grid_box_sums(grid, tables, M, span1, span2)
-            if squares:
-                expected -= kappa * squares[0]
-                del squares
-            expected /= rk
-            counts = counts.astype(np.float64)
-            E += w1 * w2 * float(counts.mean())
-            tilde = np.subtract(counts, expected, out=expected)
-            del counts
-            np.multiply(tilde, tilde, out=tilde)
-            V += w1 * w2 * float(tilde.mean())
-        rows.append(VarianceRow(field.spec_string(), X, delta, H, (2 * M + 1) ** 2, E, V,
+            total = 0
+            for r0 in range(0, n, primes._STRIP_ROWS):
+                r1 = min(r0 + primes._STRIP_ROWS, n)
+                counts, expected, *squares = grid_box_sums(grid, tables, M, span1, span2,
+                                                           (r0, r1))
+                if squares:
+                    expected -= kappa * squares[0]
+                expected /= rk
+                np.subtract(counts, expected, out=expected)
+                np.multiply(expected, expected, out=sq[r0 * n : r1 * n])
+                total += int(counts.sum())
+            # integer counts below 2^53 sum exactly in float64, so this is the mean
+            # of the float counts bit for bit; V stays one mean over the whole buffer
+            E += w1 * w2 * float(np.float64(total) / n**2)
+            V += w1 * w2 * float(sq.mean())
+        rows.append(VarianceRow(field.spec_string(), X, delta, H, n * n, E, V,
                                 V / E if E else math.nan, 1.0 - delta))
     return rows
 

@@ -405,7 +405,8 @@ class TestGridBoxSums:
 
     @pytest.mark.parametrize("H", [0.2, 2.25, 3.0, 4.6, 4.9])
     def test_jitter_pieces_equal_box_sums(self, H):
-        # each pair of pieces is the box around cell + (mid1, mid2)
+        # each pair of pieces is the box around cell + (mid1, mid2), whole
+        # or in strips of center rows
         g = build_grid(make_field(10), 26, square_weights=True)
         cells = Sampler().centers(15.0)
         pieces = Sampler("jitter").offsets(H)
@@ -417,6 +418,12 @@ class TestGridBoxSums:
                 want = box_sums(g, self.tables(g), cells + mid, H)
                 for a, b in zip(got, want):
                     assert np.array_equal(a, b)
+                # a strip of center rows r0..r1-1 is entries r0*31 .. r1*31 - 1
+                for r0, r1 in [(0, 1), (3, 10), (30, 31)]:
+                    strip = grid_box_sums(g, self.tables(g), 15, tuple(rows), tuple(cols),
+                                          (r0, r1))
+                    for a, b in zip(strip, want):
+                        assert np.array_equal(a, b[r0 * 31 : r1 * 31])
 
     def test_grid_edge(self):
         g = build_grid(Qi, 10)

@@ -417,9 +417,10 @@ class TestSievedBox:
                     F.element(k1, k2), 500
                 ).value
 
-    @pytest.mark.parametrize("D", [-7, 17, 10, -5])
+    @pytest.mark.parametrize("D", [-7, 17, 10, -5, 2, 5])
     def test_matches_pointwise_across_splitting(self, D):
-        # 2 splits for D = -7 and 17; 2 and 5 ramify for D = 10 and D = -5.
+        # 2 splits for D = -7 and 17; 2 and 5 ramify for D = 10 and D = -5;
+        # 2 ramifies for D = 2 and is inert for D = 5 (real fields).
         # With 81 columns and cutoff 5000 the box meets split or ramified
         # ideals with p > 81 and inert ideals with p <= 81 < p^2.
         F, r, P = make_field(D), 40, 5000
@@ -468,6 +469,14 @@ class TestSievedBox:
             small = sieved_singular_box(F, r, P).values
             assert np.array_equal(big[R - r : R + r + 1, R - r : R + r + 1], small,
                                   equal_nan=True)
+
+    @pytest.mark.parametrize("D", [-1, 10, -3, 17])
+    @pytest.mark.parametrize("r", [1, 2, 40])
+    def test_box_is_symmetric_under_negation(self, D, r):
+        # only one point of each +-pair is sieved; the mirror must equal it
+        values = sieved_singular_box(make_field(D), r, 5000).values
+        assert np.array_equal(values, values[::-1, ::-1], equal_nan=True)
+        assert np.isnan(values[r, r]) and np.isnan(values).sum() == 1
 
     @pytest.mark.parametrize("D", [-1, 10])
     def test_chunk_size_does_not_change_values(self, D, monkeypatch):

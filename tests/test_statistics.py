@@ -2,12 +2,15 @@ import importlib
 import math
 import pathlib
 import re
+import tracemalloc
+from itertools import product
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
 
 import quadprimes
+import quadprimes.primes as primes
 import quadprimes.statistics as statistics
 from quadprimes.cli import main
 from quadprimes.errors import BudgetError, UsageError
@@ -184,23 +187,72 @@ class TestSlicePath:
             assert row.V == float(np.mean(tilde * tilde))
 
     def test_sampler_picks_the_path(self, monkeypatch):
-        # both samplers slice: one call per nonempty pair of pieces, no centers
+        # both samplers slice, no centers: each nonempty pair of pieces in
+        # turn, its strips covering the center rows 0..2M once, in order
         calls = []
         grid_box_sums = statistics.grid_box_sums
 
-        def wrapped(grid, tables, M, rows, cols):
-            calls.append((rows, cols))
-            return grid_box_sums(grid, tables, M, rows, cols)
+        def wrapped(grid, tables, M, rows, cols, strip=None):
+            calls.append((rows, cols, strip))
+            return grid_box_sums(grid, tables, M, rows, cols, strip)
+
+        def pairs_covering(n):
+            pairs = []
+            for rows, cols, (r0, r1) in calls:
+                if r0 == 0:
+                    pairs.append(((rows, cols), []))
+                assert pairs[-1][0] == (rows, cols)
+                pairs[-1][1].extend(range(r0, r1))
+            assert all(covered == list(range(n)) for _, covered in pairs)
+            return [pair for pair, _ in pairs]
 
         monkeypatch.setattr(statistics, "grid_box_sums", wrapped)
         monkeypatch.setattr(Sampler, "centers", lambda self, X: pytest.fail("centers built"))
+        monkeypatch.setattr(primes, "_STRIP_ROWS", 7)
         variance_profile(Qi, 20.0, [0.3, 0.6])
-        assert calls == [((-2, 2), (-2, 2)), ((-6, 6), (-6, 6))]
+        assert pairs_covering(41) == [((-2, 2), (-2, 2)), ((-6, 6), (-6, 6))]
         calls.clear()
         variance_profile(Qi, 20.0, [0.3, 0.6], Sampler(kind="jitter"))
-        spans = [(lo, hi) for H in (20.0**0.3, 20.0**0.6)
-                 for _, lo, hi in Sampler("jitter").offsets(H)]
-        assert len(calls) == 2 * 9 and {s for pair in calls for s in pair} == set(spans)
+        want = [(s1, s2) for H in (20.0**0.3, 20.0**0.6)
+                for s1, s2 in product([(lo, hi) for _, lo, hi in Sampler("jitter").offsets(H)],
+                                      repeat=2)]
+        assert len(want) == 2 * 9 and pairs_covering(41) == want
+
+
+class TestStrips:
+    """`variance_profile` answers each pair of pieces in strips of center rows."""
+
+    @pytest.mark.parametrize("D", [-1, -3, 10])
+    @pytest.mark.parametrize("density", ["first-order", "second-order"])
+    def test_strip_height_does_not_change_rows(self, D, density, monkeypatch):
+        # X = 0.2 has H = 0.2^0.5 < 1/2, so two of its jitter pieces are empty
+        F = make_field(D)
+        for X in (40.0, 0.2):
+            deltas = [0.3, 0.5, 0.9]
+            g = build_grid(F, grid_extent(X, deltas), square_weights=True)
+            n = 2 * math.floor(X) + 1
+            for kind in ("grid", "jitter"):
+                want = variance_profile(F, X, deltas, Sampler(kind), g, density)
+                for strip in (1, 7, n, n + 5):
+                    monkeypatch.setattr(primes, "_STRIP_ROWS", strip)
+                    assert variance_profile(F, X, deltas, Sampler(kind), g, density) == want
+                monkeypatch.undo()
+        assert any(lo > hi for _, lo, hi in Sampler("jitter").offsets(0.2**0.5))
+
+    @pytest.mark.parametrize("density", ["first-order", "second-order"])
+    def test_peak_is_one_buffer(self, density):
+        # past the prebuilt tables, a call holds one (2M+1)^2 float64 buffer
+        # and strip-sized temporaries, not whole-box box sums
+        F, X, deltas = make_field(10), 300.0, [0.3, 0.9]
+        g = build_grid(F, grid_extent(X, deltas), square_weights=True)
+        variance_profile(F, X, deltas, grid=g, density=density)  # warm the caches
+        tracemalloc.start()
+        try:
+            variance_profile(F, X, deltas, grid=g, density=density)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * 8 * (2 * 300 + 1) ** 2
 
 
 class TestJitterIsExact:
