@@ -68,9 +68,10 @@ def _prime_sieve(limit: int) -> np.ndarray:
     """Boolean array of length limit+1 marking rational primes."""
     sieve = np.ones(limit + 1, dtype=bool)
     sieve[:2] = False
-    for p in range(2, math.isqrt(limit) + 1):
+    sieve[4::2] = False
+    for p in range(3, math.isqrt(limit) + 1, 2):
         if sieve[p]:
-            sieve[p * p :: p] = False
+            sieve[p * p :: 2 * p] = False
     return sieve
 
 

@@ -2,22 +2,26 @@
 
 An element is prime exactly when its principal ideal is a prime ideal: the
 absolute norm is a rational prime, or the square of an inert prime with the
-element an associate of that prime.  Grids tabulate 2D prefix sums of the
-prime indicator and of the 1/log|N| weight (over all elements of norm > 1),
-so any coordinate box is answered by four corner lookups, combined by the
-one inclusion-exclusion expression in `_corners`.  The scalar queries pass it
-int indices; `box_sums` gathers the corners for arbitrary centers by index
-arrays; `grid_box_sums` answers the boxes at fixed offsets around every
-integer point of [-M, M]^2 at once, or of a strip of its rows, each corner
-term one contiguous slice of the table.  All three give the same value for
-the same box, bit for bit.
+element an associate of that prime.  So one prime-norm table, the rational
+primes with p^2 added for every inert p, tells prime elements by their norm
+alone.  Grids tabulate 2D prefix sums of the prime indicator and of the
+1/log|N| weight (over all elements of norm > 1), so any coordinate box is
+answered by four corner lookups, combined by the one inclusion-exclusion
+expression in `_corners`.  The scalar queries pass it int indices;
+`box_sums` gathers the corners for arbitrary centers by index arrays;
+`grid_box_sums` answers the boxes at fixed offsets around every integer
+point of [-M, M]^2 at once, or of a strip of its rows, each corner term one
+contiguous slice of the table.  All three give the same value for the same
+box, bit for bit.  The box of radius H around x spans the integers of the
+exact interval [x - H, x + H], not of its rounded ends.
 
 `build_grid` walks the box in strips of `_STRIP_ROWS` rows, so only the
-tables themselves are box-sized: each strip's norm surface, prime mask and
-weights are summed down the columns on top of a carried row of column sums
-(int64 for counts, longdouble for weights), then along the rows, and written
-into the tables.  Each prefix entry sees the same additions in the same order
-as a cumsum over the whole box.
+tables themselves are box-sized: each strip's norm surface, its prime mask
+(one lookup in the prime-norm table) and its weights are summed down the
+columns on top of a carried row of column sums (int64 for counts,
+longdouble for weights), then along the rows, and written into the tables.
+Each prefix entry sees the same additions in the same order as a cumsum over
+the whole box.
 
 The 1/log|N| weight divided by r_K is the first-order expected number of
 prime elements per lattice point.  Prime elements generate prime ideals only,
@@ -32,6 +36,7 @@ import math
 import os
 import struct
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -101,10 +106,11 @@ def _accumulate(table: np.ndarray, carry: np.ndarray, values: np.ndarray, i0: in
 def build_grid(field: FieldSpec, extent: int, square_weights: bool = False) -> PrefixGrid:
     """Accumulate the prefix tables of the box [-R, R]^2, strip by strip.
 
-    max|N| over the box sizes the prime sieve and the per-prime inertness
-    table (an element of norm p^2 with p inert is automatically an associate
-    of p, since no ideal of norm p exists).  Each strip's norm surface then
-    gives its prime mask and weights, added to the tables.  With
+    max|N| over the box sizes the prime-norm table: the sieve of rational
+    primes with p^2 also marked for every inert p (an element of norm p^2
+    with p inert is automatically an associate of p, since no ideal of norm
+    p exists).  Each strip's norm surface then gives its prime mask, one
+    lookup in that table, and its weights, added to the tables.  With
     square_weights the same norm surface also gives the `sqrt_log_weight`
     table.
     """
@@ -125,13 +131,10 @@ def build_grid(field: FieldSpec, extent: int, square_weights: bool = False) -> P
     max_norm = int(np.abs(np.concatenate(edges)).max())
     if max_norm > 2_000_000_000:
         raise BudgetError(f"norms up to {max_norm} exceed the sieve budget")
-    sieve = _prime_sieve(max(max_norm, 2))
-    limit = math.isqrt(max(max_norm, 1))
-    d = field.discriminant
-    inert = np.zeros(limit + 1, dtype=bool)
-    for p in np.flatnonzero(sieve[: limit + 1]):
-        p = int(p)
-        inert[p] = kronecker(d, p) == -1
+    prime_norm = _prime_sieve(max(max_norm, 2))
+    for p in np.flatnonzero(prime_norm[: math.isqrt(max_norm) + 1]).tolist():
+        if kronecker(field.discriminant, p) == -1:
+            prime_norm[p * p] = True
 
     dtypes = [np.int64, np.float64, np.float64][: 3 if square_weights else 2]
     tables = [np.zeros((W + 1, W + 1), dtype) for dtype in dtypes]
@@ -139,11 +142,7 @@ def build_grid(field: FieldSpec, extent: int, square_weights: bool = False) -> P
     carries = [np.zeros(W, np.int64 if dtype is np.int64 else np.longdouble) for dtype in dtypes]
     for i0 in range(0, W, _STRIP_ROWS):
         abs_norm = np.abs(field.norm_form(k[i0 : i0 + _STRIP_ROWS, None], k[None, :]))
-        prime_mask = sieve[abs_norm]
-        # inert squares: |N| = p^2 with p inert
-        root = np.rint(np.sqrt(abs_norm.astype(np.float64))).astype(np.int64)
-        square = (root * root == abs_norm) & (abs_norm > 1)
-        prime_mask |= square & inert[np.minimum(root, limit)]
+        prime_mask = prime_norm[abs_norm]
         with np.errstate(divide="ignore"):
             wts = np.where(abs_norm > 1, 1.0 / np.log(np.maximum(abs_norm, 2)), 0.0)
         strip = [prime_mask, wts]
@@ -163,6 +162,31 @@ def _corners(table: np.ndarray, a, b, c, d):
     return table[b, d] - table[a, d] - table[b, c] + table[a, c]
 
 
+def _exact_bounds(x: float, H: float) -> tuple[int, int]:
+    """ceil(x - H) and floor(x + H) of the exact, unrounded x -+ H.
+
+    Rounding is monotone and keeps integers, so the rounded x -+ H gives the
+    wrong bound only when it lands on an integer that the exact value is
+    not; only then are the exact `Fraction`s compared.  `_box_bounds` calls
+    this only when some rounded bound is an integer.
+    """
+    d, s = x - H, x + H
+    lo, hi = math.ceil(d), math.floor(s)
+    if lo == d and Fraction(x) - Fraction(H) > lo:
+        lo += 1
+    if hi == s and Fraction(x) + Fraction(H) < hi:
+        hi -= 1
+    return lo, hi
+
+
+def _two_sum(a, b):
+    """s = fl(a + b) and its rounding error e, a + b = s + e exactly
+    (Knuth's TwoSum), elementwise."""
+    s = a + b
+    bb = s - a
+    return s, (a - (s - bb)) + (b - bb)
+
+
 def _box_bounds(grid: PrefixGrid, x1: float, x2: float, H: float):
     """Table indices (a, b, c, d) of the closed box of radius H around (x1, x2).
 
@@ -172,8 +196,12 @@ def _box_bounds(grid: PrefixGrid, x1: float, x2: float, H: float):
     """
     if not H >= 0:
         raise UsageError(f"box radius H must be >= 0, got {H!r}")
-    lo1, hi1 = math.ceil(x1 - H), math.floor(x1 + H)
-    lo2, hi2 = math.ceil(x2 - H), math.floor(x2 + H)
+    H = float(H)  # x -+ H is then a float with `is_integer`, also for int x
+    d1, s1, d2, s2 = x1 - H, x1 + H, x2 - H, x2 + H
+    if d1.is_integer() or s1.is_integer() or d2.is_integer() or s2.is_integer():
+        (lo1, hi1), (lo2, hi2) = _exact_bounds(x1, H), _exact_bounds(x2, H)
+    else:
+        lo1, hi1, lo2, hi2 = math.ceil(d1), math.floor(s1), math.ceil(d2), math.floor(s2)
     R = grid.extent
     if lo1 < -R or lo2 < -R or hi1 > R or hi2 > R:
         raise ExtentError(
@@ -198,12 +226,19 @@ def box_sums(
     """Box sums of prefix tables in the grid's layout, over (n, 2) centers.
 
     The box bounds are computed once and shared by all the tables; the four
-    corners of each box are gathered by index.
+    corners of each box are gathered by index.  As in `_exact_bounds`, a
+    rounded centers -+ H that lands on an integer is corrected by the sign
+    of its exact rounding error.
     """
     if not H >= 0:
         raise UsageError(f"box radius H must be >= 0, got {H!r}")
-    lo = np.ceil(centers - H).astype(np.int64)
-    hi = np.floor(centers + H).astype(np.int64)
+    d, err = _two_sum(centers, -H)
+    lo = np.ceil(d)
+    lo += (lo == d) & (err > 0)
+    s, err = _two_sum(centers, H)
+    hi = np.floor(s)
+    hi -= (hi == s) & (err < 0)
+    lo, hi = lo.astype(np.int64), hi.astype(np.int64)
     R = grid.extent
     if lo.min() < -R or hi.max() > R:
         raise ExtentError(f"some box of radius {H} exceeds the grid extent {R}")

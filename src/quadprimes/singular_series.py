@@ -9,14 +9,15 @@ a base product over all prime ideals of norm >= 3, taken sequentially in the
 table's ascending (norm, p, root) order by `np.multiply.accumulate` and
 cached, then the norm-2 factors (0 or 2 exactly), then one correction ratio
 per prime ideal containing the shift, in the same order.  Pointwise
-evaluation tests every ideal's membership at once.  The box sieve enumerates
-the points of every ideal's coordinate lattice inside the box and applies
-all the correction ratios with `np.multiply.at`, the points listed in
-ascending ideal order.  `ufunc.at` applies repeated indices in the order
-given, so each entry receives exactly the multiplication sequence of
-pointwise evaluation and sieved values are bit-identical to it.  The
-mu^2/phi partial sums take one walk over the squarefree ideals for all
-their cutoffs.
+evaluation tests every ideal's membership at once.  The box sieve applies
+the norm-2 factors and the ratios of the small ideals, a prefix of the
+ascending order, as strided slices of the box, ideal after ideal; it then
+lists the points of every larger ideal's coordinate lattice inside the box
+and applies their ratios with `np.multiply.at`, the points in ascending
+ideal order.  `ufunc.at` applies repeated indices in the order given, so
+each entry receives exactly the multiplication sequence of pointwise
+evaluation and sieved values are bit-identical to it.  The mu^2/phi partial
+sums take one walk over the squarefree ideals for all their cutoffs.
 """
 
 from __future__ import annotations
@@ -211,8 +212,9 @@ class _EulerData:
     norm2_roots: tuple[int, ...]         # roots of the (at most two) norm-2 ideals
     base: float                          # product of base factors, norm >= 3
     # the ideals of norm >= 3 in ascending (norm, p, root) order, as arrays:
-    # the rational prime p, the root (-1 for inert), rows b1x, b1y, b2x, b2y
-    # of a reduced basis of each coordinate lattice, and the ratios
+    # the norm, the rational prime p, the root (-1 for inert), rows b1x, b1y,
+    # b2x, b2y of a reduced basis of each coordinate lattice, and the ratios
+    norm: np.ndarray                     # (n,) int64
     p: np.ndarray                        # (n,) int64
     root: np.ndarray                     # (n,) int64
     bases: np.ndarray                    # (4, n) int64
@@ -251,7 +253,7 @@ def _euler_data(field: FieldSpec, cutoff: int) -> _EulerData:
     bases, ratio_array = _reduced_bases(p, root), _member_ratio(norm)
     bases.flags.writeable = ratio_array.flags.writeable = False
     return _EulerData(tuple(table.root[table.norm == 2].tolist()), _base_product(norm),
-                      p, root, bases, ratio_array)
+                      norm, p, root, bases, ratio_array)
 
 
 @dataclass(frozen=True, slots=True)
@@ -350,6 +352,9 @@ class SingularBox:
 
 # lattice-point candidates per np.multiply.at call of the box sieve
 _SIEVE_CHUNK = 1 << 18
+# ideals of norm <= W // _STRIDED_FRACTION, for a box of width W, are sieved
+# by strided slices rather than listed
+_STRIDED_FRACTION = 8
 
 
 def sieved_singular_box(
@@ -359,7 +364,12 @@ def sieved_singular_box(
 
     After the base fill and the norm-2 factors, every prime ideal of norm >= 3
     multiplies its ratio into the entries at the points of its coordinate
-    lattice.  With a reduced basis b1, b2 of determinant det, Cramer's rule
+    lattice.  (p, omega - r) holds (k1, k2) exactly when k1 = -r*k2 (mod p)
+    and an inert (p) when p divides both, so each residue class of columns
+    is one strided slice of rows.  The norm-2 factors (2 on the ideal, 0 off
+    it) and the ideals of norm <= W // `_STRIDED_FRACTION` (box width W), a
+    prefix of the ascending order, are applied so.  The larger ideals are
+    listed: with a reduced basis b1, b2 of determinant det, Cramer's rule
     bounds the coefficients of a box point u*b1 + v*b2 by
     |u| <= radius*|b2|_1/det and |v| <= radius*|b1|_1/det; each ideal's
     (u, v) rectangle is listed, in ascending ideal order, filtered to the box
@@ -369,9 +379,10 @@ def sieved_singular_box(
     and entries agree bit-for-bit with pointwise evaluation.
 
     Every ideal is closed under negation, and S(-eta) = S(eta) factor by
-    factor, so only one point of each +-pair is listed (v > 0, or v = 0 and
-    u > 0) and applied to whichever of eta, -eta has the larger flat index;
-    that half of the box is then mirrored onto the other.
+    factor, so only one half of the box is sieved: the slices cover the rows
+    k1 >= 0, and only one point of each listed +-pair (v > 0, or v = 0 and
+    u > 0) is applied, to whichever of eta, -eta has the larger flat index.
+    That half of the box is then mirrored onto the other.
     """
     if radius < 1:
         raise ValueError("radius must be at least 1")
@@ -381,11 +392,22 @@ def sieved_singular_box(
     data = _euler_data(field, cutoff)
     M = radius
     vals = np.full((W, W), data.base, dtype=np.float64)
-    k = np.arange(-M, M + 1)
+    # (k1, k2) = (i - M, j - M) lies in (p, omega - r) when i = M - r (j - M) mod p
     for r in data.norm2_roots:
-        member = ((k[:, None] + r * k[None, :]) % 2) == 0
-        vals *= np.where(member, 2.0, 0.0)
-    x1, y1, x2, y2 = data.bases
+        for j in range(2):
+            i = (M - r * (j - M)) % 2
+            vals[i::2, j::2] *= 2.0
+            vals[1 - i :: 2, j::2] *= 0.0
+    n_small = int(np.searchsorted(data.norm, W // _STRIDED_FRACTION, "right"))
+    for p, r, ratio in zip(data.p[:n_small].tolist(), data.root[:n_small].tolist(),
+                           data.ratio_array[:n_small].tolist()):
+        if r < 0:
+            vals[M :: p, M % p :: p] *= ratio
+        else:
+            for j in range(p):
+                i = (M - r * (j - M)) % p
+                vals[M + (i - M) % p :: p, j::p] *= ratio
+    x1, y1, x2, y2 = data.bases[:, n_small:]
     det = np.abs(x1 * y2 - y1 * x2)
     U = M * (np.abs(x2) + np.abs(y2)) // det
     V = M * (np.abs(x1) + np.abs(y1)) // det
@@ -408,7 +430,8 @@ def sieved_singular_box(
         inside = (np.abs(k1) <= M) & (np.abs(k2) <= M)
         idx = ((k1 + M) * W + (k2 + M))[inside]
         # eta and -eta sit at flat indices idx and W*W - 1 - idx
-        np.multiply.at(flat, np.maximum(idx, W * W - 1 - idx), data.ratio_array[i[inside]])
+        np.multiply.at(flat, np.maximum(idx, W * W - 1 - idx),
+                       data.ratio_array[n_small:][i[inside]])
     c = W * W // 2
     flat[:c] = flat[:c:-1]
     vals[M, M] = np.nan
@@ -423,13 +446,30 @@ class SmoothedSumResult:
     cutoff: int
 
 
+def _weight_grid(w, H: float, M: int) -> np.ndarray:
+    """w(k1/H, k2/H) over the box [-M, M]^2, zero at the origin.
+
+    w is even in each coordinate, so it is evaluated on the quadrant
+    k1, k2 >= 0 only and mirrored onto the other three.
+    """
+    k = np.arange(M + 1)
+    wgrid = np.empty((2 * M + 1, 2 * M + 1))
+    wgrid[M:, M:] = w.eval(k[:, None] / H, k[None, :] / H)
+    wgrid[M:, :M] = wgrid[M:, :M:-1]
+    wgrid[:M] = wgrid[:M:-1]
+    wgrid[M, M] = 0.0
+    return wgrid
+
+
 def singular_sums_smoothed(
     field: FieldSpec, w, Hs: list[float], cutoff: int = DEFAULT_CUTOFF
 ) -> list[SmoothedSumResult]:
     """Smoothed sums of (singular series - 1) over nonzero shifts, one per H.
 
-    Sums (S(eta) - 1) * w(m(eta)/H) over the scaled support box.  One box is
-    sieved at the largest H; every entry depends only on its lattice point,
+    Sums (S(eta) - 1) * w(m(eta)/H) over the scaled support box.  w must be
+    even in each coordinate, as both `TestFunction` kinds are (they depend
+    on |x1|, |x2| or on hypot(x1, x2)): its grid is evaluated on one quadrant
+    and mirrored (`_weight_grid`).  One box is sieved at the largest H; every entry depends only on its lattice point,
     so the centre slice of that box equals the box of a smaller H, and each
     slice is copied to a contiguous array so the sums reduce in the same order
     as over a box of its own.  The reported uncertainty is the conservative
@@ -448,9 +488,7 @@ def singular_sums_smoothed(
         M = math.floor(H * w.support_radius)
         vals = box.values[Mmax - M : Mmax + M + 1, Mmax - M : Mmax + M + 1].copy()
         vals[M, M] = 1.0  # origin excluded: contributes (1 - 1) * w = 0
-        k = np.arange(-M, M + 1)
-        wgrid = np.asarray(w.eval(k[:, None] / H, k[None, :] / H), dtype=np.float64)
-        wgrid[M, M] = 0.0
+        wgrid = _weight_grid(w, H, M)
         total = float(np.sum((vals - 1.0) * wgrid))
         uncertainty = box.tail_bound * float(np.sum(np.abs(vals) * wgrid))
         results.append(SmoothedSumResult(total, uncertainty, H, cutoff))

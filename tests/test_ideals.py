@@ -54,6 +54,14 @@ def field_and_prime(draw):
     return D, draw(st.sampled_from(PRIMES_2000) | st.sampled_from(ramified))
 
 
+class TestPrimeSieve:
+    @pytest.mark.parametrize("limit", [*range(0, 30), 48, 49, 50, 120, 121, 122, 10**5, 10**6 + 1])
+    def test_marks_exactly_the_primes(self, limit):
+        sieve = ideals._prime_sieve(limit)
+        assert sieve.dtype == bool and len(sieve) == limit + 1
+        assert np.flatnonzero(sieve).tolist() == list(primerange(limit + 1))
+
+
 class TestKronecker:
     def test_against_legendre(self):
         # quadratic residues mod 7: 1, 2, 4

@@ -1,10 +1,13 @@
+import functools
 import math
 import random
 import struct
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from sympy import isprime
 
 from quadprimes.errors import (
@@ -354,6 +357,60 @@ class TestOneCornerExpression:
                 call()
 
 
+def exact_scan(field, x1, x2, H):
+    """Prime elements a + b omega with max(|a - x1|, |b - x2|) <= H in exact
+    arithmetic, by a scan of the integers around the rounded bounds."""
+    x1, x2, H = Fraction(x1), Fraction(x2), Fraction(H)
+    return sum(
+        is_prime_element(field.element(a, b))
+        for a in range(math.floor(x1 - H) - 1, math.ceil(x1 + H) + 2)
+        for b in range(math.floor(x2 - H) - 1, math.ceil(x2 + H) + 2)
+        if abs(a - x1) <= H and abs(b - x2) <= H
+    )
+
+
+def nudge(x: float, ulps: int) -> float:
+    for _ in range(abs(ulps)):
+        x = math.nextafter(x, math.copysign(math.inf, ulps))
+    return x
+
+
+@functools.lru_cache(maxsize=1)
+def _bounds_grid():
+    return build_grid(Qi, 20)
+
+
+class TestExactBounds:
+    """Box bounds are ceil(x - H) and floor(x + H) of the exact x -+ H, also
+    where the rounded difference or sum lands on an integer."""
+
+    def test_radius_just_below_three(self):
+        # 11 - H and 11 + H round to 8 and 14; the exact box is rows 9..13
+        g, H = build_grid(Qi, 20), math.nextafter(3.0, 0.0)
+        assert 11.0 - H == 8.0 and 11.0 + H == 14.0
+        want = exact_scan(Qi, 11.0, 0.0, H)
+        assert want == 5 == exact_scan(Qi, 11.0, 0.0, 2.0)
+        assert count_primes_box(g, 11.0, 0.0, H) == want
+        (got,) = box_sums(g, [g.prime_count], np.array([[11.0, 0.0]]), H)
+        assert got.tolist() == [want]
+
+    @settings(max_examples=150, deadline=None)
+    @given(k1=st.integers(-12, 12), k2=st.integers(-12, 12),
+           dx=st.sampled_from([0.0, 0.1, 0.5, 1e-15, -1e-15]),
+           x_ulps=st.integers(-2, 2), h=st.integers(0, 4),
+           dh=st.sampled_from([0.0, 0.1, 0.5, 0.9]), h_ulps=st.integers(-2, 2))
+    @example(k1=11, k2=0, dx=0.0, x_ulps=0, h=3, dh=0.0, h_ulps=-1)
+    @example(k1=-7, k2=3, dx=0.1, x_ulps=0, h=2, dh=0.9, h_ulps=0)
+    def test_scalar_and_gather_match_exact_scan(self, k1, k2, dx, x_ulps, h, dh, h_ulps):
+        g = _bounds_grid()
+        x1, x2 = nudge(k1 + dx, x_ulps), nudge(k2 - dx, -x_ulps)
+        H = max(nudge(h + dh, h_ulps), 0.0)
+        want = exact_scan(Qi, x1, x2, H)
+        assert count_primes_box(g, x1, x2, H) == want
+        (got,) = box_sums(g, [g.prime_count], np.array([[x1, x2]]), H)
+        assert got.tolist() == [want]
+
+
 class TestSquareWeightTable:
     @pytest.mark.parametrize("D", [-1, 5, 10])
     def test_random_boxes_match_fsum_scan(self, D):
@@ -394,10 +451,7 @@ class TestGridBoxSums:
         g = build_grid(make_field(D), 26, square_weights=True)
         h = math.floor(H)
         got = grid_box_sums(g, self.tables(g), math.floor(X), (-h, h), (-h, h))
-        # one ulp below 3 the gather path rounds k - H to k - 3 for |k| >= 11,
-        # a radius-3 box; the exact boxes are those of radius floor(H) = 2
-        ref_H = float(h) if H < 3.0 else H
-        want = box_sums(g, self.tables(g), Sampler().centers(X), ref_H)
+        want = box_sums(g, self.tables(g), Sampler().centers(X), H)
         assert len(got) == 3
         for a, b in zip(got, want):
             assert a.dtype == b.dtype

@@ -437,6 +437,33 @@ class TestSievedBox:
                     F.element(k1, k2), P
                 ).value, (k1, k2)
 
+    @settings(max_examples=40, deadline=None)
+    @given(D=st.integers(-60, 60).filter(lambda D: D not in (0, 1) and _is_squarefree(D)),
+           r=st.integers(1, 60), P=st.integers(100, 20_000))
+    @example(D=-7, r=60, P=20_000)  # 2 splits; half basis
+    @example(D=17, r=47, P=5000)  # real, 2 splits
+    @example(D=10, r=60, P=3000)  # real, 2 and 5 ramify
+    @example(D=-5, r=33, P=20_000)  # 2 and 5 ramify
+    @example(D=-7, r=4, P=100)  # W // 8 = 1: only the norm-2 ideals are sliced
+    def test_matches_pointwise_random_fields(self, D, r, P):
+        F = make_field(D)
+        box = sieved_singular_box(F, r, P)
+        for k1 in range(-r, r + 1):
+            for k2 in range(-r, r + 1):
+                if (k1, k2) != (0, 0):
+                    assert box.value_at(k1, k2).value == singular_series(
+                        F.element(k1, k2), P
+                    ).value, (k1, k2)
+
+    @pytest.mark.parametrize("D", [-1, 10, -3, -7])
+    def test_strided_share_does_not_change_values(self, D, monkeypatch):
+        # 1: every ideal of norm <= W is sliced; 10**9: only norm 2 is
+        F, r, P = make_field(D), 45, 5000
+        want = sieved_singular_box(F, r, P).values.tobytes()
+        for fraction in (1, 10**9):
+            monkeypatch.setattr(singular_series_module, "_STRIDED_FRACTION", fraction)
+            assert sieved_singular_box(F, r, P).values.tobytes() == want
+
     @pytest.mark.parametrize("D", [-7, 10, -5, 17])
     def test_array_pointwise_matches_objects_and_sieve(self, D):
         # the box holds shifts divisible by an inert p (both coordinates)
@@ -509,6 +536,20 @@ class TestSievedBox:
     def test_budget_guard(self):
         with pytest.raises(BudgetError):
             sieved_singular_box(Qi, 10**5, 100)
+
+
+class TestWeightGrid:
+    @pytest.mark.parametrize("kind", [Kind.SQUARE_AUTOCORR, Kind.DISC_AUTOCORR])
+    @pytest.mark.parametrize("H", [2.0, 2.5, 37.3, 512.0])
+    def test_mirror_equals_full_box_eval(self, kind, H):
+        w = TestFunction(kind)
+        M = math.floor(H * w.support_radius)
+        k = np.arange(-M, M + 1)
+        want = np.asarray(w.eval(k[:, None] / H, k[None, :] / H), dtype=np.float64)
+        want[M, M] = 0.0
+        got = singular_series_module._weight_grid(w, H, M)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
 
 class TestHeadlineSums:
