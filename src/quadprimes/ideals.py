@@ -13,7 +13,9 @@ odd prime (`_sqrt_mod_array`), and the result is one table of arrays per
 field and bound that every enumeration reads.  The scalar `sqrt_mod` and
 `_split` split one prime, for `split_prime`.  Squarefree
 ideals are products of distinct prime ideals and carry their Moebius value,
-totient and norm; they are enumerated by one walk (`walk_squarefree`).
+totient and norm.  They are built as arrays, one level per number of
+prime factors, each product from its parent (`squarefree_levels`), for both
+the enumeration and the mu^2/phi sums.
 Each squarefree ideal also induces a rank-2 sublattice of the coordinate
 lattice, kept in Hermite normal form and built directly by CRT over the
 rational primes below the ideal (`ideal_lattice`); the lattice is what the
@@ -339,42 +341,49 @@ class SquarefreeIdeal:
         return out
 
 
-def walk_squarefree(norms: list[int], max_norm: int, state, step, visit) -> None:
-    """Pre-order walk over the squarefree products of norm <= max_norm of
-    prime ideals with the ascending `norms`, the unit ideal (with `state`)
-    first.  A product extended by prime i has state step(state, i);
-    visit(state, norm) is called once per product, in walk order.  Nothing
-    is visited when max_norm < 1.
+def squarefree_levels(norms: np.ndarray, max_norm: int, last: np.ndarray, norm: np.ndarray):
+    """The squarefree products of norm <= max_norm of the prime ideals with
+    ascending int64 `norms`, level by level from the products with largest
+    primes `last` (indices into `norms`) and norms `norm`.
+
+    A level is a triple of arrays (parent, last, norm): each product's
+    parent on the level before (0, 1, ... on the first level), its largest
+    prime and its norm.  A product's children extend it by each prime
+    i = last+1, last+2, ... with norm * norms[i] <= max_norm, listed parent
+    by parent and by ascending i.  The walk order (a product, then the walks
+    below its children in turn) is lexicographic order of the ascending
+    prime indices.  A level is built only when the one before is taken.
     """
-
-    def extend(start: int, state, norm: int):
-        visit(state, norm)
-        for i in range(start, len(norms)):
-            n2 = norm * norms[i]
-            if n2 > max_norm:
-                break
-            extend(i + 1, step(state, i), n2)
-
-    if max_norm >= 1:
-        extend(0, state, 1)
+    parent = np.arange(last.size)
+    while last.size:
+        yield parent, last, norm
+        count = np.maximum(np.searchsorted(norms, max_norm // norm, "right") - last - 1, 0)
+        parent = np.repeat(np.arange(last.size), count)
+        first = np.cumsum(count) - count  # each parent's first child
+        last = last[parent] + 1 + np.arange(parent.size) - first[parent]
+        norm = norm[parent] * norms[last]
 
 
 def enumerate_squarefree_ideals(
     field: FieldSpec, max_norm: int, check: Optional[Callable[[SquarefreeIdeal], None]] = None
 ) -> list[SquarefreeIdeal]:
     """All squarefree ideals of norm <= max_norm, the unit ideal included
-    when max_norm >= 1.  `check`, when given, sees each ideal as the walk
-    reaches it, before the sort, and may raise to end the walk."""
-    primes = enumerate_prime_ideals(field, max_norm)
-    out: list[SquarefreeIdeal] = []
-
-    def visit(chosen, norm):
-        out.append(SquarefreeIdeal(field, chosen))
-        if check is not None:
+    when max_norm >= 1.  `check`, when given, sees each ideal as its level
+    of `squarefree_levels` is built, before the sort, and may raise to end
+    the enumeration."""
+    if max_norm < 1:
+        return []
+    primes, norms = enumerate_prime_ideals(field, max_norm), prime_ideal_table(field, max_norm).norm
+    check = check or (lambda q: None)
+    out = [SquarefreeIdeal.unit(field)]
+    check(out[0])
+    level = [()] * norms.size  # the parents of the single primes
+    for parent, last, _ in squarefree_levels(norms, max_norm, np.arange(norms.size), norms):
+        prev, level = level, []
+        for k, i in zip(parent.tolist(), last.tolist()):
+            level.append(prev[k] + (primes[i],))
+            out.append(SquarefreeIdeal(field, level[-1]))
             check(out[-1])
-
-    walk_squarefree(prime_ideal_table(field, max_norm).norm.tolist(), max_norm, (),
-                    lambda chosen, i: chosen + (primes[i],), visit)
     out.sort(key=lambda q: (q.norm, tuple(f.sort_key() for f in q.factors)))
     return out
 

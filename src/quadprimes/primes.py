@@ -190,9 +190,10 @@ def _two_sum(a, b):
 def _box_bounds(grid: PrefixGrid, x1: float, x2: float, H: float):
     """Table indices (a, b, c, d) of the closed box of radius H around (x1, x2).
 
-    Since H >= 0, b >= a and d >= c.  An empty box (b == a or d == c) counts
-    0 primes; its weight is +0.0 when b == a, and when d == c the corner terms
-    cancel only up to rounding, as they do in `box_sums`.
+    Since H >= 0, b >= a and d >= c.  An empty box counts 0 primes and
+    weighs +0.0: the corner terms cancel exactly when b == a, but only up to
+    rounding when d == c, so a box with no columns is given no rows either
+    (b = a), as in `box_sums` and `grid_box_sums`.
     """
     if not H >= 0:
         raise UsageError(f"box radius H must be >= 0, got {H!r}")
@@ -207,6 +208,8 @@ def _box_bounds(grid: PrefixGrid, x1: float, x2: float, H: float):
         raise ExtentError(
             f"box [{lo1},{hi1}]x[{lo2},{hi2}] exceeds the grid extent {R}"
         )
+    if hi2 < lo2:
+        hi1 = lo1 - 1
     return lo1 + R, hi1 + R + 1, lo2 + R, hi2 + R + 1
 
 
@@ -243,6 +246,7 @@ def box_sums(
     if lo.min() < -R or hi.max() > R:
         raise ExtentError(f"some box of radius {H} exceeds the grid extent {R}")
     a, b = lo + R, hi + R + 1
+    np.copyto(b[:, 0], a[:, 0], where=b[:, 1] == a[:, 1])  # no columns: no rows (`_box_bounds`)
     return [_corners(table, a[:, 0], b[:, 0], a[:, 1], b[:, 1]) for table in tables]
 
 
@@ -263,6 +267,8 @@ def grid_box_sums(
     (lo1, hi1), (lo2, hi2) = rows, cols
     if -M + min(lo1, lo2) < -R or M + max(hi1, hi2) > R:
         raise ExtentError(f"boxes {rows} x {cols} around [-{M}, {M}]^2 exceed the extent {R}")
+    if hi2 < lo2:  # no columns: no rows either, as in `_box_bounds`
+        hi1 = lo1 - 1
     r0, r1 = strip or (0, 2 * M + 1)
     # corner indices k + lo + R and k + hi + R + 1 for the center rows
     # k = r0 - M .. r1 - 1 - M and the center columns k = -M..M

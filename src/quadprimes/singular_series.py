@@ -17,7 +17,9 @@ and applies their ratios with `np.multiply.at`, the points in ascending
 ideal order.  `ufunc.at` applies repeated indices in the order given, so
 each entry receives exactly the multiplication sequence of pointwise
 evaluation and sieved values are bit-identical to it.  The mu^2/phi partial
-sums take one walk over the squarefree ideals for all their cutoffs.
+sums take one walk over the squarefree ideals for all their cutoffs, built as
+arrays and added by `np.cumsum` in walk order, so each equals a recursive
+walk's sum bit for bit.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ import numpy as np
 
 from .errors import BudgetError, UsageError
 from .fields import FieldSpec, QuadInt
-from .ideals import PRIME_BUDGET, _prime_sieve, kronecker, prime_ideal_table, walk_squarefree
+from .ideals import PRIME_BUDGET, _prime_sieve, kronecker, prime_ideal_table, squarefree_levels
 
 DEFAULT_CUTOFF = 100_000
 
@@ -77,24 +79,35 @@ def _character_table(d: int) -> np.ndarray:
 def _exact_sum(chi: np.ndarray, stop: int) -> float:
     """Correctly rounded sum of the floats chi[n % q] / n over 1 <= n < stop.
 
-    Each term t is a multiple of 2^-S with S = 53 + stop.bit_length(), so
-    t * 2^S is an integer.  It is split exactly into floor(t * 2^A), at most
-    2^A in size, and the remainder scaled by 2^(S-A), below 2^(S-A); both are
+    The terms go one character period n = b*q + r at a time (or
+    _RESIDUE_CHUNK // q periods against a tiled chi), in chunks of at most
+    `_RESIDUE_CHUNK`, so chi is sliced, not gathered.  Each term t is a
+    multiple of 2^-S with S = 53 + stop.bit_length(), so t * 2^S is an
+    integer.  It is split exactly, in place, into floor(t * 2^A), at most 2^A
+    in size, and the remainder scaled by 2^(S-A), below 2^(S-A); both are
     summed as int64 over one chunk, then as Python ints.  Under the term
     budget (stop < 2^25) S <= 78, so a chunk of up to 2^20 terms sums below
-    2^60.  The one final division rounds half to even, as `math.fsum` does.
+    2^60.  The integer total is exact in any order, and the one final
+    division rounds half to even, as `math.fsum` does.
     """
     q = len(chi)
     S = 53 + stop.bit_length()
     A = S // 2
     hi_scale, lo_scale = 2.0**A, 2.0 ** (S - A)
+    period = q * max(1, _RESIDUE_CHUNK // q)
+    chi_tiled = np.tile(chi.astype(np.float64), period // q)
+    offsets = np.arange(period, dtype=np.float64)
     total = 0
-    for lo in range(1, stop, _RESIDUE_CHUNK):
-        n = np.arange(lo, min(lo + _RESIDUE_CHUNK, stop))
-        x = (chi[n % q] / n) * hi_scale
-        hi = np.floor(x)
-        rest = (x - hi) * lo_scale
-        total += (int(hi.astype(np.int64).sum()) << (S - A)) + int(rest.astype(np.int64).sum())
+    for base in range(0, stop, period):
+        for lo in range(1 if base == 0 else 0, min(period, stop - base), _RESIDUE_CHUNK):
+            hi = min(lo + _RESIDUE_CHUNK, period, stop - base)
+            x = np.add(offsets[lo:hi], base)  # n, exact as a float below 2^53
+            np.divide(chi_tiled[lo:hi], x, out=x)
+            x *= hi_scale
+            top = np.floor(x)
+            x -= top
+            x *= lo_scale
+            total += (int(top.astype(np.int64).sum()) << (S - A)) + int(x.astype(np.int64).sum())
     return total / (1 << S)
 
 
@@ -541,23 +554,76 @@ def montgomery_sum(H: int, cutoff: int = DEFAULT_CUTOFF) -> float:
 # Partial sums of mu^2/phi over ideals (log-growth diagnostic)
 
 
+# estimated squarefree ideals (Y // N for each first product) per array pass
+# of mobius_phi_profile
+_WALK_CHUNK = 1 << 16
+
+
+def _walk_positions(levels: list) -> list[np.ndarray]:
+    """The walk-order position of every product on the `squarefree_levels`
+    `levels`, from 0.  Subtree sizes come bottom up by a `bincount` over the
+    parents; a child's position is its parent's, plus one, plus the subtrees
+    of its earlier siblings."""
+    sizes = [np.ones(levels[-1][0].size, np.int64)]
+    for k in range(len(levels) - 1, 0, -1):
+        below = np.bincount(levels[k][0], sizes[0], levels[k - 1][0].size)
+        sizes.insert(0, 1 + below.astype(np.int64))
+    positions = [np.cumsum(sizes[0]) - sizes[0]]
+    for (parent, _, _), size in zip(levels[1:], sizes[1:]):
+        before = np.cumsum(size) - size
+        first = np.searchsorted(parent, parent)  # the first child of the same parent
+        positions.append(positions[-1][parent] + 1 + before - before[first])
+    return positions
+
+
 def mobius_phi_profile(field: FieldSpec, cutoffs: list[int]) -> list[float]:
     """Sums of mu^2(q)/phi(q) over squarefree ideals of norm <= Y, for each
     Y in cutoffs.
 
-    One walk up to max(cutoffs) adds each ideal's 1/phi, in walk order, into
-    the sum of every cutoff at or above its norm; each sum therefore adds the
-    same terms in the same order as a walk up to its own cutoff.
+    Each sum is that of a recursive walk up to its own cutoff, bit for bit:
+    the unit ideal, then the 1/phi of each ideal of norm <= Y in walk order
+    (`squarefree_levels`), each 1/phi its parent's divided by N - 1.  The
+    ideals are built as arrays a run of sibling subtrees at a time, to bound
+    the memory: a product with more than `_WALK_CHUNK` estimated descendants
+    (Y // N) is taken alone and its children's subtrees after it, the others
+    in runs of about that many.  `_walk_positions` scatters a run's terms
+    into walk order, and `np.cumsum`, which adds strictly in sequence
+    (`np.sum` adds pairwise), continues every cutoff's sum over them.
     """
     if not cutoffs or min(cutoffs) < 1:
         raise UsageError(f"cutoffs must be at least 1, got {cutoffs!r}")
     ys = sorted(set(cutoffs))
-    norms = prime_ideal_table(field, ys[-1]).norm.tolist()
-    totals = [0.0] * len(ys)
+    Y = ys[-1]
+    norms = prime_ideal_table(field, Y).norm
+    den = norms - 1.0
+    totals = [1.0] * len(ys)  # the unit ideal
 
-    def visit(inv_phi: float, norm: int):
-        for j in range(bisect.bisect_left(ys, norm), len(ys)):
-            totals[j] += inv_phi
+    def add(terms: np.ndarray, term_norms: np.ndarray):
+        for j in range(bisect.bisect_left(ys, int(term_norms.min())), len(ys)):
+            added = np.concatenate(([totals[j]], terms[term_norms <= ys[j]]))
+            totals[j] = float(np.cumsum(added)[-1])
 
-    walk_squarefree(norms, ys[-1], 1.0, lambda inv_phi, i: inv_phi / (norms[i] - 1), visit)
+    def walk(last: np.ndarray, norm: np.ndarray, inv_phi: np.ndarray):
+        # siblings ascend by norm, so the large subtrees come first
+        estimate = Y // norm
+        big = int(np.count_nonzero(estimate > _WALK_CHUNK))
+        for k in range(big):
+            add(inv_phi[k : k + 1], norm[k : k + 1])
+            children = np.arange(last[k] + 1, np.searchsorted(norms, estimate[k], "right"))
+            walk(children, norm[k] * norms[children], inv_phi[k] / den[children])
+        run = (np.cumsum(estimate[big:]) - 1) // _WALK_CHUNK
+        starts = big + np.flatnonzero(np.diff(run, prepend=-1))
+        for lo, hi in zip(starts.tolist(), starts[1:].tolist() + [last.size]):
+            levels = list(squarefree_levels(norms, Y, last[lo:hi], norm[lo:hi]))
+            inv = [inv_phi[lo:hi]]
+            for parent, child, _ in levels[1:]:
+                inv.append(inv[-1][parent] / den[child])
+            positions = _walk_positions(levels)
+            size = sum(pos.size for pos in positions)
+            terms, term_norms = np.empty(size), np.empty(size, np.int64)
+            for pos, inv_k, (_, _, norm_k) in zip(positions, inv, levels):
+                terms[pos], term_norms[pos] = inv_k, norm_k
+            add(terms, term_norms)
+
+    walk(np.arange(norms.size), norms, 1.0 / den)
     return [totals[ys.index(y)] for y in cutoffs]

@@ -1,7 +1,9 @@
 import functools
 import math
 import random
+import os
 import struct
+import tempfile
 import tracemalloc
 from fractions import Fraction
 
@@ -18,7 +20,7 @@ from quadprimes.errors import (
     UsageError,
 )
 from quadprimes import primes
-from quadprimes.fields import _is_squarefree, make_field
+from quadprimes.fields import BasisKind, _is_squarefree, make_field
 from quadprimes.ideals import _prime_sieve, kronecker, miller_rabin
 from quadprimes.primes import (
     box_sums,
@@ -357,6 +359,41 @@ class TestOneCornerExpression:
                 call()
 
 
+class TestEmptyBoxes:
+    """A box with no rows or no columns weighs +0.0 on every query path."""
+
+    @staticmethod
+    def positive_zero(x) -> bool:
+        return x == 0.0 and math.copysign(1.0, x) == 1.0
+
+    def test_reported_centre(self):
+        # the column range [8.3, 8.7] holds no integer; the corner terms of
+        # such a box used to leave -4.4e-16
+        g = build_grid(make_field(-3), 10)
+        assert self.positive_zero(log_weight_box(g, -9.0, 8.5, 0.2))
+        assert count_primes_box(g, -9.0, 8.5, 0.2) == 0
+        counts, weights = box_sums(g, [g.prime_count, g.log_weight], np.array([[-9.0, 8.5]]), 0.2)
+        assert counts.tolist() == [0] and self.positive_zero(weights[0])
+
+    @pytest.mark.parametrize("D", [-1, -3, 10])
+    def test_all_paths_give_positive_zero(self, D):
+        R = 10
+        g = build_grid(make_field(D), R, square_weights=True)
+        tables = [g.log_weight, g.sqrt_log_weight]
+        half = [(i + 0.5, j) for i in range(-R, R) for j in range(-R, R + 1)]
+        half = np.array(half + [(j, i) for i, j in half])
+        for H in (0.0, 0.2, 0.4999):
+            for got in box_sums(g, tables, half, H):
+                assert all(self.positive_zero(x) for x in got.tolist())
+            for x1, x2 in half.tolist():
+                assert self.positive_zero(log_weight_box(g, x1, x2, H))
+        # offsets with an empty column or row range, around every centre
+        for rows, cols in [((0, 0), (1, 0)), ((1, 0), (0, 0)), ((-2, 3), (1, 0)),
+                           ((1, 0), (-2, 3)), ((1, 0), (1, 0))]:
+            for got in grid_box_sums(g, tables, 6, rows, cols):
+                assert all(self.positive_zero(x) for x in got.tolist())
+
+
 def exact_scan(field, x1, x2, H):
     """Prime elements a + b omega with max(|a - x1|, |b - x2|) <= H in exact
     arithmetic, by a scan of the integers around the rounded bounds."""
@@ -515,6 +552,28 @@ class TestPersistence:
             assert got.dtype == want.dtype and got.shape == want.shape
             assert got.flags.writeable and got.flags.c_contiguous
             assert np.array_equal(got, want)
+
+    @settings(max_examples=40, deadline=None)
+    @given(D=st.integers(-200, 200).filter(lambda D: D not in (0, 1) and _is_squarefree(D)),
+           R=st.integers(0, 12))
+    @example(D=-3, R=0)
+    @example(D=5, R=12)
+    @example(D=-1, R=7)
+    def test_round_trip_random_fields(self, D, R):
+        g = build_grid(make_field(D), R)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "grid.bin")
+            save_grid(g, path)
+            g2 = load_grid(path)
+            assert g2.field == g.field
+            assert g2.field.basis is (BasisKind.HALF if D % 4 == 1 else BasisKind.SQRT_D)
+            assert g2.extent == R
+            assert np.array_equal(g2.prime_count, g.prime_count)
+            assert np.array_equal(g2.log_weight, g.log_weight)
+            with open(path, "r+b") as f:
+                f.truncate(os.path.getsize(path) - 1)
+            with pytest.raises(GridFileError):
+                load_grid(path)
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "junk.bin"

@@ -1,6 +1,7 @@
 import functools
 import importlib
 import math
+from unittest import mock
 
 import mpmath
 import numpy as np
@@ -224,6 +225,19 @@ class TestResidue:
             residue_rk.cache_clear()
             assert residue_rk(make_field(D), 1e-8) == want
         residue_rk.cache_clear()
+
+    @pytest.mark.parametrize("D", [-1, -3, 2, -7, 10, -1003])
+    @pytest.mark.parametrize("chunk", [7, 1 << 15])
+    def test_exact_sum_equals_fsum(self, D, chunk, monkeypatch):
+        # stops below one period, inside a period and at whole periods, with
+        # chunks shorter and longer than the period
+        monkeypatch.setattr(singular_series_module, "_RESIDUE_CHUNK", chunk)
+        d = make_field(D).discriminant
+        q = abs(d)
+        chi = _character_table(d)
+        for stop in (1, 2, q - 1, q, q + 1, 3 * q + q // 2, 5 * q, 40 * q + 3):
+            want = math.fsum(int(chi[n % q]) / n for n in range(1, stop))
+            assert _exact_sum(chi, stop) == want
 
     def test_exact_at_the_term_budget(self):
         # the most terms the budget admits, with the smallest period: the
@@ -618,6 +632,34 @@ class TestMobiusPhi:
             norms = [pi.norm for pi in enumerate_prime_ideals(field, max(ys))]
             want = [phi_inverse_dfs([n for n in norms if n <= y], y) for y in ys]
             assert mobius_phi_profile(field, ys) == want
+
+    @settings(max_examples=40, deadline=None)
+    @given(D=st.integers(-150, 150).filter(lambda D: D not in (0, 1) and _is_squarefree(D)),
+           ys=st.lists(st.integers(1, 5000), min_size=1, max_size=8),
+           chunk=st.sampled_from([1, 5, 64, 1 << 16]))
+    @example(D=-1, ys=[1], chunk=1 << 16)
+    @example(D=-5, ys=[1, 2, 5000], chunk=1)  # norm 2 ramified
+    @example(D=-3, ys=[2, 3, 4, 4000, 3], chunk=5)  # smallest norm 3
+    @example(D=-7, ys=[4999, 1, 5000], chunk=64)  # 2 split
+    @example(D=5, ys=[3, 1, 2, 3000], chunk=1)  # 2 inert: the smallest norm is 4
+    @example(D=-143, ys=[5, 1, 2, 6, 4000], chunk=5)  # norms 2, 2, 3, 3, ...
+    def test_matches_dfs_random_fields(self, D, ys, chunk):
+        # `_WALK_CHUNK` decides which subtrees are split into their children
+        field = make_field(D)
+        norms = [pi.norm for pi in enumerate_prime_ideals(field, max(ys))]
+        want = [phi_inverse_dfs([n for n in norms if n <= y], y) for y in ys]
+        with mock.patch.object(singular_series_module, "_WALK_CHUNK", chunk):
+            assert mobius_phi_profile(field, ys) == want
+
+    @pytest.mark.parametrize("D", [-1, 10, -7])
+    def test_matches_dfs_at_1e5(self, D, monkeypatch):
+        field, Y = make_field(D), 10**5
+        norms = [pi.norm for pi in enumerate_prime_ideals(field, Y)]
+        want = [phi_inverse_dfs(norms, Y)]
+        assert mobius_phi_profile(field, [Y]) == want
+        # small runs, and the products of norm below 50 split into their children
+        monkeypatch.setattr(singular_series_module, "_WALK_CHUNK", Y // 50)
+        assert mobius_phi_profile(field, [Y]) == want
 
     def test_bad_cutoffs(self):
         for ys in ([0], [10, 0], [], [-5]):
