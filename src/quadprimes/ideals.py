@@ -18,8 +18,10 @@ prime factors, each product from its parent (`squarefree_levels`), for both
 the enumeration and the mu^2/phi sums.
 Each squarefree ideal also induces a rank-2 sublattice of the coordinate
 lattice, kept in Hermite normal form and built directly by CRT over the
-rational primes below the ideal (`ideal_lattice`); the lattice is what the
-smoothed-count and dual-count diagnostics walk.
+rational primes below the ideal (`ideal_lattice`).  One enumerator,
+`lattice_half_points`, lists the points of such lattices in a box, one of
+each +-pair, in rows clipped to the box: the box sieve of the singular
+series, the smoothed counts and the dual counts all read it.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ import enum
 import itertools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Iterable, Optional
 
@@ -36,8 +39,10 @@ import numpy as np
 from .errors import BudgetError, UsageError
 from .fields import PRIME_BUDGET, FieldSpec, QuadInt
 
-# largest number of candidate points that one lattice walk may visit
+# largest number of lattice rows, and of points, that one lattice walk may list
 LATTICE_POINT_BUDGET = 10_000_000
+# lattice points per chunk of `lattice_half_points`
+_LATTICE_CHUNK = 1 << 18
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -451,75 +456,93 @@ def ideal_lattice(q: SquarefreeIdeal) -> IdealLattice:
     return IdealLattice(a, b % a, c)
 
 
-def dual_lattice_count(lat: IdealLattice, r: float, budget: int = LATTICE_POINT_BUDGET) -> int:
-    """Nonzero dual-lattice vectors of Euclidean length <= r, by enumeration.
+def lattice_half_points(bases, radius: int, budget: Optional[int] = None):
+    """Yield the points u*b1 + v*b2 of sup-norm <= radius of each lattice
+    with integer basis b1, b2, one point of each +-pair (v > 0, or v = 0 and
+    u > 0), in ascending (basis, v, u) order.
 
-    The dual basis is the inverse transpose of the HNF basis; enumeration runs
-    over integer combinations inside an exact bounding box and errors out if
-    the box exceeds `budget` candidates.
+    `bases` holds rows x1, y1, x2, y2, one column per lattice.  Each chunk of
+    at most `_LATTICE_CHUNK` points is a triple of int64 arrays (i, k1, k2):
+    the basis index and the coordinates.  Cramer's rule bounds v by
+    radius*|b1|_1/det; each row's u-range is the intersection of the exact
+    integer slabs |u*x1 + v*x2| <= radius and |u*y1 + v*y2| <= radius, so
+    every listed point lies in the box.  With a `budget`, BudgetError is
+    raised when the rows, or then the points, exceed it, before any array of
+    that size is made.
+    """
+    x1, y1, x2, y2 = np.asarray(bases, dtype=np.int64).reshape(4, -1)
+    det = np.abs(x1 * y2 - y1 * x2)
+    if budget is not None:
+        rows = sum(radius * (abs(a) + abs(b)) // n + 1
+                   for a, b, n in zip(x1.tolist(), y1.tolist(), det.tolist()))
+        if rows > budget:
+            raise BudgetError(f"a walk over {rows} lattice rows in the box of radius "
+                              f"{radius} exceeds the budget {budget}")
+    n = radius * (np.abs(x1) + np.abs(y1)) // det + 1  # rows v = 0 .. n-1
+    i = np.repeat(np.arange(n.size), n)
+    v = np.arange(i.size) - np.repeat(np.cumsum(n) - n, n)
+    # the slabs |u*c + v*d| <= radius, c = x1, y1: u*|c| + off in [-radius, radius]
+    c, d = np.stack([x1[i], y1[i]]), v * np.stack([x2[i], y2[i]])
+    m, off, big = np.abs(c), np.where(c < 0, -d, d), np.iinfo(np.int64).max
+    free = np.abs(off) <= radius  # where c = 0: every u, or none
+    lo = np.where(m > 0, -((radius + off) // np.maximum(m, 1)), np.where(free, -big, 1)).max(0)
+    hi = np.where(m > 0, (radius - off) // np.maximum(m, 1), np.where(free, big, 0)).min(0)
+    lo[v == 0] = np.maximum(lo[v == 0], 1)
+    count = hi - lo + 1
+    keep = count > 0
+    i, v, lo, count = i[keep], v[keep], lo[keep], count[keep]
+    total = int(count.sum())
+    if budget is not None and total > budget:
+        raise BudgetError(f"a walk over {total} lattice points in the box of radius "
+                          f"{radius} exceeds the budget {budget}")
+    ends = np.cumsum(count)
+    starts = ends - count
+    ux, uy, vx, vy = x1[i], y1[i], v * x2[i], v * y2[i]
+    for a in range(0, total, _LATTICE_CHUNK):
+        b = min(a + _LATTICE_CHUNK, total)
+        r0, r1 = np.searchsorted(ends, a, "right"), np.searchsorted(starts, b, "left")
+        taken = np.minimum(ends[r0:r1], b) - np.maximum(starts[r0:r1], a)
+        row = np.repeat(np.arange(r0, r1), taken)
+        u = np.arange(a, b) - starts[row] + lo[row]
+        yield i[row], u * ux[row] + vx[row], u * uy[row] + vy[row]
+
+
+def dual_lattice_count(lat: IdealLattice, r: float) -> int:
+    """Nonzero dual-lattice vectors of Euclidean length <= r.
+
+    The dual lattice is the inverse transpose of the HNF basis; scaled by
+    det it has the integer basis (0, a), (c, -b), and its vectors of length
+    <= r are the points of sup-norm <= floor(r*det) with k1^2 + k2^2 <=
+    floor((r*det)^2).  The product r*det is rounded once, as a float; the
+    disc test is then exact in integers.  `lattice_half_points` lists one
+    point of each +-pair under LATTICE_POINT_BUDGET.
     """
     if r <= 0:
         raise ValueError("radius must be positive")
-    a, b, c, det = lat.a, lat.b, lat.c, lat.det
-    # dual vectors: y = ((c*z1)/det, (-b*z1 + a*z2)/det) for integer z1, z2
-    z1_max = math.floor(r * a)
+    bound = math.floor(Fraction(r * lat.det) ** 2)
     count = 0
-    seen = 0
-    for z1 in range(-z1_max, z1_max + 1):
-        y1 = z1 / a
-        rem = r * r - y1 * y1
-        if rem < 0:
-            continue
-        half = math.sqrt(rem) * det
-        lo = math.ceil((b * z1 - half) / a)
-        hi = math.floor((b * z1 + half) / a)
-        seen += max(0, hi - lo + 1)
-        if seen > budget:
-            raise BudgetError("dual lattice enumeration budget exceeded")
-        for z2 in range(lo, hi + 1):
-            if z1 == 0 and z2 == 0:
-                continue
-            y2 = (-b * z1 + a * z2) / det
-            if y1 * y1 + y2 * y2 <= r * r:
-                count += 1
-    return count
-
-
-def lattice_points_in_box(lat: IdealLattice, radius: int):
-    """Yield lattice points (k1, k2) with sup-norm at most `radius`.
-
-    Raises BudgetError, before the first point, when the walk would visit
-    more than LATTICE_POINT_BUDGET candidates.
-    """
-    c = lat.c
-    s_max = radius // c
-    rows, cols = 2 * s_max + 1, 2 * radius // lat.a + 1
-    if rows > 0 and rows * cols > LATTICE_POINT_BUDGET:
-        raise BudgetError(f"a walk over {rows * cols} lattice candidates in the box of "
-                          f"radius {radius} exceeds the budget {LATTICE_POINT_BUDGET}")
-    for s in range(-s_max, s_max + 1):
-        k2 = c * s
-        base = lat.b * s
-        t_lo = math.ceil((-radius - base) / lat.a)
-        t_hi = math.floor((radius - base) / lat.a)
-        for t in range(t_lo, t_hi + 1):
-            yield (base + lat.a * t, k2)
+    for _, k1, k2 in lattice_half_points([0, lat.a, lat.c, -lat.b], math.isqrt(bound),
+                                         LATTICE_POINT_BUDGET):
+        count += int(np.count_nonzero(k1 * k1 + k2 * k2 <= bound))
+    return 2 * count
 
 
 def ideal_smoothed_count(q: SquarefreeIdeal, w, H: float) -> float:
     """Exact finite sum of w(m(eta)/H) over eta in the ideal.
 
-    Enumerates the ideal lattice inside the scaled support box; for large
-    ideal norms only eta = 0 survives and the sum equals w(0).
+    The ideal lattice's points in the scaled support box are listed one of
+    each +-pair; w is even, so the terms run over the mirrored half, the
+    origin and the half, which is the order of a walk over the whole box by
+    ascending rows k2, each by ascending k1, and `np.cumsum` adds them in
+    turn.  For large ideal norms only eta = 0 survives and the sum is w(0).
     """
     if not 0 < H < math.inf:
         raise UsageError(f"H must be a positive finite number, got {H!r}")
-    lat = ideal_lattice(q)
-    radius = math.floor(H * w.support_radius + 1e-12)
-    total = 0.0
-    for (k1, k2) in lattice_points_in_box(lat, radius):
-        total += w.eval(k1 / H, k2 / H)
-    return total
+    lat, radius = ideal_lattice(q), math.floor(H * w.support_radius + 1e-12)
+    half = lattice_half_points([lat.a, 0, lat.b, lat.c], radius, LATTICE_POINT_BUDGET)
+    t = np.concatenate([np.empty(0)] + [w.eval(k1 / H, k2 / H) for _, k1, k2 in half])
+    terms = np.r_[t[::-1], w.eval(0.0, 0.0), t]
+    return float(np.cumsum(terms, out=terms)[-1])
 
 
 def ideal_smoothed_count_scaled(q: SquarefreeIdeal, H: int) -> int:
@@ -527,17 +550,13 @@ def ideal_smoothed_count_scaled(q: SquarefreeIdeal, H: int) -> int:
 
     With w(x) = (2-|x1|)+ (2-|x2|)+ every term w(k/H) * H^2 is the integer
     (2H-|k1|)+ (2H-|k2|)+, so identities involving these sums can be checked
-    with zero tolerance.
+    with zero tolerance.  The terms are even: the origin's (2H)^2 plus twice
+    the sum over one point of each +-pair, in Python ints.
     """
-    lat = ideal_lattice(q)
-    radius = 2 * H
-    total = 0
-    for (k1, k2) in lattice_points_in_box(lat, radius):
-        t1 = 2 * H - abs(k1)
-        t2 = 2 * H - abs(k2)
-        if t1 > 0 and t2 > 0:
-            total += t1 * t2
-    return total
+    lat, total = ideal_lattice(q), 0
+    for _, k1, k2 in lattice_half_points([lat.a, 0, lat.b, lat.c], 2 * H, LATTICE_POINT_BUDGET):
+        total += int(((2 * H - np.abs(k1)).astype(object) * (2 * H - np.abs(k2))).sum())
+    return (2 * H) ** 2 + 2 * total
 
 
 def ramanujan_smoothed_sum_scaled(q: SquarefreeIdeal, H: int) -> int:

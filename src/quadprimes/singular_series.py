@@ -12,14 +12,14 @@ per prime ideal containing the shift, in the same order.  Pointwise
 evaluation tests every ideal's membership at once.  The box sieve applies
 the norm-2 factors and the ratios of the small ideals, a prefix of the
 ascending order, as strided slices of the box, ideal after ideal; it then
-lists the points of every larger ideal's coordinate lattice inside the box
-and applies their ratios with `np.multiply.at`, the points in ascending
-ideal order.  `ufunc.at` applies repeated indices in the order given, so
-each entry receives exactly the multiplication sequence of pointwise
-evaluation and sieved values are bit-identical to it.  The mu^2/phi partial
-sums take one walk over the squarefree ideals for all their cutoffs, built as
-arrays and added by `np.cumsum` in walk order, so each equals a recursive
-walk's sum bit for bit.
+lists the points of every larger ideal's coordinate lattice inside the box,
+in rows clipped to it, and applies their ratios with `np.multiply.at`, the
+points in ascending ideal order.  `ufunc.at` applies repeated indices in
+the order given, so each entry receives exactly the multiplication sequence
+of pointwise evaluation and sieved values are bit-identical to it.  The
+mu^2/phi partial sums take one walk over the squarefree ideals for all their
+cutoffs, built as arrays and added by `np.cumsum` in walk order, so each
+equals a recursive walk's sum bit for bit.
 """
 
 from __future__ import annotations
@@ -34,7 +34,8 @@ import numpy as np
 
 from .errors import BudgetError, UsageError
 from .fields import FieldSpec, QuadInt
-from .ideals import PRIME_BUDGET, _prime_sieve, kronecker, prime_ideal_table, squarefree_levels
+from .ideals import (PRIME_BUDGET, _prime_sieve, kronecker, lattice_half_points, prime_ideal_table,
+                     squarefree_levels)
 
 DEFAULT_CUTOFF = 100_000
 
@@ -363,8 +364,6 @@ class SingularBox:
         return SingularValue(float(self.values[k1 + M, k2 + M]), self.cutoff, self.tail_bound)
 
 
-# lattice-point candidates per np.multiply.at call of the box sieve
-_SIEVE_CHUNK = 1 << 18
 # ideals of norm <= W // _STRIDED_FRACTION, for a box of width W, are sieved
 # by strided slices rather than listed
 _STRIDED_FRACTION = 8
@@ -381,12 +380,10 @@ def sieved_singular_box(
     and an inert (p) when p divides both, so each residue class of columns
     is one strided slice of rows.  The norm-2 factors (2 on the ideal, 0 off
     it) and the ideals of norm <= W // `_STRIDED_FRACTION` (box width W), a
-    prefix of the ascending order, are applied so.  The larger ideals are
-    listed: with a reduced basis b1, b2 of determinant det, Cramer's rule
-    bounds the coefficients of a box point u*b1 + v*b2 by
-    |u| <= radius*|b2|_1/det and |v| <= radius*|b1|_1/det; each ideal's
-    (u, v) rectangle is listed, in ascending ideal order, filtered to the box
-    and applied with `np.multiply.at` in chunks of `_SIEVE_CHUNK` candidates.
+    prefix of the ascending order, are applied so.  The larger ideals' points
+    in the box are listed by `ideals.lattice_half_points` from reduced bases,
+    row by row of the second coefficient, each row clipped to the box, in
+    ascending ideal order, and applied with `np.multiply.at` a chunk at a time.
     `ufunc.at` applies repeated indices in order, so each entry is multiplied
     by its ideals' ratios in ascending norm order, as in `singular_series`,
     and entries agree bit-for-bit with pointwise evaluation.
@@ -420,31 +417,11 @@ def sieved_singular_box(
             for j in range(p):
                 i = (M - r * (j - M)) % p
                 vals[M + (i - M) % p :: p, j::p] *= ratio
-    x1, y1, x2, y2 = data.bases[:, n_small:]
-    det = np.abs(x1 * y2 - y1 * x2)
-    U = M * (np.abs(x2) + np.abs(y2)) // det
-    V = M * (np.abs(x1) + np.abs(y1)) // det
-    width = 2 * U + 1
-    sizes = V * width + U
-    ends = np.cumsum(sizes)
-    starts = ends - sizes
-    flat = vals.reshape(-1)
-    total = int(ends[-1]) if ends.size else 0
-    for lo in range(0, total, _SIEVE_CHUNK):
-        hi = min(lo + _SIEVE_CHUNK, total)
-        a, b = np.searchsorted(ends, lo, "right"), np.searchsorted(starts, hi, "left")
-        taken = np.minimum(ends[a:b], hi) - np.maximum(starts[a:b], lo)
-        i = np.repeat(np.arange(a, b), taken)
-        # v = 0 with u = 1..U, then v = 1..V with u = -U..U
-        v, u = np.divmod(np.arange(lo, hi) - starts[i] + U[i] + 1, width[i])
-        u -= U[i]
-        k1 = u * x1[i] + v * x2[i]
-        k2 = u * y1[i] + v * y2[i]
-        inside = (np.abs(k1) <= M) & (np.abs(k2) <= M)
-        idx = ((k1 + M) * W + (k2 + M))[inside]
+    flat, ratio = vals.reshape(-1), data.ratio_array[n_small:]
+    for i, k1, k2 in lattice_half_points(data.bases[:, n_small:], M):
+        idx = (k1 + M) * W + (k2 + M)
         # eta and -eta sit at flat indices idx and W*W - 1 - idx
-        np.multiply.at(flat, np.maximum(idx, W * W - 1 - idx),
-                       data.ratio_array[n_small:][i[inside]])
+        np.multiply.at(flat, np.maximum(idx, W * W - 1 - idx), ratio[i])
     c = W * W // 2
     flat[:c] = flat[:c:-1]
     vals[M, M] = np.nan

@@ -16,6 +16,29 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
+# the whole output of `diagnose smooth-count --field D=-1 --Y 30 --H 50`
+SMOOTH_COUNT_D1_Y30_H50 = """\
+field,norm,H,count,w0,riemann_ref
+D=-1,1,50,40000,4,40000
+D=-1,2,50,20000,4,20000
+D=-1,5,50,8000,4,8000
+D=-1,5,50,8000,4,8000
+D=-1,9,50,4446.2224,4,4444.44444444
+D=-1,10,50,4000,4,4000
+D=-1,10,50,4000,4,4000
+D=-1,13,50,3076.9248,4,3076.92307692
+D=-1,13,50,3076.9248,4,3076.92307692
+D=-1,17,50,2352.9424,4,2352.94117647
+D=-1,17,50,2352.9424,4,2352.94117647
+D=-1,18,50,2223.112,4,2222.22222222
+D=-1,25,50,1600,4,1600
+D=-1,26,50,1538.464,4,1538.46153846
+D=-1,26,50,1538.464,4,1538.46153846
+D=-1,29,50,1379.3152,4,1379.31034483
+D=-1,29,50,1379.3152,4,1379.31034483
+"""
+
+
 class TestFieldInfo:
     def test_basic(self, capsys):
         code, out, _ = run(capsys, "field-info", "--field", "D=5,half")
@@ -200,9 +223,16 @@ class TestConfigAndDiagnose:
 
     def test_diagnose_smooth_count(self, capsys):
         code, out, _ = run(capsys, "diagnose", "smooth-count", "--field", "D=-1",
-                           "--Y", "10", "--H", "30")
+                           "--Y", "30", "--H", "50")
         assert code == 0
-        assert out.splitlines()[0] == "field,norm,H,count,w0,riemann_ref"
+        assert out == SMOOTH_COUNT_D1_Y30_H50
+
+    def test_diagnose_dual_count_conjugates_agree(self, capsys):
+        # the two ideals of norm 5 have mirror-image dual lattices, and each
+        # has 20 dual vectors of length <= 1, four of them on the circle
+        code, out, _ = run(capsys, "diagnose", "dual-count", "--field", "D=-1", "--Y", "5")
+        assert code == 0
+        assert out.splitlines().count("D=-1,5,1,20,4") == 2
 
 
 class TestHostileInputs:
@@ -255,6 +285,8 @@ class TestHostileInputs:
         (["variance-z", "--X", "100000000000"], 3),
         (["montgomery", "--Hmax", "100000000000"], 3),
         (["diagnose", "dual-count", "--Y", "4000"], 3),
+        (["diagnose", "smooth-count", "--Y", "2", "--H", "1e18"], 3),
+        (["diagnose", "smooth-count", "--Y", "2", "--H", "1e300"], 3),
     ])
     def test_one_error_line(self, capsys, argv, code):
         got, out, err = run(capsys, *argv)
@@ -262,6 +294,15 @@ class TestHostileInputs:
         assert out == ""
         assert err.startswith("error:") and err.count("\n") == 1
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("H", ["1e18", "1e300"])
+    def test_smooth_count_huge_H_fails_fast(self, capsys, H):
+        # the row count is checked in Python ints before any array is made
+        start = time.perf_counter()
+        got, out, err = run(capsys, "diagnose", "smooth-count", "--Y", "2", "--H", H)
+        assert time.perf_counter() - start < 1.0
+        assert (got, out) == (3, "")
+        assert err.startswith("error:") and err.count("\n") == 1
 
     def test_smooth_count_walk_budget_fails_fast(self, capsys):
         # the unit ideal's walk at H = 10^5 would visit 400001^2 points

@@ -5,10 +5,11 @@ import pathlib
 import re
 import subprocess
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from sympy import primerange
 from sympy.ntheory.residue_ntheory import quadratic_residues
 
@@ -30,7 +31,8 @@ from quadprimes.ideals import (
     ideal_smoothed_count,
     ideal_smoothed_count_scaled,
     kronecker,
-    lattice_points_in_box,
+    LATTICE_POINT_BUDGET,
+    lattice_half_points,
     ramanujan_smoothed_sum_scaled,
     ramanujan_sum,
     _split,
@@ -39,6 +41,7 @@ from quadprimes.ideals import (
     split_prime,
     sqrt_mod,
 )
+from quadprimes.singular_series import _reduced_bases
 from quadprimes.smoothing import Kind, TestFunction
 
 Qi = make_field(-1)
@@ -302,6 +305,78 @@ class TestRamanujan:
                     assert condensation_sum(c, eta) == want
 
 
+def half_listing(bases, radius, budget=None):
+    """The concatenated (i, k1, k2) chunks of `lattice_half_points`."""
+    return [(i, k1, k2) for chunk in lattice_half_points(bases, radius, budget)
+            for i, k1, k2 in zip(*(c.tolist() for c in chunk))]
+
+
+def box_points(lat, radius):
+    """Every point of the ideal lattice with sup-norm <= radius."""
+    half = [(k1, k2) for _, k1, k2 in half_listing([lat.a, 0, lat.b, lat.c], radius)]
+    return {(0, 0), *half, *((-k1, -k2) for k1, k2 in half)}
+
+
+def brute_half(bases, radius):
+    """One point of each +-pair of each lattice in the box, by testing every
+    box point's coefficients (Cramer's rule), in (basis, v, u) order."""
+    out = []
+    for i, (x1, y1, x2, y2) in enumerate(zip(*bases)):
+        det = x1 * y2 - y1 * x2
+        pts = []
+        for k1 in range(-radius, radius + 1):
+            for k2 in range(-radius, radius + 1):
+                u, ru = divmod(k1 * y2 - k2 * x2, det)
+                v, rv = divmod(x1 * k2 - y1 * k1, det)
+                if ru == rv == 0 and (v > 0 or (v == 0 and u > 0)):
+                    pts.append((v, u, k1, k2))
+        out += [(i, k1, k2) for _, _, k1, k2 in sorted(pts)]
+    return out
+
+
+@st.composite
+def lattice_bases(draw):
+    """Rows x1, y1, x2, y2 of 1-3 small bases: HNF, reduced, with a zero
+    component (inert (p, 0), (0, p) or a dual (0, a), (c, -b)), or any."""
+    cols = []
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["hnf", "reduced", "inert", "dual", "any"]))
+        if kind == "inert":
+            p = draw(st.sampled_from([2, 3, 7, 11]))
+            cols.append((p, 0, 0, p))
+        elif kind in ("hnf", "dual"):
+            a, c = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+            b = draw(st.integers(0, a - 1))
+            cols.append((a, 0, b, c) if kind == "hnf" else (0, a, c, -b))
+        elif kind == "reduced":
+            p = draw(st.sampled_from([3, 5, 13, 17, 29, 37, 41]))
+            root = np.array([draw(st.integers(0, p - 1))])
+            cols.append(tuple(_reduced_bases(np.array([p]), root)[:, 0].tolist()))
+        else:
+            x1, y1, x2, y2 = (draw(st.integers(-9, 9)) for _ in range(4))
+            assume(x1 * y2 != y1 * x2)
+            cols.append((x1, y1, x2, y2))
+    return [list(row) for row in zip(*cols)]
+
+
+class TestLatticeHalfPoints:
+    @settings(max_examples=150, deadline=None)
+    @given(bases=lattice_bases(), radius=st.integers(0, 30))
+    @example(bases=[[3], [0], [0], [3]], radius=12)
+    @example(bases=[[0], [5], [1], [-2]], radius=5)
+    def test_matches_brute_force(self, bases, radius):
+        assert half_listing(bases, radius) == brute_half(bases, radius)
+
+    @settings(max_examples=30, deadline=None)
+    @given(bases=lattice_bases(), radius=st.integers(0, 30))
+    def test_chunk_size_does_not_change_listing(self, bases, radius):
+        want = half_listing(bases, radius)
+        with pytest.MonkeyPatch.context() as mp:
+            for chunk in (1, 7):
+                mp.setattr(ideals, "_LATTICE_CHUNK", chunk)
+                assert half_listing(bases, radius) == want
+
+
 class TestIdealLattice:
     def test_unit_ideal_identity(self):
         assert ideal_lattice(SquarefreeIdeal.unit(Qi)) == IdealLattice(1, 0, 1)
@@ -315,7 +390,7 @@ class TestIdealLattice:
         pi = next(p for p in split_prime(5, Qi) if p.root == 2)
         lat = ideal_lattice(SquarefreeIdeal(Qi, (pi,)))
         assert lat == IdealLattice(5, 3, 1)  # b = -root * c mod 5
-        points = set(lattice_points_in_box(lat, 5))
+        points = box_points(lat, 5)
         # (-2, 1) solves k1 + 2 k2 = 0 mod 5
         assert (-2, 1) in points
         assert (5, 0) in points
@@ -351,17 +426,32 @@ class TestIdealLattice:
             for q in enumerate_squarefree_ideals(field, 120):
                 lat = ideal_lattice(q)
                 assert lat.det == q.norm
-                for (k1, k2) in lattice_points_in_box(lat, 12):
+                for (k1, k2) in box_points(lat, 12):
                     assert q.contains(field.element(k1, k2))
 
     def test_lattice_point_count_matches_index(self):
         # density of the sublattice is 1/N in a large box
         for q in enumerate_squarefree_ideals(Qi, 30):
-            pts = sum(1 for _ in lattice_points_in_box(ideal_lattice(q), 60))
+            pts = len(box_points(ideal_lattice(q), 60))
             expect = 121**2 / q.norm
             assert abs(pts - expect) <= 4 * 121 / min(
                 ideal_lattice(q).a, ideal_lattice(q).c
             ) + 4
+
+
+def brute_dual_count(lat, r):
+    """Nonzero vectors (c z1, a z2 - b z1) / det of length <= r, with r*det
+    rounded once as a float, in exact rationals over a box of z that holds
+    them all."""
+    a, b, c, det = lat.a, lat.b, lat.c, lat.det
+    r = Fraction(r * det) / det
+    count = 0
+    for z1 in range(-math.floor(r * a), math.floor(r * a) + 1):
+        mid = Fraction(b * z1, a)
+        for z2 in range(math.floor(mid - r * c) - 1, math.ceil(mid + r * c) + 2):
+            y1, y2 = Fraction(c * z1, det), Fraction(a * z2 - b * z1, det)
+            count += (z1, z2) != (0, 0) and y1 * y1 + y2 * y2 <= r * r
+    return count
 
 
 class TestDualLattice:
@@ -386,6 +476,28 @@ class TestDualLattice:
             r = 0.2 / math.sqrt(q.norm)
             assert dual_lattice_count(lat, r) == 0
 
+    @settings(max_examples=150, deadline=None)
+    @given(a=st.integers(1, 40), c=st.integers(1, 12), b=st.integers(0, 39),
+           r=st.sampled_from([0.2, 0.5, 1.0, 2.0, 1 / 3, 0.75]) | st.floats(0.01, 3.0))
+    @example(a=5, c=1, b=2, r=1.0)  # y = (0.8, -0.6) lies on the circle
+    def test_matches_exact_brute_force(self, a, c, b, r):
+        lat = IdealLattice(a, b % a, c)
+        assert dual_lattice_count(lat, r) == brute_dual_count(lat, r)
+
+
+def scalar_smoothed_count(q, w, H):
+    """A reference scalar walk over the whole box: rows k2 = c*s for s =
+    -s_max .. s_max, each by ascending k1, each term added in turn."""
+    lat = ideal_lattice(q)
+    radius = math.floor(H * w.support_radius + 1e-12)
+    total = 0.0
+    for s in range(-(radius // lat.c), radius // lat.c + 1):
+        base = lat.b * s
+        t_lo, t_hi = math.ceil((-radius - base) / lat.a), math.floor((radius - base) / lat.a)
+        for t in range(t_lo, t_hi + 1):
+            total += w.eval((base + lat.a * t) / H, lat.c * s / H)
+    return total
+
 
 class TestSmoothedCounts:
     def test_large_norm_gives_w0(self):
@@ -398,26 +510,34 @@ class TestSmoothedCounts:
         total = ideal_smoothed_count(SquarefreeIdeal.unit(Qi), SQUARE, H)
         assert total / H**2 == pytest.approx(SQUARE.fourier_at_zero, rel=1e-3)
 
+    @pytest.mark.parametrize("kind", [Kind.SQUARE_AUTOCORR, Kind.DISC_AUTOCORR])
+    @pytest.mark.parametrize("D", [-1, -3, 2, 5, -7, 10])
+    def test_bit_identical_to_scalar_walk(self, kind, D):
+        w, field = TestFunction(kind), make_field(D)
+        for q in enumerate_squarefree_ideals(field, 60):
+            for H in (2.0, 3.7, 12.5, 20.0):
+                assert ideal_smoothed_count(q, w, H) == scalar_smoothed_count(q, w, H)
+
     @pytest.mark.parametrize("lat, radius, bound", [
         (IdealLattice(1, 0, 1), 3, 49),
         (IdealLattice(5, 3, 1), 12, 25 * 5),
         (IdealLattice(3, 0, 3), 12, 9 * 9),
         (IdealLattice(10, 7, 2), 9, 9 * 2),
     ])
-    def test_walk_budget_bound(self, monkeypatch, lat, radius, bound):
-        # (2 (radius // c) + 1) (2 radius // a + 1) candidates bound the walk
-        # and are checked before the first point
-        monkeypatch.setattr(ideals, "LATTICE_POINT_BUDGET", bound)
-        points = list(lattice_points_in_box(lat, radius))
+    def test_walk_budget_bound(self, lat, radius, bound):
+        # the half-lattice's exact point count is the least budget that
+        # lists it; `bound`, the (2 (radius // c) + 1) (2 radius // a + 1)
+        # candidates of a whole-box row walk, bounds the listing
+        bases = [[lat.a], [0], [lat.b], [lat.c]]
+        points = half_listing(bases, radius, len(brute_half(bases, radius)))
         assert 0 < len(points) <= bound
-        monkeypatch.setattr(ideals, "LATTICE_POINT_BUDGET", bound - 1)
         with pytest.raises(BudgetError):
-            next(lattice_points_in_box(lat, radius))
+            next(lattice_half_points(bases, radius, len(points) - 1))
 
     def test_walk_budget(self, monkeypatch):
         unit = SquarefreeIdeal.unit(Qi)
         with pytest.raises(BudgetError):
-            next(lattice_points_in_box(IdealLattice(1, 0, 1), 10**5))
+            next(lattice_half_points([1, 0, 0, 1], 10**5, LATTICE_POINT_BUDGET))
         with pytest.raises(BudgetError):
             ideal_smoothed_count(unit, SQUARE, 1e5)
         # both smoothed counts walk under the budget

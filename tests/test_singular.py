@@ -37,6 +37,7 @@ from quadprimes.smoothing import Kind, TestFunction
 Qi = make_field(-1)
 # the package namespace binds `singular_series` to the function
 singular_series_module = importlib.import_module("quadprimes.singular_series")
+ideals_module = importlib.import_module("quadprimes.ideals")
 
 
 def rational_reference(h: int, cutoff: int) -> float:
@@ -521,12 +522,12 @@ class TestSievedBox:
 
     @pytest.mark.parametrize("D", [-1, 10])
     def test_chunk_size_does_not_change_values(self, D, monkeypatch):
-        # small chunks split ideals' candidate lists across np.multiply.at
+        # small chunks split ideals' point lists across np.multiply.at
         # calls; the per-entry multiplication order must not change
         F, r, P = make_field(D), 20, 3000
         want = sieved_singular_box(F, r, P).values
         for chunk in (13, 97, 4096):
-            monkeypatch.setattr(singular_series_module, "_SIEVE_CHUNK", chunk)
+            monkeypatch.setattr(ideals_module, "_LATTICE_CHUNK", chunk)
             got = sieved_singular_box(F, r, P).values
             assert np.array_equal(got, want, equal_nan=True)
         assert singular_series(F.element(3, 5), P).value == want[r + 3, r + 5]
