@@ -254,7 +254,9 @@ def cmd_diagnose(args) -> int:
             # a sum of positive row counts, so the walk order does not matter
             nonlocal walk
             if q.factors:
-                walk += sum(2 * math.floor(r * ideal_lattice(q).a) + 1 for r in radii)
+                lat = ideal_lattice(q)
+                # `dual_lattice_count` walks the rows v = 0 .. floor(r*det) // c
+                walk += sum(math.floor(r * lat.det) // lat.c + 1 for r in radii)
             if walk > LATTICE_POINT_BUDGET:
                 raise BudgetError(f"--Y {args.Y}: over {LATTICE_POINT_BUDGET} lattice rows")
 

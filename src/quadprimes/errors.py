@@ -1,4 +1,14 @@
-"""Shared exception types with CLI exit codes attached."""
+"""Shared exception types with CLI exit codes attached, and the one rule
+for writing a number into an error message."""
+
+from decimal import Decimal
+
+
+def brief(n: int) -> str:
+    """An integer for an error message: in full below 10^20, else to four
+    significant digits (1.600e+601), so the message stays short however
+    large the input that made it."""
+    return str(n) if abs(n) < 10**20 else f"{Decimal(n):.3e}"
 
 
 class QuadPrimesError(Exception):

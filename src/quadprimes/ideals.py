@@ -5,17 +5,17 @@ Lists of rational primes come from one sieve (`_prime_sieve`); a single
 number is tested with `miller_rabin`.  A rational prime p splits as omega's
 minimal polynomial x^2 + b x + c factors mod p: each root r gives the prime
 ideal (p, omega - r), so two roots mean split, a double root ramified and no
-root inert.  For odd p the roots are (-b +- sqrt(d))/2 with d = b^2 - 4c,
-present unless the Kronecker symbol (d|p) is -1, and the square root comes
-from Tonelli-Shanks.  `prime_ideal_table` splits all sieved primes at once:
-Euler's criterion and Tonelli-Shanks run over int64 arrays, one lane per
-odd prime (`_sqrt_mod_array`), and the result is one table of arrays per
-field and bound that every enumeration reads.  The scalar `sqrt_mod` and
-`_split` split one prime, for `split_prime`.  Squarefree
-ideals are products of distinct prime ideals and carry their Moebius value,
-totient and norm.  They are built as arrays, one level per number of
-prime factors, each product from its parent (`squarefree_levels`), for both
-the enumeration and the mu^2/phi sums.
+root inert.  One kernel, `_split_primes`, splits an int64 array of primes
+at once: for odd p the roots are (-b +- sqrt(d))/2 with d = b^2 - 4c,
+present unless the Kronecker symbol (d|p) is -1, by Euler's criterion and
+Tonelli-Shanks, one lane per prime (`_sqrt_mod_array`); p = 2 is read off
+d mod 8.  `prime_ideal_table` splits all sieved primes into one table of
+arrays per field and bound that every enumeration reads, `split_prime`
+splits one prime and `primes.build_grid` finds its inert primes with it.
+Squarefree ideals are products of distinct prime ideals and carry their
+Moebius value, totient and norm.  They are built as arrays, one level per
+number of prime factors, each product from its parent (`squarefree_levels`),
+for both the enumeration and the mu^2/phi sums.
 Each squarefree ideal also induces a rank-2 sublattice of the coordinate
 lattice, kept in Hermite normal form and built directly by CRT over the
 rational primes below the ideal (`ideal_lattice`).  One enumerator,
@@ -36,7 +36,7 @@ from typing import Callable, Iterable, Optional
 
 import numpy as np
 
-from .errors import BudgetError, UsageError
+from .errors import BudgetError, UsageError, brief
 from .fields import PRIME_BUDGET, FieldSpec, QuadInt
 
 # largest number of lattice rows, and of points, that one lattice walk may list
@@ -80,34 +80,6 @@ def _prime_sieve(limit: int) -> np.ndarray:
         if sieve[p]:
             sieve[p * p :: 2 * p] = False
     return sieve
-
-
-def sqrt_mod(a: int, p: int) -> int:
-    """A square root of the quadratic residue a modulo the prime p
-    (Tonelli-Shanks); raises ValueError when a is a non-residue."""
-    a %= p
-    if p == 2 or a == 0:
-        return a
-    if pow(a, (p - 1) // 2, p) != 1:
-        raise ValueError(f"{a} is not a quadratic residue modulo {p}")
-    q, s = p - 1, 0
-    while q % 2 == 0:
-        q //= 2
-        s += 1
-    z = 2
-    while pow(z, (p - 1) // 2, p) != p - 1:
-        z += 1
-    c, t, r = pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
-    while t != 1:
-        # least i with t^(2^i) = 1; then i < s
-        i, t2 = 0, t
-        while t2 != 1:
-            t2 = t2 * t2 % p
-            i += 1
-        b = pow(c, 1 << (s - i - 1), p)
-        s, c = i, b * b % p
-        t, r = t * c % p, r * b % p
-    return r
 
 
 def kronecker(a: int, n: int) -> int:
@@ -171,30 +143,6 @@ class PrimeIdeal:
         return (self.norm, self.p, -1 if self.root is None else self.root)
 
 
-def split_prime(p: int, field: FieldSpec) -> list[PrimeIdeal]:
-    """Prime ideals above the rational prime p, ordered by root."""
-    if not miller_rabin(p):
-        raise ValueError(f"{p} is not a rational prime")
-    return _split(p, field)
-
-
-def _split(p: int, field: FieldSpec) -> list[PrimeIdeal]:
-    # Dedekind-Kummer: O_K = Z[omega], so p factors as x^2 + b x + c does mod p
-    b, c = field.minpoly_omega()
-    d = field.discriminant
-    if p == 2:
-        roots = [r for r in (0, 1) if (r * r + b * r + c) % 2 == 0]
-    elif kronecker(d, p) == -1:
-        roots = []
-    else:
-        s, half = sqrt_mod(d, p), (p + 1) // 2
-        roots = sorted({(s - b) * half % p, (-s - b) * half % p})
-    if not roots:
-        return [PrimeIdeal(field, p, SplitType.INERT, None)]
-    kind = SplitType.SPLIT if len(roots) == 2 else SplitType.RAMIFIED
-    return [PrimeIdeal(field, p, kind, r) for r in roots]
-
-
 def _pow_mod(a: np.ndarray, e: np.ndarray, p: np.ndarray) -> np.ndarray:
     """a^e mod p lane by lane, by square and multiply over the bits of e.
     With 0 <= a < p < 2^21 every product stays below 2^42."""
@@ -206,8 +154,8 @@ def _pow_mod(a: np.ndarray, e: np.ndarray, p: np.ndarray) -> np.ndarray:
 
 
 def _sqrt_mod_array(a: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """A square root of each quadratic residue a[i] modulo the odd prime p[i]
-    (Tonelli-Shanks, as in `sqrt_mod`).
+    """A square root of each quadratic residue a[i] modulo the prime p[i]
+    (Tonelli-Shanks).
 
     Each loop runs only over the lanes it has not finished: the search for
     the least non-residue z, the rounds of the main loop and, within a
@@ -239,8 +187,49 @@ def _sqrt_mod_array(a: np.ndarray, p: np.ndarray) -> np.ndarray:
     return r
 
 
-# SplitType by the `kind` code of a PrimeIdealTable
-_KINDS = tuple(SplitType)
+# SplitType by the `kind` code of a PrimeIdealTable, and the codes
+_KINDS = (SplitType.SPLIT, SplitType.INERT, SplitType.RAMIFIED)
+_SPLIT, _INERT, _RAMIFIED = range(3)
+
+
+def _split_primes(field: FieldSpec, p) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The prime ideals above each rational prime p < 2^21, as int64 arrays
+    (p, root, kind): a split p twice, its roots ascending, a ramified p once
+    with its double root and an inert p once with root -1.
+
+    The roots are those of x^2 + b x + c mod p.  Euler's criterion gives
+    (d|p) for odd p.  2 splits when d = 1 (mod 8), is inert when d = 5
+    (mod 8) and otherwise ramifies with the root c mod 2.  A split p has the
+    roots (sqrt(d) - b)/2 and -b minus it, the square root from
+    `_sqrt_mod_array`; for p = 2 they are 0 and 1.  A ramified odd p has
+    the root -b/2.
+    """
+    p = np.asarray(p, dtype=np.int64)
+    b, c = field.minpoly_omega()
+    a = field.discriminant % p
+    # (d|2) is 1, 0 or -1; Euler's criterion gives 1, 0 or p - 1
+    chi = np.where(p == 2, kronecker(field.discriminant, 2), _pow_mod(a, (p - 1) // 2, p))
+    sp, rp, ip = p[chi == 1], p[chi == 0], p[(chi != 1) & (chi != 0)]
+    # b is 0 or -1, so every factor is below 2^21
+    r1 = (_sqrt_mod_array(a[chi == 1], sp) - b) * ((sp + 1) // 2) % sp
+    r2 = (-b - r1) % sp
+    root = np.concatenate([np.minimum(r1, r2), np.maximum(r1, r2),
+                           np.where(rp == 2, c % 2, -b * ((rp + 1) // 2) % rp),
+                           np.full(ip.size, -1)])
+    kind = np.repeat([_SPLIT, _RAMIFIED, _INERT], [2 * sp.size, rp.size, ip.size])
+    return np.concatenate([sp, sp, rp, ip]), root, kind
+
+
+def split_prime(p: int, field: FieldSpec) -> list[PrimeIdeal]:
+    """Prime ideals above the rational prime p <= PRIME_BUDGET, ordered by
+    root."""
+    if not miller_rabin(p):
+        raise ValueError(f"{p} is not a rational prime")
+    if p > PRIME_BUDGET:
+        raise BudgetError(f"prime {p} exceeds the prime budget {PRIME_BUDGET}")
+    _, root, kind = _split_primes(field, [p])
+    return [PrimeIdeal(field, p, _KINDS[k], None if r < 0 else r)
+            for r, k in zip(root.tolist(), kind.tolist())]
 
 
 @dataclass(frozen=True)
@@ -258,40 +247,14 @@ class PrimeIdealTable:
 
 @lru_cache(maxsize=32)
 def prime_ideal_table(field: FieldSpec, max_norm: int) -> PrimeIdealTable:
-    """The prime ideals of norm <= max_norm, splitting every odd prime at
-    once: Euler's criterion gives (d|p) and `_sqrt_mod_array` the square
-    roots.  p = 2 goes through `_split`, and an inert p is listed when
-    p^2 <= max_norm."""
+    """The prime ideals of norm <= max_norm: every sieved prime is split at
+    once by `_split_primes`, and an inert p is kept when p^2 <= max_norm."""
     if max_norm > PRIME_BUDGET:
         raise BudgetError(f"norm bound {max_norm} exceeds the prime budget {PRIME_BUDGET}")
-    b, _ = field.minpoly_omega()
-    two = [pi for pi in _split(2, field) if pi.norm <= max_norm] if max_norm >= 2 else []
-    p = np.flatnonzero(_prime_sieve(max(max_norm, 1)))[1:].astype(np.int64)
-    a = field.discriminant % p
-    legendre = _pow_mod(a, (p - 1) // 2, p)
-    split = legendre == 1
-    sp, ram = p[split], p[legendre == 0]
-    ine = p[(legendre == p - 1) & (p * p <= max_norm)]
-
-    def roots(s, q):
-        # (-b +- s)/2 mod q; b is 0 or -1, so every factor is below 2^21
-        half = (q + 1) // 2
-        return (s - b) * half % q, (q - s - b) * half % q
-
-    r1, r2 = roots(_sqrt_mod_array(a[split], sp), sp)
-    odd_kinds = [_KINDS.index(k) for k in (SplitType.SPLIT, SplitType.RAMIFIED, SplitType.INERT)]
-    cols = (  # p, root, kind and norm: first p = 2, then the split, ramified and inert odd p
-        ([pi.p for pi in two], sp, sp, ram, ine),
-        ([-1 if pi.root is None else pi.root for pi in two],
-         np.minimum(r1, r2), np.maximum(r1, r2), roots(0, ram)[0], np.full(ine.size, -1)),
-        ([_KINDS.index(pi.split_type) for pi in two],
-         np.repeat(odd_kinds, [2 * sp.size, ram.size, ine.size])),
-        ([pi.norm for pi in two], sp, sp, ram, ine * ine),
-    )
-    del p, a, legendre  # the per-prime arrays, before the columns are built
-    p, root, kind, norm = (np.concatenate([np.array(c[0], np.int64), *c[1:]]) for c in cols)
-    order = np.lexsort((root, p, norm))
-    table = PrimeIdealTable(p[order], root[order], kind[order], norm[order])
+    p, root, kind = _split_primes(field, np.flatnonzero(_prime_sieve(max(max_norm, 1))))
+    cols = np.stack([p, root, kind, np.where(kind == _INERT, p * p, p)])
+    cols = cols[:, cols[3] <= max_norm]
+    table = PrimeIdealTable(*cols[:, np.lexsort((cols[1], cols[0], cols[3]))])
     for col in (table.p, table.root, table.kind, table.norm):
         col.flags.writeable = False
     return table
@@ -476,8 +439,8 @@ def lattice_half_points(bases, radius: int, budget: Optional[int] = None):
         rows = sum(radius * (abs(a) + abs(b)) // n + 1
                    for a, b, n in zip(x1.tolist(), y1.tolist(), det.tolist()))
         if rows > budget:
-            raise BudgetError(f"a walk over {rows} lattice rows in the box of radius "
-                              f"{radius} exceeds the budget {budget}")
+            raise BudgetError(f"a walk over {brief(rows)} lattice rows in the box of radius "
+                              f"{brief(radius)} exceeds the budget {budget}")
     n = radius * (np.abs(x1) + np.abs(y1)) // det + 1  # rows v = 0 .. n-1
     i = np.repeat(np.arange(n.size), n)
     v = np.arange(i.size) - np.repeat(np.cumsum(n) - n, n)
@@ -494,7 +457,7 @@ def lattice_half_points(bases, radius: int, budget: Optional[int] = None):
     total = int(count.sum())
     if budget is not None and total > budget:
         raise BudgetError(f"a walk over {total} lattice points in the box of radius "
-                          f"{radius} exceeds the budget {budget}")
+                          f"{brief(radius)} exceeds the budget {budget}")
     ends = np.cumsum(count)
     starts = ends - count
     ux, uy, vx, vy = x1[i], y1[i], v * x2[i], v * y2[i]

@@ -36,13 +36,12 @@ import math
 import os
 import struct
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
-from .errors import BudgetError, ExtentError, FieldSpecError, GridFileError, UsageError
+from .errors import BudgetError, ExtentError, FieldSpecError, GridFileError, UsageError, brief
 from .fields import BasisKind, FieldSpec, QuadInt, divide_exact
-from .ideals import _prime_sieve, kronecker, miller_rabin
+from .ideals import _INERT, _prime_sieve, _split_primes, kronecker, miller_rabin
 
 GRID_MAGIC = b"SINF"
 GRID_VERSION = 1
@@ -119,7 +118,7 @@ def build_grid(field: FieldSpec, extent: int, square_weights: bool = False) -> P
     R = extent
     W = 2 * R + 1
     if W * W > _GRID_CELL_BUDGET:
-        raise BudgetError(f"grid with {W * W} cells exceeds the memory budget")
+        raise BudgetError(f"grid with {brief(W * W)} cells exceeds the memory budget")
     k = np.arange(-R, R + 1, dtype=np.int64)
     # max|N| lies on the box's edges: N = k1^2 - b k1 k2 + c k2^2 is convex in
     # k1, so max N is on k1 = +-R; for c < 0 (real fields) it is concave in
@@ -130,11 +129,10 @@ def build_grid(field: FieldSpec, extent: int, square_weights: bool = False) -> P
              field.norm_form(ko, R), field.norm_form(ko, -R)]
     max_norm = int(np.abs(np.concatenate(edges)).max())
     if max_norm > 2_000_000_000:
-        raise BudgetError(f"norms up to {max_norm} exceed the sieve budget")
+        raise BudgetError(f"norms up to {brief(max_norm)} exceed the sieve budget")
     prime_norm = _prime_sieve(max(max_norm, 2))
-    for p in np.flatnonzero(prime_norm[: math.isqrt(max_norm) + 1]).tolist():
-        if kronecker(field.discriminant, p) == -1:
-            prime_norm[p * p] = True
+    p, _, kind = _split_primes(field, np.flatnonzero(prime_norm[: math.isqrt(max_norm) + 1]))
+    prime_norm[p[kind == _INERT] ** 2] = True
 
     dtypes = [np.int64, np.float64, np.float64][: 3 if square_weights else 2]
     tables = [np.zeros((W + 1, W + 1), dtype) for dtype in dtypes]
@@ -162,23 +160,6 @@ def _corners(table: np.ndarray, a, b, c, d):
     return table[b, d] - table[a, d] - table[b, c] + table[a, c]
 
 
-def _exact_bounds(x: float, H: float) -> tuple[int, int]:
-    """ceil(x - H) and floor(x + H) of the exact, unrounded x -+ H.
-
-    Rounding is monotone and keeps integers, so the rounded x -+ H gives the
-    wrong bound only when it lands on an integer that the exact value is
-    not; only then are the exact `Fraction`s compared.  `_box_bounds` calls
-    this only when some rounded bound is an integer.
-    """
-    d, s = x - H, x + H
-    lo, hi = math.ceil(d), math.floor(s)
-    if lo == d and Fraction(x) - Fraction(H) > lo:
-        lo += 1
-    if hi == s and Fraction(x) + Fraction(H) < hi:
-        hi -= 1
-    return lo, hi
-
-
 def _two_sum(a, b):
     """s = fl(a + b) and its rounding error e, a + b = s + e exactly
     (Knuth's TwoSum), elementwise."""
@@ -187,22 +168,45 @@ def _two_sum(a, b):
     return s, (a - (s - bb)) + (b - bb)
 
 
+def _exact_ends(x, H, ceil, floor):
+    """ceil(x - H) and floor(x + H) of the exact, unrounded x -+ H, by
+    `ceil` and `floor` (math's for floats, numpy's for arrays).
+
+    Rounding is monotone and keeps integers, so a rounded x -+ H gives the
+    wrong bound only when it lands on an integer that the exact value is
+    not; the sign of its rounding error then moves the bound by one.
+    """
+    d, err = _two_sum(x, -H)
+    lo = ceil(d)
+    lo += (lo == d) & (err > 0)
+    s, err = _two_sum(x, H)
+    hi = floor(s)
+    hi -= (hi == s) & (err < 0)
+    return lo, hi
+
+
 def _box_bounds(grid: PrefixGrid, x1: float, x2: float, H: float):
     """Table indices (a, b, c, d) of the closed box of radius H around (x1, x2).
 
     Since H >= 0, b >= a and d >= c.  An empty box counts 0 primes and
     weighs +0.0: the corner terms cancel exactly when b == a, but only up to
     rounding when d == c, so a box with no columns is given no rows either
-    (b = a), as in `box_sums` and `grid_box_sums`.
+    (b = a), as in `box_sums` and `grid_box_sums`.  Only a rounded x -+ H
+    that is an integer needs `_exact_ends`; the others go straight to
+    `math.ceil` and `math.floor`, which also reject an infinite or NaN end.
     """
     if not H >= 0:
         raise UsageError(f"box radius H must be >= 0, got {H!r}")
     H = float(H)  # x -+ H is then a float with `is_integer`, also for int x
-    d1, s1, d2, s2 = x1 - H, x1 + H, x2 - H, x2 + H
-    if d1.is_integer() or s1.is_integer() or d2.is_integer() or s2.is_integer():
-        (lo1, hi1), (lo2, hi2) = _exact_bounds(x1, H), _exact_bounds(x2, H)
-    else:
-        lo1, hi1, lo2, hi2 = math.ceil(d1), math.floor(s1), math.ceil(d2), math.floor(s2)
+    try:
+        d1, s1, d2, s2 = x1 - H, x1 + H, x2 - H, x2 + H
+        if d1.is_integer() or s1.is_integer() or d2.is_integer() or s2.is_integer():
+            (lo1, hi1), (lo2, hi2) = (_exact_ends(x, H, math.ceil, math.floor) for x in (x1, x2))
+        else:
+            lo1, hi1, lo2, hi2 = math.ceil(d1), math.floor(s1), math.ceil(d2), math.floor(s2)
+    except (OverflowError, ValueError):
+        raise UsageError(f"the box of radius {H!r} around ({x1!r}, {x2!r}) "
+                         "has no finite bounds") from None
     R = grid.extent
     if lo1 < -R or lo2 < -R or hi1 > R or hi2 > R:
         raise ExtentError(
@@ -228,23 +232,18 @@ def box_sums(
 ) -> list[np.ndarray]:
     """Box sums of prefix tables in the grid's layout, over (n, 2) centers.
 
-    The box bounds are computed once and shared by all the tables; the four
-    corners of each box are gathered by index.  As in `_exact_bounds`, a
-    rounded centers -+ H that lands on an integer is corrected by the sign
-    of its exact rounding error.
+    The box bounds (`_exact_ends`) are computed once and shared by all the
+    tables; the four corners of each box are gathered by index.
     """
-    if not H >= 0:
-        raise UsageError(f"box radius H must be >= 0, got {H!r}")
-    d, err = _two_sum(centers, -H)
-    lo = np.ceil(d)
-    lo += (lo == d) & (err > 0)
-    s, err = _two_sum(centers, H)
-    hi = np.floor(s)
-    hi -= (hi == s) & (err < 0)
-    lo, hi = lo.astype(np.int64), hi.astype(np.int64)
+    if not 0 <= H < math.inf:
+        raise UsageError(f"box radius H must be a finite number >= 0, got {H!r}")
+    if not np.isfinite(centers).all():
+        raise UsageError("box centers must be finite numbers")
+    lo, hi = _exact_ends(centers, H, np.ceil, np.floor)
     R = grid.extent
-    if lo.min() < -R or hi.max() > R:
+    if not (lo.min() >= -R and hi.max() <= R):
         raise ExtentError(f"some box of radius {H} exceeds the grid extent {R}")
+    lo, hi = lo.astype(np.int64), hi.astype(np.int64)
     a, b = lo + R, hi + R + 1
     np.copyto(b[:, 0], a[:, 0], where=b[:, 1] == a[:, 1])  # no columns: no rows (`_box_bounds`)
     return [_corners(table, a[:, 0], b[:, 0], a[:, 1], b[:, 1]) for table in tables]

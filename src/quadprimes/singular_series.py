@@ -32,7 +32,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import BudgetError, UsageError
+from .errors import BudgetError, UsageError, brief
 from .fields import FieldSpec, QuadInt
 from .ideals import (PRIME_BUDGET, _prime_sieve, kronecker, lattice_half_points, prime_ideal_table,
                      squarefree_levels)
@@ -398,7 +398,7 @@ def sieved_singular_box(
         raise ValueError("radius must be at least 1")
     W = 2 * radius + 1
     if W * W > 40_000_000:
-        raise BudgetError(f"box with {W * W} entries exceeds the memory budget")
+        raise BudgetError(f"box with {brief(W * W)} entries exceeds the memory budget")
     data = _euler_data(field, cutoff)
     M = radius
     vals = np.full((W, W), data.base, dtype=np.float64)

@@ -27,7 +27,7 @@ from itertools import product
 import numpy as np
 
 from . import primes
-from .errors import BudgetError, UsageError
+from .errors import BudgetError, UsageError, brief
 from .fields import FieldSpec, class_group_2_rank
 from .ideals import PRIME_BUDGET, _prime_sieve
 from .primes import PrefixGrid, build_grid, grid_box_sums
@@ -51,7 +51,7 @@ class Sampler:
         M = math.floor(X)
         n_samples = (2 * M + 1) ** 2
         if n_samples > _SAMPLE_BUDGET:
-            raise BudgetError(f"{n_samples} sample centers exceed the budget")
+            raise BudgetError(f"{brief(n_samples)} sample centers exceed the budget")
         return M
 
     def centers(self, X: float) -> np.ndarray:

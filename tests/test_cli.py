@@ -1,11 +1,13 @@
 import importlib.util
 import json
 import os
+import re
 import time
 
 import pytest
 
-from quadprimes import cli
+from quadprimes import cli, ideals
+from quadprimes.errors import BudgetError
 from quadprimes.cli import main
 from quadprimes.statistics import grid_extent
 
@@ -287,12 +289,16 @@ class TestHostileInputs:
         (["diagnose", "dual-count", "--Y", "4000"], 3),
         (["diagnose", "smooth-count", "--Y", "2", "--H", "1e18"], 3),
         (["diagnose", "smooth-count", "--Y", "2", "--H", "1e300"], 3),
+        # budgets over counts of 300 to 600 digits
+        (["variance", "--field", "D=-1", "--X", "1e300", "--deltas", "0.5"], 3),
+        (["sum-singular", "--field", "D=-1", "--H", "1e300", "--cutoff", "1000"], 3),
+        (["primes", "count", "--field", "D=-1", "--center", "0,0", "--H", "1e300"], 3),
     ])
     def test_one_error_line(self, capsys, argv, code):
         got, out, err = run(capsys, *argv)
         assert got == code
         assert out == ""
-        assert err.startswith("error:") and err.count("\n") == 1
+        assert err.startswith("error:") and err.count("\n") == 1 and len(err) < 200
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("H", ["1e18", "1e300"])
@@ -320,6 +326,29 @@ class TestHostileInputs:
         assert time.perf_counter() - start < 3.0
         assert (got, out) == (3, "")
         assert err == "error: --Y 2000000: over 10000000 lattice rows\n"
+
+    def test_dual_count_precount_equals_rows_walked(self, capsys, monkeypatch):
+        # each walk's rows as its own row budget counts them: with budget 0
+        # it raises before listing a point
+        walked = 0
+        walk = ideals.lattice_half_points
+
+        def counted(bases, radius, budget=None):
+            nonlocal walked
+            with pytest.raises(BudgetError) as exc:
+                next(walk(bases, radius, 0))
+            walked += int(re.search(r"over (\d+) lattice rows", str(exc.value))[1])
+            return walk(bases, radius, budget)
+
+        monkeypatch.setattr(ideals, "lattice_half_points", counted)
+        argv = ["diagnose", "dual-count", "--field", "D=-1", "--Y", "300"]
+        assert run(capsys, *argv)[0] == 0
+        # the pre-count passes a budget of exactly the rows walked
+        rows = walked
+        monkeypatch.setattr(cli, "LATTICE_POINT_BUDGET", rows)
+        assert run(capsys, *argv)[0] == 0
+        monkeypatch.setattr(cli, "LATTICE_POINT_BUDGET", rows - 1)
+        assert run(capsys, *argv)[:2] == (3, "")
 
     def test_huge_field_budget_fails_fast(self, capsys):
         # the squarefree check would trial-divide up to sqrt|D| = 10^9

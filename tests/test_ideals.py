@@ -35,11 +35,9 @@ from quadprimes.ideals import (
     lattice_half_points,
     ramanujan_smoothed_sum_scaled,
     ramanujan_sum,
-    _split,
     _sqrt_mod_array,
     prime_ideal_table,
     split_prime,
-    sqrt_mod,
 )
 from quadprimes.singular_series import _reduced_bases
 from quadprimes.smoothing import Kind, TestFunction
@@ -128,6 +126,18 @@ class TestSplitting:
             with pytest.raises(ValueError):
                 split_prime(n, Qi)
 
+    def test_prime_budget(self):
+        # a non-prime is a ValueError at any size; a prime above the budget
+        # is a BudgetError; the largest prime within it still splits
+        with pytest.raises(ValueError):
+            split_prime(PRIME_BUDGET + 1, Qi)
+        for p in (2**61 - 1, 2_000_003):
+            with pytest.raises(BudgetError):
+                split_prime(p, Qi)
+        pis = split_prime(1_999_993, Qi)  # 1 mod 4: split
+        assert [pi.split_type for pi in pis] == [SplitType.SPLIT] * 2
+        assert all((pi.root**2 + 1) % pi.p == 0 for pi in pis)
+
     # 2 splits for D = -7 and 17, is inert for D = -3 and ramifies for the
     # rest; every field has ramified odd primes except Q(i) and Q(sqrt 2)
     @pytest.mark.parametrize("D", [-1, -3, -5, -7, 2, 10, 17])
@@ -175,15 +185,25 @@ class TestSplitting:
         assert all(p % 4 == 1 for p in split_ps)
 
 
-def scalar_listing(field, bound):
-    """The prime ideals of norm <= bound, split one prime at a time by the
-    scalar `_split`."""
-    ideals = [pi for p in primerange(2, bound + 1) for pi in _split(p, field) if pi.norm <= bound]
+def brute_force_listing(field, bound):
+    """The prime ideals of norm <= bound, each root of x^2 + b x + c mod p
+    found by trying every residue r in range(p)."""
+    b, c = field.minpoly_omega()
+    ideals = []
+    for p in primerange(2, bound + 1):
+        x = np.arange(p)
+        roots = np.flatnonzero((x * x + b * x + c % p) % p == 0).tolist()
+        if len(roots) == 2:
+            ideals += [PrimeIdeal(field, p, SplitType.SPLIT, r) for r in roots]
+        elif roots:
+            ideals.append(PrimeIdeal(field, p, SplitType.RAMIFIED, roots[0]))
+        elif p * p <= bound:
+            ideals.append(PrimeIdeal(field, p, SplitType.INERT, None))
     return tuple(sorted(ideals, key=PrimeIdeal.sort_key))
 
 
 class TestPrimeIdealTable:
-    def test_matches_scalar_split(self):
+    def test_matches_brute_force_roots(self):
         seen = set()
 
         @settings(max_examples=150, deadline=None)
@@ -198,7 +218,7 @@ class TestPrimeIdealTable:
         @example(D=10, bound=5000)
         def check(D, bound):
             field = make_field(D)
-            want = scalar_listing(field, bound)
+            want = brute_force_listing(field, bound)
             assert enumerate_prime_ideals(field, bound) == want
             seen.add(field.basis)
             for pi in want:
@@ -214,8 +234,25 @@ class TestPrimeIdealTable:
         assert (False, SplitType.RAMIFIED) in seen
         assert {("inert", True), ("inert", False)} <= seen
 
-    def test_matches_scalar_split_at_a_million(self):
-        assert enumerate_prime_ideals(Qi, 10**6) == scalar_listing(Qi, 10**6)
+    def test_structure_at_a_million(self):
+        N = 10**6
+        t = prime_ideal_table(Qi, N)
+        d, (b, c) = Qi.discriminant, Qi.minpoly_omega()
+        chi = {p: kronecker(d, p) for p in primerange(2, N + 1)}
+        assert set(t.p.tolist()) == {p for p, k in chi.items() if k != -1 or p * p <= N}
+        kinds = {1: SplitType.SPLIT, 0: SplitType.RAMIFIED, -1: SplitType.INERT}
+        assert [ideals._KINDS[k] for k in t.kind.tolist()] == [kinds[chi[p]] for p in t.p.tolist()]
+        has_root = t.root >= 0
+        assert np.array_equal(has_root, t.kind != ideals._INERT)
+        p, x = t.p[has_root], t.root[has_root]
+        assert np.all((x * x + b * x + c) % p == 0)
+        split = t.kind == ideals._SPLIT
+        pairs = t.root[split].reshape(-1, 2)  # sorted by (norm, p, root)
+        assert np.array_equal(t.p[split][::2], t.p[split][1::2])
+        assert np.all(pairs[:, 0] < pairs[:, 1])
+        assert enumerate_prime_ideals(Qi, N) == tuple(
+            PrimeIdeal(Qi, p, ideals._KINDS[k], None if r < 0 else r)
+            for p, k, r in zip(t.p.tolist(), t.kind.tolist(), t.root.tolist()))
 
     @pytest.mark.parametrize("D", [-1, -3, 10, 17])
     def test_table_columns(self, D):
@@ -561,32 +598,17 @@ class TestSmoothedCounts:
 
 
 class TestSqrtMod:
-    def test_every_residue_below_2000(self):
-        for p in primerange(2, 2000):
-            residues = set(quadratic_residues(p))
-            for a in range(p):
-                if a in residues:
-                    r = sqrt_mod(a, p)
-                    assert 0 <= r < p and r * r % p == a, (a, p)
-                else:
-                    with pytest.raises(ValueError):
-                        sqrt_mod(a, p)
-
     def test_array_roots_below_2000(self):
-        # every residue of every odd prime below 2000, all lanes at once
-        pairs = [(a, p) for p in primerange(3, 2000) for a in quadratic_residues(p)]
+        # every residue of every prime below 2000, all lanes at once
+        pairs = [(a, p) for p in primerange(2, 2000) for a in quadratic_residues(p)]
         a, p = (np.array(col, dtype=np.int64) for col in zip(*pairs))
         r = _sqrt_mod_array(a, p)
         assert np.all((0 <= r) & (r < p)) and np.array_equal(r * r % p, a)
 
-    def test_reduces_its_argument(self):
-        assert sqrt_mod(-1, 13) ** 2 % 13 == 12
-        assert sqrt_mod(13 + 4, 13) ** 2 % 13 == 4
-
 
 def test_one_prime_path():
     # rational primes come from the sieve, single numbers from miller_rabin
-    # and square roots from sqrt_mod; a sympy prime listing, test,
+    # and their splitting from `_split_primes`; a sympy prime listing, test,
     # factorization or any other sympy import in the package would be a
     # second path; sympy and scipy are test dependencies only
     src = pathlib.Path(quadprimes.__file__).parent

@@ -5,6 +5,7 @@ import os
 import struct
 import tempfile
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -344,7 +345,7 @@ class TestOneCornerExpression:
                 assert not counts.any()
                 assert np.abs(weights).max() < 1e-12
 
-    @pytest.mark.parametrize("H", [-1.0, -1e-300, math.nan, -math.inf])
+    @pytest.mark.parametrize("H", [-1.0, -1e-300, math.nan, -math.inf, math.inf])
     def test_bad_radius(self, H):
         g = build_grid(Qi, 10)
         calls = [
@@ -357,6 +358,23 @@ class TestOneCornerExpression:
         for call in calls:
             with pytest.raises(UsageError):
                 call()
+
+    @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("H", [0.0, 2.0, math.inf])
+    def test_bad_center(self, x, H):
+        # a NaN or infinite centre, in either coordinate, with a finite or
+        # an infinite radius: a UsageError on every query path, no warning
+        g = build_grid(Qi, 10)
+        centers = np.array([[0.0, 1.0], [x, 0.0], [0.0, x]])
+        calls = [lambda: count_primes_boxes(g, centers, H), lambda: log_weight_boxes(g, centers, H)]
+        for x1, x2 in centers[1:].tolist():
+            calls += [lambda x1=x1, x2=x2: count_primes_box(g, x1, x2, H),
+                      lambda x1=x1, x2=x2: log_weight_box(g, x1, x2, H)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for call in calls:
+                with pytest.raises(UsageError):
+                    call()
 
 
 class TestEmptyBoxes:
