@@ -5,13 +5,15 @@ Lists of rational primes come from one sieve (`_prime_sieve`); a single
 number is tested with `miller_rabin`.  A rational prime p splits as omega's
 minimal polynomial x^2 + b x + c factors mod p: each root r gives the prime
 ideal (p, omega - r), so two roots mean split, a double root ramified and no
-root inert.  One kernel, `_split_primes`, splits an int64 array of primes
-at once: for odd p the roots are (-b +- sqrt(d))/2 with d = b^2 - 4c,
-present unless the Kronecker symbol (d|p) is -1, by Euler's criterion and
-Tonelli-Shanks, one lane per prime (`_sqrt_mod_array`); p = 2 is read off
-d mod 8.  `prime_ideal_table` splits all sieved primes into one table of
-arrays per field and bound that every enumeration reads, `split_prime`
-splits one prime and `primes.build_grid` finds its inert primes with it.
+root inert.  One kernel, `_kronecker_primes`, gives (d|p) for an array of
+primes (Euler's criterion, p = 2 from d mod 8) to `_split_primes`, the
+residue's character table and `primes.is_prime_element`.  `_split_primes`
+splits an array of primes at once: for odd p the roots are
+(-b +- sqrt(d))/2, d = b^2 - 4c, by Tonelli-Shanks, one lane per prime
+(`_sqrt_mod_array`).  `prime_ideal_table` splits all sieved primes into
+one table of arrays per field and bound that every enumeration reads,
+`split_prime` splits one prime and `primes.build_grid` finds its inert
+primes with it.
 Squarefree ideals are products of distinct prime ideals and carry their
 Moebius value, totient and norm.  They are built as arrays, one level per
 number of prime factors, each product from its parent (`squarefree_levels`),
@@ -27,6 +29,7 @@ series, the smoothed counts and the dual counts all read it.
 from __future__ import annotations
 
 import enum
+import gc
 import itertools
 import math
 from dataclasses import dataclass
@@ -82,32 +85,6 @@ def _prime_sieve(limit: int) -> np.ndarray:
     return sieve
 
 
-def kronecker(a: int, n: int) -> int:
-    """Kronecker symbol (a|n) for n >= 0."""
-    if n == 0:
-        return 1 if a in (1, -1) else 0
-    if a % 2 == 0 and n % 2 == 0:
-        return 0
-    result = 1
-    # strip factors of 2 from n
-    while n % 2 == 0:
-        n //= 2
-        if a % 8 in (3, 5):
-            result = -result
-    # now n odd >= 1: Jacobi symbol with reciprocity
-    a %= n
-    while a != 0:
-        while a % 2 == 0:
-            a //= 2
-            if n % 8 in (3, 5):
-                result = -result
-        a, n = n, a
-        if a % 4 == 3 and n % 4 == 3:
-            result = -result
-        a %= n
-    return result if n == 1 else 0
-
-
 class SplitType(enum.Enum):
     SPLIT = "split"
     INERT = "inert"
@@ -145,7 +122,8 @@ class PrimeIdeal:
 
 def _pow_mod(a: np.ndarray, e: np.ndarray, p: np.ndarray) -> np.ndarray:
     """a^e mod p lane by lane, by square and multiply over the bits of e.
-    With 0 <= a < p < 2^21 every product stays below 2^42."""
+    With 0 <= a < p < 2^21 every product stays below 2^42; object arrays of
+    Python ints take any size."""
     out = np.ones_like(a)
     for bit in range(int(e.max(initial=0)).bit_length()):
         out = np.where((e >> bit) & 1 == 1, out * a % p, out)
@@ -187,6 +165,15 @@ def _sqrt_mod_array(a: np.ndarray, p: np.ndarray) -> np.ndarray:
     return r
 
 
+def _kronecker_primes(d: int, p: np.ndarray) -> np.ndarray:
+    """The Kronecker symbols (d|p) for an int64 array of primes p < 2^21, or
+    an object array of any primes: Euler's criterion for odd p, and for
+    p = 2 0, 1 or -1 as d = 0 (mod 2), +-1 or +-3 (mod 8)."""
+    e = _pow_mod(d % p, (p - 1) // 2, p)
+    two = 0 if d % 2 == 0 else 1 if d % 8 in (1, 7) else -1
+    return np.where(p == 2, two, np.where(e == p - 1, -1, e))
+
+
 # SplitType by the `kind` code of a PrimeIdealTable, and the codes
 _KINDS = (SplitType.SPLIT, SplitType.INERT, SplitType.RAMIFIED)
 _SPLIT, _INERT, _RAMIFIED = range(3)
@@ -197,21 +184,18 @@ def _split_primes(field: FieldSpec, p) -> tuple[np.ndarray, np.ndarray, np.ndarr
     (p, root, kind): a split p twice, its roots ascending, a ramified p once
     with its double root and an inert p once with root -1.
 
-    The roots are those of x^2 + b x + c mod p.  Euler's criterion gives
-    (d|p) for odd p.  2 splits when d = 1 (mod 8), is inert when d = 5
-    (mod 8) and otherwise ramifies with the root c mod 2.  A split p has the
+    The roots are those of x^2 + b x + c mod p: p splits, ramifies or is
+    inert as (d|p) (`_kronecker_primes`) is 1, 0 or -1.  A split p has the
     roots (sqrt(d) - b)/2 and -b minus it, the square root from
     `_sqrt_mod_array`; for p = 2 they are 0 and 1.  A ramified odd p has
-    the root -b/2.
+    the root -b/2, a ramified 2 the root c mod 2.
     """
     p = np.asarray(p, dtype=np.int64)
     b, c = field.minpoly_omega()
-    a = field.discriminant % p
-    # (d|2) is 1, 0 or -1; Euler's criterion gives 1, 0 or p - 1
-    chi = np.where(p == 2, kronecker(field.discriminant, 2), _pow_mod(a, (p - 1) // 2, p))
-    sp, rp, ip = p[chi == 1], p[chi == 0], p[(chi != 1) & (chi != 0)]
+    chi = _kronecker_primes(field.discriminant, p)
+    sp, rp, ip = p[chi == 1], p[chi == 0], p[chi == -1]
     # b is 0 or -1, so every factor is below 2^21
-    r1 = (_sqrt_mod_array(a[chi == 1], sp) - b) * ((sp + 1) // 2) % sp
+    r1 = (_sqrt_mod_array(field.discriminant % sp, sp) - b) * ((sp + 1) // 2) % sp
     r2 = (-b - r1) % sp
     root = np.concatenate([np.minimum(r1, r2), np.maximum(r1, r2),
                            np.where(rp == 2, c % 2, -b * ((rp + 1) // 2) % rp),
@@ -254,18 +238,28 @@ def prime_ideal_table(field: FieldSpec, max_norm: int) -> PrimeIdealTable:
     p, root, kind = _split_primes(field, np.flatnonzero(_prime_sieve(max(max_norm, 1))))
     cols = np.stack([p, root, kind, np.where(kind == _INERT, p * p, p)])
     cols = cols[:, cols[3] <= max_norm]
-    table = PrimeIdealTable(*cols[:, np.lexsort((cols[1], cols[0], cols[3]))])
-    for col in (table.p, table.root, table.kind, table.norm):
-        col.flags.writeable = False
-    return table
+    # norm, p and root + 1 are each below 2^21: one int64 key orders all three
+    cols = cols[:, np.argsort(cols[3] << 42 | cols[0] << 21 | (cols[1] + 1), kind="stable")]
+    cols.flags.writeable = False  # the rows, views taken after this, too
+    return PrimeIdealTable(*cols)
 
 
 @lru_cache(maxsize=32)
 def enumerate_prime_ideals(field: FieldSpec, max_norm: int) -> tuple[PrimeIdeal, ...]:
-    """All prime ideals of norm <= max_norm, sorted by (norm, p, root)."""
+    """All prime ideals of norm <= max_norm, sorted by (norm, p, root).  The
+    ideals above one p share one int p; they form no cycles, so the cyclic
+    GC, whose scans of a large heap cost more than the build, is paused."""
     t = prime_ideal_table(field, max_norm)
-    return tuple([PrimeIdeal(field, p, _KINDS[k], None if r < 0 else r)
-                  for p, k, r in zip(t.p.tolist(), t.kind.tolist(), t.root.tolist())])
+    new = np.diff(t.p, prepend=0) != 0  # the ideals above one p are adjacent
+    ps = t.p[new].astype(object)[np.cumsum(new) - 1].tolist()  # one int per p
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return tuple([PrimeIdeal(field, p, _KINDS[k], None if r < 0 else r)
+                      for p, k, r in zip(ps, t.kind.tolist(), t.root.tolist())])
+    finally:
+        if enabled:
+            gc.enable()
 
 
 @dataclass(frozen=True, slots=True)

@@ -41,7 +41,7 @@ import numpy as np
 
 from .errors import BudgetError, ExtentError, FieldSpecError, GridFileError, UsageError, brief
 from .fields import BasisKind, FieldSpec, QuadInt, divide_exact
-from .ideals import _INERT, _prime_sieve, _split_primes, kronecker, miller_rabin
+from .ideals import _INERT, _kronecker_primes, _prime_sieve, _split_primes, miller_rabin
 
 GRID_MAGIC = b"SINF"
 GRID_VERSION = 1
@@ -58,7 +58,7 @@ def is_prime_element(alpha: QuadInt) -> bool:
     p = math.isqrt(m)
     if p * p != m or not miller_rabin(p):
         return False
-    if kronecker(alpha.field.discriminant, p) != -1:
+    if _kronecker_primes(alpha.field.discriminant, np.array([p], dtype=object))[0] != -1:
         return False
     quot = divide_exact(alpha, alpha.field.element(p, 0))
     return quot is not None and quot.is_unit()

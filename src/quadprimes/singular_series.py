@@ -16,10 +16,13 @@ lists the points of every larger ideal's coordinate lattice inside the box,
 in rows clipped to it, and applies their ratios with `np.multiply.at`, the
 points in ascending ideal order.  `ufunc.at` applies repeated indices in
 the order given, so each entry receives exactly the multiplication sequence
-of pointwise evaluation and sieved values are bit-identical to it.  The
-mu^2/phi partial sums take one walk over the squarefree ideals for all their
-cutoffs, built as arrays and added by `np.cumsum` in walk order, so each
-equals a recursive walk's sum bit for bit.
+of pointwise evaluation and sieved values are bit-identical to it; the
+rational sieve lists (multiple, ratio) pairs in ascending p alike.  The
+residue's character moments are summed exactly over half a period and
+reflected by chi(q - r) = chi(-1) chi(r).  The mu^2/phi partial sums take
+one walk over the squarefree ideals for all their cutoffs, built as arrays
+and added by `np.cumsum` in walk order, so each equals a recursive walk's
+sum bit for bit.
 """
 
 from __future__ import annotations
@@ -34,8 +37,8 @@ import numpy as np
 
 from .errors import BudgetError, UsageError, brief
 from .fields import FieldSpec, QuadInt
-from .ideals import (PRIME_BUDGET, _prime_sieve, kronecker, lattice_half_points, prime_ideal_table,
-                     squarefree_levels)
+from .ideals import (PRIME_BUDGET, _kronecker_primes, _prime_sieve, lattice_half_points,
+                     prime_ideal_table, squarefree_levels)
 
 DEFAULT_CUTOFF = 100_000
 
@@ -60,13 +63,14 @@ _RESIDUE_CHUNK = 1 << 15
 
 
 def _character_table(d: int) -> np.ndarray:
-    """kronecker(d, r) for r in 0..|d|-1, sieved as a completely
-    multiplicative function from its values at the primes below |d|."""
+    """The Kronecker symbols (d|r) for r in 0..|d|-1 (|d| > 1), sieved as a
+    completely multiplicative function from its values at the primes below
+    |d|."""
     q = abs(d)
     chi = np.ones(q, dtype=np.int64)
-    chi[0] = kronecker(d, 0)
-    for p in np.flatnonzero(_prime_sieve(q - 1)).tolist():
-        k = kronecker(d, p)
+    chi[0] = 0
+    primes = np.flatnonzero(_prime_sieve(q - 1))
+    for p, k in zip(primes.tolist(), _kronecker_primes(d, primes).tolist()):
         if k == 0:
             chi[p::p] = 0
         elif k == -1:
@@ -113,17 +117,22 @@ def _exact_sum(chi: np.ndarray, stop: int) -> float:
 
 
 def _moments(chi: np.ndarray, kmax: int) -> list[int]:
-    """The character moments sum_r chi(r) r^k for k = 1..kmax, as exact ints."""
-    q = len(chi)
-    moments = [0] * kmax
-    for lo in range(1, q, _RESIDUE_CHUNK):
-        r = np.arange(lo, min(lo + _RESIDUE_CHUNK, q))
+    """The character moments m_k = sum_{0<r<q} chi(r) r^k, k = 1..kmax, as
+    exact ints, from the half moments M_j = sum_{0<r<q/2} chi(r) r^j: as
+    chi(q - r) = chi(-1) chi(r) (and chi(q/2) = 0 for even q),
+    m_k = M_k + chi(-1) sum_{j<=k} C(k, j) q^(k-j) (-1)^j M_j."""
+    q, half = len(chi), [0] * (kmax + 1)
+    for lo in range(1, (q + 1) // 2, _RESIDUE_CHUNK):
+        r = np.arange(lo, min(lo + _RESIDUE_CHUNK, (q + 1) // 2))
         power = chi[r].astype(object)
         r = r.astype(object)
-        for k in range(kmax):
+        half[0] += int(power.sum())
+        for j in range(1, kmax + 1):
             np.multiply(power, r, out=power)
-            moments[k] += int(power.sum())
-    return moments
+            half[j] += int(power.sum())
+    sign = int(chi[q - 1])  # chi(-1)
+    return [half[k] + sign * sum(math.comb(k, j) * q ** (k - j) * (-1) ** j * half[j]
+                                 for j in range(k + 1)) for k in range(1, kmax + 1)]
 
 
 def _em_coeffs(count: int) -> tuple[Fraction, ...]:
@@ -496,11 +505,17 @@ def singular_sum_smoothed(
 # Rational-integer sieve and Montgomery's weighted sum
 
 
+# (multiple, ratio) pairs per np.multiply.at run of sieved_singular_rational
+_PAIR_RUN = 1 << 18
+
+
 def sieved_singular_rational(hmax: int, cutoff: int = DEFAULT_CUTOFF) -> np.ndarray:
     """Singular-series values for shifts 1..hmax (index 0 is NaN).
 
-    Same fixed multiplication order as `singular_series_rational`, so entries
-    match pointwise evaluation exactly.
+    The (multiple, ratio) pairs of the primes 3 <= p <= min(hmax, cutoff)
+    go in ascending p to an ordered `np.multiply.at`, at most `_PAIR_RUN` at
+    a time, so each entry gets its factors in the order of
+    `singular_series_rational`.
     """
     if hmax < 1:
         raise ValueError("hmax must be at least 1")
@@ -510,10 +525,16 @@ def sieved_singular_rational(hmax: int, cutoff: int = DEFAULT_CUTOFF) -> np.ndar
     vals = np.full(hmax + 1, base, dtype=np.float64)
     vals[2::2] *= 2.0
     vals[1::2] *= 0.0
-    for p in primes:
-        if p > hmax:
-            break
-        vals[p::p] *= _member_ratio(p)
+    p = np.array(primes[: bisect.bisect_right(primes, hmax)], dtype=np.int64)
+    count, ratio = hmax // p, _member_ratio(p)
+    ends = np.cumsum(count)
+    starts, total = ends - count, int(count.sum())
+    for a in range(0, total, _PAIR_RUN):
+        # the pairs a..b-1 of the list, those of the primes r0..r1-1
+        b = min(a + _PAIR_RUN, total)
+        r0, r1 = np.searchsorted(ends, a, "right"), np.searchsorted(starts, b, "left")
+        row = np.repeat(np.arange(r0, r1), np.minimum(ends[r0:r1], b) - np.maximum(starts[r0:r1], a))
+        np.multiply.at(vals, p[row] * (np.arange(a, b) - starts[row] + 1), ratio[row])
     vals[0] = np.nan
     return vals
 

@@ -5,6 +5,7 @@ import re
 import time
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from quadprimes import cli, ideals
 from quadprimes.errors import BudgetError
@@ -369,3 +370,79 @@ class TestHostileInputs:
         # the largest row of 2^21 - 1 is 2^20, inside the prime budget
         monkeypatch.setattr(cli, "montgomery_sum", lambda H, cutoff: 0.0)
         assert run(capsys, "montgomery", "--Hmax", str(2**21 - 1))[0] == 0
+
+
+# malformed values for the CLI fuzz, by the kind of option they are given to
+NUMBERS = ["nan", "inf", "-inf", "-1", "0", "1", "3000000", str(10**30), f"-{10**30}", "1e300",
+           "", "abc"]
+LISTS = NUMBERS + [",", "1,", "0.5,", ",0.5", "0:1:0", "0.1:0.9:0", "1:0:0.5", "0.5:0.5:1"]
+PAIRS = ["nan,0", "0,inf", "-inf,1", "1", "1,2,3", ",", "1,", f"{10**30},0", "0,0", "", "a,b"]
+FIELDS = ["D=", "D=abc", "D=0", "D=1", "D=4", "D=-4", "D=nan", f"D={10**30}", "D=-1000003",
+          "D=-3,half", "D=2,half", "D=5,full", "X=5", ""]
+CHOICES = ["", "circle", "nan"]
+
+# every subcommand with small valid values, and the kind of each option;
+# "{tmp}" is replaced by a fresh directory
+FUZZ_COMMANDS = {
+    ("field-info",): {"--field": ("D=-3", FIELDS), "--tol": ("1e-8", NUMBERS)},
+    ("residue",): {"--field": ("D=-3", FIELDS), "--tol": ("1e-8", NUMBERS)},
+    ("primes", "count"): {"--field": ("D=-1", FIELDS), "--center": ("1,1", PAIRS),
+                          "--H": ("2", NUMBERS), "--extent": ("20", NUMBERS)},
+    ("primes", "grid"): {"--field": ("D=-1", FIELDS), "--extent": ("10", NUMBERS),
+                         "--out": ("{tmp}/g.bin", ["{tmp}", "{tmp}/missing/g.bin", ""])},
+    ("sstar",): {"--field": ("D=-1", FIELDS), "--eta": ("1,1", PAIRS),
+                 "--cutoff": ("1000", NUMBERS)},
+    ("sum-singular",): {"--field": ("D=-1", FIELDS), "--H": ("4", LISTS),
+                        "--w": ("square", CHOICES), "--cutoff": ("1000", NUMBERS)},
+    ("montgomery",): {"--Hmax": ("64", NUMBERS), "--cutoff": ("1000", NUMBERS)},
+    ("variance",): {"--field": ("D=-1", FIELDS), "--X": ("8", NUMBERS),
+                    "--deltas": ("0.5", LISTS), "--sampler": ("grid", CHOICES),
+                    "--density": ("first-order", CHOICES)},
+    ("variance-z",): {"--X": ("1000", NUMBERS), "--deltas": ("0.5", LISTS)},
+    ("diagnose", "dual-count"): {"--field": ("D=-1", FIELDS), "--Y": ("5", NUMBERS)},
+    ("diagnose", "smooth-count"): {"--field": ("D=-1", FIELDS), "--Y": ("5", NUMBERS),
+                                   "--H": ("3", NUMBERS)},
+    ("diagnose", "condensation"): {"--field": ("D=-1", FIELDS), "--Y": ("5", NUMBERS)},
+}
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return str(tmp_path_factory.mktemp("fuzz"))
+
+
+def check_exit_contract(capsys, command, values, tmp):
+    """Run one command line; it must exit 0-4 with at most one `error:`
+    line on stderr, the whole of stderr when it fails, and no traceback."""
+    argv = list(command)
+    for option, value in values.items():
+        argv += [option, value.replace("{tmp}", tmp)]
+    code, _, err = run(capsys, *argv)
+    assert code in range(5), argv
+    assert "Traceback" not in err and err.count("error:") <= 1, argv
+    if code:
+        assert err.startswith("error:") and err.count("\n") == 1, argv
+
+
+class TestCliFuzz:
+    """Every subcommand, given malformed values, keeps the exit-code
+    contract: a documented code and one `error:` line, never a traceback."""
+
+    def test_each_malformed_value(self, capsys, fuzz_dir):
+        for command, options in FUZZ_COMMANDS.items():
+            for option, (_, malformed) in options.items():
+                for value in malformed:
+                    values = {o: v for o, (v, _) in options.items()}
+                    values[option] = value
+                    check_exit_contract(capsys, command, values, fuzz_dir)
+
+    # `run` drains capsys after every command, so one capsys serves all inputs
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_malformed_combinations(self, capsys, fuzz_dir, data):
+        command = data.draw(st.sampled_from(sorted(FUZZ_COMMANDS)))
+        options = FUZZ_COMMANDS[command]
+        values = {o: data.draw(st.sampled_from([v, *malformed]), label=o)
+                  for o, (v, malformed) in options.items()}
+        check_exit_contract(capsys, command, values, fuzz_dir)

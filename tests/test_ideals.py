@@ -1,3 +1,4 @@
+import gc
 import itertools
 import math
 import os
@@ -30,7 +31,6 @@ from quadprimes.ideals import (
     ideal_lattice,
     ideal_smoothed_count,
     ideal_smoothed_count_scaled,
-    kronecker,
     LATTICE_POINT_BUDGET,
     lattice_half_points,
     ramanujan_smoothed_sum_scaled,
@@ -41,6 +41,8 @@ from quadprimes.ideals import (
 )
 from quadprimes.singular_series import _reduced_bases
 from quadprimes.smoothing import Kind, TestFunction
+
+from oracles import kronecker
 
 Qi = make_field(-1)
 SQUARE = TestFunction(Kind.SQUARE_AUTOCORR)
@@ -80,6 +82,39 @@ class TestKronecker:
             for m in range(1, 30):
                 for n in range(1, 30):
                     assert kronecker(a, m * n) == kronecker(a, m) * kronecker(a, n)
+
+
+class TestKroneckerPrimes:
+    """The one (d|p) kernel against the scalar Kronecker symbol."""
+
+    @pytest.mark.parametrize("d", [-1, -4, -3, -7, -8, 5, 8, 12, 17, -20, 40, -100_003, 99_989])
+    def test_int64_primes(self, d):
+        p = np.flatnonzero(ideals._prime_sieve(20_000))
+        got = ideals._kronecker_primes(d, p)
+        assert got.dtype == np.int64
+        assert got.tolist() == [kronecker(d, q) for q in p.tolist()]
+
+    @pytest.mark.parametrize("d", [-4, -3, 8, -7, 13, 2**70 + 1])
+    def test_object_primes_of_any_size(self, d):
+        p = [2, 3, 5, 1_999_993, 2_097_143, 2**31 - 1, 2**61 - 1, 2**89 - 1]
+        got = ideals._kronecker_primes(d, np.array(p, dtype=object))
+        assert got.tolist() == [kronecker(d, q) for q in p]
+
+    @pytest.mark.parametrize("D", [-1, -3, 10])
+    def test_enumeration_shares_p_and_restores_gc(self, D):
+        # the two ideals above a split p hold one int; the collector is
+        # paused only during the build, whichever state it was in
+        field = make_field(D)
+        for enabled in (True, False):
+            enumerate_prime_ideals.cache_clear()
+            (gc.enable if enabled else gc.disable)()
+            try:
+                primes = enumerate_prime_ideals(field, 5000)
+                assert gc.isenabled() is enabled
+            finally:
+                gc.enable()
+            split = [pi for pi in primes if pi.split_type is SplitType.SPLIT]
+            assert all(a.p is b.p for a, b in zip(split[::2], split[1::2]))
 
 
 class TestSplitting:

@@ -22,7 +22,7 @@ from quadprimes.errors import (
 )
 from quadprimes import primes
 from quadprimes.fields import BasisKind, _is_squarefree, make_field
-from quadprimes.ideals import _prime_sieve, kronecker, miller_rabin
+from quadprimes.ideals import _prime_sieve, miller_rabin
 from quadprimes.primes import (
     box_sums,
     build_grid,
@@ -36,6 +36,8 @@ from quadprimes.primes import (
     save_grid,
 )
 from quadprimes.statistics import Sampler
+
+from oracles import kronecker
 
 Qi = make_field(-1)
 
@@ -85,6 +87,13 @@ class TestIsPrimeElement:
         # norm 49 but not an associate of 7: 7 splits, so no such element exists;
         # instead check a ramified element
         assert is_prime_element(F.element(0, 1))  # sqrt2, norm -2
+
+    @pytest.mark.parametrize("p", [2_097_143, 2_097_169, 2**31 - 1, 1_099_511_627_873, 2**61 - 1])
+    def test_rational_primes_past_the_kernel_bound(self, p):
+        # p is prime as an element exactly when it is inert: p = 3 (mod 4)
+        # in Q(i), and (5|p) = -1 in Q(sqrt 5)
+        assert is_prime_element(Qi.element(p, 0)) == (p % 4 == 3)
+        assert is_prime_element(make_field(5).element(p, 0)) == (kronecker(5, p) == -1)
 
 
 class TestBuildGrid:
@@ -533,6 +542,32 @@ class TestGridBoxSums:
                                           (r0, r1))
                     for a, b in zip(strip, want):
                         assert np.array_equal(a, b[r0 * 31 : r1 * 31])
+
+    @settings(max_examples=100, deadline=None)
+    @given(D=st.integers(-200, 200).filter(lambda D: D not in (0, 1) and _is_squarefree(D)),
+           M=st.integers(0, 8), spare=st.integers(0, 3), quarters=st.integers(0, 10),
+           shift=st.tuples(st.integers(-2, 2), st.integers(-2, 2)),
+           half=st.tuples(st.booleans(), st.booleans()),
+           strip=st.tuples(st.integers(0, 17), st.integers(0, 17)))
+    @example(D=-1, M=3, spare=0, quarters=1, shift=(0, 0), half=(True, False), strip=(0, 7))
+    @example(D=10, M=2, spare=0, quarters=1, shift=(1, -2), half=(False, True), strip=(1, 4))
+    @example(D=-3, M=0, spare=0, quarters=10, shift=(2, -2), half=(True, True), strip=(0, 1))
+    def test_random_offsets_and_strips(self, D, M, spare, quarters, shift, half, strip):
+        # the box of radius H = quarters / 4 around k + m, m = s or s + 1/2 per
+        # axis, spans k + ceil(m - H) .. k + floor(m + H), all exact; for H < 1/2
+        # around a half-integer that is empty (lo = hi + 1)
+        H = quarters / 4
+        mid = [s + 0.5 * h for s, h in zip(shift, half)]
+        rows, cols = ((math.ceil(m - H), math.floor(m + H)) for m in mid)
+        g = build_grid(make_field(D), M + 5 + spare, square_weights=True)
+        n = 2 * M + 1
+        r0, r1 = sorted(min(r, n) for r in strip)
+        got = grid_box_sums(g, self.tables(g), M, rows, cols, (r0, r1))
+        want = box_sums(g, self.tables(g), Sampler().centers(M) + mid, H)
+        assert len(got) == 3
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype
+            assert np.array_equal(a, b[r0 * n : r1 * n])
 
     def test_grid_edge(self):
         g = build_grid(Qi, 10)

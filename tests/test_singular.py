@@ -12,7 +12,7 @@ from sympy import factorint, primerange
 
 from quadprimes.errors import BudgetError, UsageError
 from quadprimes.fields import _is_squarefree, make_field
-from quadprimes.ideals import PRIME_BUDGET, SplitType, _prime_sieve, enumerate_prime_ideals, kronecker
+from quadprimes.ideals import PRIME_BUDGET, SplitType, _prime_sieve, enumerate_prime_ideals
 from quadprimes.singular_series import (
     RESIDUE_TERM_BUDGET,
     _base_factor,
@@ -33,6 +33,8 @@ from quadprimes.singular_series import (
     singular_sums_smoothed,
 )
 from quadprimes.smoothing import Kind, TestFunction
+
+from oracles import kronecker
 
 Qi = make_field(-1)
 # the package namespace binds `singular_series` to the function
@@ -111,6 +113,21 @@ def residue_tail(chi: list[int], blocks: int) -> float:
         m_k = sum(chi[r % q] * r**k for r in range(1, q))
         tail += (-1) ** k * (m_k / q ** (k + 1)) * _hurwitz_zeta(k + 1, blocks)
     return tail
+
+
+def full_range_moments(chi: np.ndarray, kmax: int) -> list[int]:
+    """sum_{0<r<q} chi(r) r^k for k = 1..kmax over object arrays of Python
+    ints, every residue r summed directly."""
+    q = len(chi)
+    moments = [0] * kmax
+    for lo in range(1, q, 1 << 15):
+        r = np.arange(lo, min(lo + (1 << 15), q))
+        power = chi[r].astype(object)
+        r = r.astype(object)
+        for k in range(kmax):
+            np.multiply(power, r, out=power)
+            moments[k] += int(power.sum())
+    return moments
 
 
 def residue_reference(D: int, blocks: int) -> tuple[float, float]:
@@ -255,6 +272,23 @@ class TestResidue:
         want = math.fsum(terms()) + residue_tail(chi, blocks)
         assert residue_rk(make_field(-3), 1e-8, blocks).value == want
 
+    def test_moments_equal_direct_sums(self):
+        # every fundamental d with |d| <= 400, both signs, odd and even q: the
+        # half-range moments and their reflection give the full sums exactly
+        for D in FIELDS_TO_3000:
+            d = make_field(D).discriminant
+            q = abs(d)
+            if q > 400:
+                break
+            chi = [kronecker(d, r) for r in range(q)]
+            want = [sum(chi[r] * r**k for r in range(1, q)) for k in range(1, 19)]
+            assert _moments(_character_table(d), 18) == want, d
+
+    @pytest.mark.parametrize("D", [-100_003, 10])  # d = -100003 and d = 40
+    def test_moments_equal_full_range_loop(self, D):
+        chi = _character_table(make_field(D).discriminant)
+        assert _moments(chi, 18) == full_range_moments(chi, 18)
+
     def test_character_table_matches_kronecker(self):
         for D in FIELDS_TO_3000:
             d = make_field(D).discriminant
@@ -370,6 +404,17 @@ class TestRational:
         vals = sieved_singular_rational(1000, 10**4)
         for h in range(1, 1001):
             assert vals[h] == singular_series_rational(h, 10**4).value
+
+    @pytest.mark.parametrize("run", [7, 1 << 18])
+    def test_sieve_matches_pointwise_at_every_cutoff(self, run, monkeypatch):
+        # cutoffs below, at and above the smallest primes and below hmax; the
+        # pair runs cut the ascending (multiple, ratio) list anywhere
+        monkeypatch.setattr(singular_series_module, "_PAIR_RUN", run)
+        for cutoff in (2, 3, 100, 10**4):
+            vals = sieved_singular_rational(2000, cutoff)
+            assert math.isnan(vals[0])
+            assert vals[1:].tolist() == [singular_series_rational(h, cutoff).value
+                                         for h in range(1, 2001)]
 
     def test_returned_array_is_not_shared(self):
         v = sieved_singular_rational(100, 1000)
