@@ -249,6 +249,16 @@ def box_sums(
     return [_corners(table, a[:, 0], b[:, 0], a[:, 1], b[:, 1]) for table in tables]
 
 
+def check_box_extent(grid: PrefixGrid, M: int, rows: tuple[int, int],
+                     cols: tuple[int, int]) -> None:
+    """Raise ExtentError unless the boxes of `grid_box_sums(grid, _, M, rows,
+    cols)` lie inside the grid."""
+    R = grid.extent
+    (lo1, hi1), (lo2, hi2) = rows, cols
+    if -M + min(lo1, lo2) < -R or M + max(hi1, hi2) > R:
+        raise ExtentError(f"boxes {rows} x {cols} around [-{M}, {M}]^2 exceed the extent {R}")
+
+
 def grid_box_sums(
     grid: PrefixGrid, tables: list[np.ndarray], M: int,
     rows: tuple[int, int], cols: tuple[int, int], strip: tuple[int, int] | None = None,
@@ -262,10 +272,9 @@ def grid_box_sums(
     r1 - 1 - M), which are the entries r0*n .. r1*n - 1 of the full result;
     the default is all n rows.
     """
+    check_box_extent(grid, M, rows, cols)
     R = grid.extent
     (lo1, hi1), (lo2, hi2) = rows, cols
-    if -M + min(lo1, lo2) < -R or M + max(hi1, hi2) > R:
-        raise ExtentError(f"boxes {rows} x {cols} around [-{M}, {M}]^2 exceed the extent {R}")
     if hi2 < lo2:  # no columns: no rows either, as in `_box_bounds`
         hi1 = lo1 - 1
     r0, r1 = strip or (0, 2 * M + 1)

@@ -10,18 +10,24 @@ kappa_K / (r_K sqrt|N| log|N|) for the prime-ideal squares that are
 principal.  Both samplers average exactly, over integer centers or over
 centers uniform in their cells: a box's bounds are constant on at most three
 pieces of the in-cell offset per axis (`Sampler.offsets`), so every average
-is a weighted sum of prefix-table slices (`grid_box_sums`).  The rational
-baselines are exact by the same argument: for integer interval length the
-window counts are piecewise constant in the left endpoint, so the averages
-are finite sums over integer shifts computed from prefix arrays, of length
-at most `ideals.PRIME_BUDGET`.
+is a weighted sum of prefix-table slices (`grid_box_sums`).  Those sums run
+in strips of center rows, one strip per task on a thread pool with one
+worker per CPU the process may use.  The rows do not depend on the order in
+which the strips finish: their counts add up as integers, and V is one mean
+over one buffer that the strips fill.
+
+The rational baselines are exact by the argument of the samplers: for
+integer interval length the window counts are piecewise constant in the
+left endpoint, so the averages are finite sums over integer shifts computed
+from prefix arrays, of length at most `ideals.PRIME_BUDGET`.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import product
 
 import numpy as np
@@ -127,10 +133,15 @@ def variance_profile(
     E and V sum the means over pairs of the sampler's per-axis pieces, times
     the pieces' weights.  Every box sum is a slice of a prefix table, so the
     centers are never materialized; the sample budget still applies.  Each
-    pair is answered in strips of `primes._STRIP_ROWS` center rows: the
-    counts add up to an exact integer total, and the squared deviations fill
-    one (2M+1)^2 buffer, shared by all pairs, whose single mean keeps V's
-    summation order that of one whole-box array.
+    pair is answered in strips of `primes._STRIP_ROWS` center rows, which run
+    on a thread pool with one worker per CPU the process may use, at most one
+    per strip.  Every box of every pair is checked against the grid's extent
+    before any strip runs.  The strips' counts add up to an exact integer
+    total, in any order, and their squared deviations fill disjoint slices of
+    one (2M+1)^2 buffer, shared by all pairs, whose single mean, taken once
+    the pair's strips are done, keeps V's summation order that of one
+    whole-box array.  So the rows are bit for bit the same for any worker
+    count and finishing order.
     """
     if not math.isfinite(X) or X < 0:
         raise UsageError(f"X must be a finite number >= 0, got {X!r}")
@@ -151,33 +162,47 @@ def variance_profile(
         tables.append(grid.sqrt_log_weight)
         kappa = 2.0 ** class_group_2_rank(field) / 2.0
     rk = residue_rk(field, 1e-8).value
+    # a piece with lo > hi holds no lattice point, so its pairs add exactly 0
+    pairs = [list(product([(w, (lo, hi)) for w, lo, hi in sampler.offsets(X**delta) if lo <= hi],
+                          repeat=2)) for delta in deltas]
+    for (_, span1), (_, span2) in (pair for ps in pairs for pair in ps):
+        primes.check_box_extent(grid, M, span1, span2)  # before any strip runs
     n = 2 * M + 1
     sq = np.empty(n * n)  # one buffer for every pair: a second would be alive while rebinding
+    strips = [(r0, min(r0 + primes._STRIP_ROWS, n)) for r0 in range(0, n, primes._STRIP_ROWS)]
+
+    def strip_total(span1, span2, strip):
+        """Fill the strip's rows of sq; return the strip's integer count."""
+        counts, expected, *squares = grid_box_sums(grid, tables, M, span1, span2, strip)
+        if squares:
+            expected -= kappa * squares[0]
+        expected /= rk
+        np.subtract(counts, expected, out=expected)
+        np.multiply(expected, expected, out=sq[strip[0] * n : strip[1] * n])
+        return int(counts.sum())
+
+    from concurrent.futures import ThreadPoolExecutor  # lazily: it takes ~7 ms to import
+
     rows = []
-    for delta in deltas:
-        H = X**delta
-        # a piece with lo > hi holds no lattice point, so its pairs add exactly 0
-        spans = [(w, (lo, hi)) for w, lo, hi in sampler.offsets(H) if lo <= hi]
-        E = V = 0.0
-        for (w1, span1), (w2, span2) in product(spans, repeat=2):
-            total = 0
-            for r0 in range(0, n, primes._STRIP_ROWS):
-                r1 = min(r0 + primes._STRIP_ROWS, n)
-                counts, expected, *squares = grid_box_sums(grid, tables, M, span1, span2,
-                                                           (r0, r1))
-                if squares:
-                    expected -= kappa * squares[0]
-                expected /= rk
-                np.subtract(counts, expected, out=expected)
-                np.multiply(expected, expected, out=sq[r0 * n : r1 * n])
-                total += int(counts.sum())
-            # integer counts below 2^53 sum exactly in float64, so this is the mean
-            # of the float counts bit for bit; V stays one mean over the whole buffer
-            E += w1 * w2 * float(np.float64(total) / n**2)
-            V += w1 * w2 * float(sq.mean())
-        rows.append(VarianceRow(field.spec_string(), X, delta, H, n * n, E, V,
-                                V / E if E else math.nan, 1.0 - delta))
+    with ThreadPoolExecutor(min(_cpu_count(), len(strips))) as pool:
+        for delta, delta_pairs in zip(deltas, pairs):
+            E = V = 0.0
+            for (w1, span1), (w2, span2) in delta_pairs:
+                total = sum(pool.map(partial(strip_total, span1, span2), strips))
+                # integer counts below 2^53 sum exactly in float64, so this is the mean
+                # of the float counts bit for bit; V stays one mean over the whole buffer
+                E += w1 * w2 * float(np.float64(total) / n**2)
+                V += w1 * w2 * float(sq.mean())
+            rows.append(VarianceRow(field.spec_string(), X, delta, X**delta, n * n, E, V,
+                                    V / E if E else math.nan, 1.0 - delta))
     return rows
+
+
+def _cpu_count() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,10 @@
 import importlib
 import math
+import os
 import pathlib
 import re
+import threading
+import time
 import tracemalloc
 from itertools import product
 
@@ -13,7 +16,7 @@ import quadprimes
 import quadprimes.primes as primes
 import quadprimes.statistics as statistics
 from quadprimes.cli import main
-from quadprimes.errors import BudgetError, UsageError
+from quadprimes.errors import BudgetError, ExtentError, UsageError
 from quadprimes.fields import class_group_2_rank, make_field
 from quadprimes.ideals import PRIME_BUDGET
 from quadprimes.primes import box_sums, build_grid
@@ -188,7 +191,8 @@ class TestSlicePath:
 
     def test_sampler_picks_the_path(self, monkeypatch):
         # both samplers slice, no centers: each nonempty pair of pieces in
-        # turn, its strips covering the center rows 0..2M once, in order
+        # turn, its strips covering the center rows 0..2M once; the strips of
+        # one pair run on worker threads, so they may arrive in any order
         calls = []
         grid_box_sums = statistics.grid_box_sums
 
@@ -197,14 +201,11 @@ class TestSlicePath:
             return grid_box_sums(grid, tables, M, rows, cols, strip)
 
         def pairs_covering(n):
-            pairs = []
+            covered = {}  # insertion order: the pairs in order of first appearance
             for rows, cols, (r0, r1) in calls:
-                if r0 == 0:
-                    pairs.append(((rows, cols), []))
-                assert pairs[-1][0] == (rows, cols)
-                pairs[-1][1].extend(range(r0, r1))
-            assert all(covered == list(range(n)) for _, covered in pairs)
-            return [pair for pair, _ in pairs]
+                covered.setdefault((rows, cols), []).extend(range(r0, r1))
+            assert all(sorted(got) == list(range(n)) for got in covered.values())
+            return list(covered)
 
         monkeypatch.setattr(statistics, "grid_box_sums", wrapped)
         monkeypatch.setattr(Sampler, "centers", lambda self, X: pytest.fail("centers built"))
@@ -240,19 +241,76 @@ class TestStrips:
         assert any(lo > hi for _, lo, hi in Sampler("jitter").offsets(0.2**0.5))
 
     @pytest.mark.parametrize("density", ["first-order", "second-order"])
-    def test_peak_is_one_buffer(self, density):
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_worker_count_does_not_change_rows(self, density, workers, monkeypatch):
+        F, X, deltas = make_field(10), 40.0, [0.3, 0.5, 0.9]
+        g = build_grid(F, grid_extent(X, deltas), square_weights=True)
+        n = 2 * math.floor(X) + 1
+        for kind in ("grid", "jitter"):
+            monkeypatch.setattr(statistics, "_cpu_count", lambda: 1)
+            want = variance_profile(F, X, deltas, Sampler(kind), g, density)
+            monkeypatch.setattr(statistics, "_cpu_count", lambda: workers)
+            for strip in (1, 7, n):
+                monkeypatch.setattr(primes, "_STRIP_ROWS", strip)
+                assert variance_profile(F, X, deltas, Sampler(kind), g, density) == want
+            monkeypatch.undo()
+
+    def test_finishing_order_does_not_change_rows(self, monkeypatch):
+        # the first strip of every pair finishes last; the workers are joined
+        F, X, deltas = make_field(-3), 40.0, [0.3, 0.5, 0.9]
+        g = build_grid(F, grid_extent(X, deltas))
+        want = variance_profile(F, X, deltas, grid=g)
+        grid_box_sums = statistics.grid_box_sums
+
+        def late_first(grid, tables, M, rows, cols, strip=None):
+            if strip[0] == 0:
+                time.sleep(0.01)
+            return grid_box_sums(grid, tables, M, rows, cols, strip)
+
+        monkeypatch.setattr(statistics, "grid_box_sums", late_first)
+        monkeypatch.setattr(statistics, "_cpu_count", lambda: 3)
+        monkeypatch.setattr(primes, "_STRIP_ROWS", 7)
+        threads = threading.active_count()
+        assert variance_profile(F, X, deltas, grid=g) == want
+        assert threading.active_count() == threads
+
+    def test_small_grid_raises_before_any_strip(self, monkeypatch):
+        # the grid holds the boxes of delta = 0.3 but not those of 0.9
+        F, X = make_field(-1), 30.0
+        g = build_grid(F, grid_extent(X, [0.3]))
+        monkeypatch.setattr(statistics, "grid_box_sums", lambda *args: pytest.fail("strip run"))
+        h = math.floor(X**0.9)
+        message = (f"boxes {(-h, h)} x {(-h, h)} around [-30, 30]^2"
+                   f" exceed the extent {g.extent}")
+        threads = threading.active_count()
+        with pytest.raises(ExtentError, match=re.escape(message)) as err:
+            variance_profile(F, X, [0.3, 0.9], grid=g)
+        assert type(err.value) is ExtentError and str(err.value) == message
+        assert threading.active_count() == threads
+
+    def test_cpu_count(self, monkeypatch):
+        assert 1 <= statistics._cpu_count() <= (os.cpu_count() or 1)
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert statistics._cpu_count() == 1
+
+    @pytest.mark.parametrize("density", ["first-order", "second-order"])
+    def test_peak_is_one_buffer(self, density, monkeypatch):
         # past the prebuilt tables, a call holds one (2M+1)^2 float64 buffer
-        # and strip-sized temporaries, not whole-box box sums
+        # and, per worker, a few strip-sized temporaries, not whole-box box sums
         F, X, deltas = make_field(10), 300.0, [0.3, 0.9]
+        n = 2 * 300 + 1
         g = build_grid(F, grid_extent(X, deltas), square_weights=True)
         variance_profile(F, X, deltas, grid=g, density=density)  # warm the caches
-        tracemalloc.start()
-        try:
-            variance_profile(F, X, deltas, grid=g, density=density)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak <= 2 * 8 * (2 * 300 + 1) ** 2
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(statistics, "_cpu_count", lambda: workers)
+            tracemalloc.start()
+            try:
+                variance_profile(F, X, deltas, grid=g, density=density)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak <= 8 * n * n + workers * 6 * 8 * primes._STRIP_ROWS * n, workers
 
 
 class TestJitterIsExact:
