@@ -23,19 +23,19 @@ lattice, kept in Hermite normal form and built directly by CRT over the
 rational primes below the ideal (`ideal_lattice`).  One enumerator,
 `lattice_half_points`, lists the points of such lattices in a box, one of
 each +-pair, in rows clipped to the box: the box sieve of the singular
-series, the smoothed counts and the dual counts all read it.
+series, the smoothed counts and the dual counts all read it.  Its rows and
+points, and the rational sieve's pairs, are walked in chunks by `_ranges`.
 """
 
 from __future__ import annotations
 
 import enum
-import gc
 import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, NamedTuple, Optional
 
 import numpy as np
 
@@ -44,8 +44,8 @@ from .fields import PRIME_BUDGET, FieldSpec, QuadInt
 
 # largest number of lattice rows, and of points, that one lattice walk may list
 LATTICE_POINT_BUDGET = 10_000_000
-# lattice points per chunk of `lattice_half_points`
-_LATTICE_CHUNK = 1 << 18
+# (row, k) pairs per chunk of `_ranges`
+_CHUNK = 1 << 18
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -91,8 +91,7 @@ class SplitType(enum.Enum):
     RAMIFIED = "ramified"
 
 
-@dataclass(frozen=True, slots=True)
-class PrimeIdeal:
+class PrimeIdeal(NamedTuple):
     """A prime ideal above the rational prime p.
 
     For split and ramified primes the ideal is (p, omega - root) and
@@ -247,19 +246,12 @@ def prime_ideal_table(field: FieldSpec, max_norm: int) -> PrimeIdealTable:
 @lru_cache(maxsize=32)
 def enumerate_prime_ideals(field: FieldSpec, max_norm: int) -> tuple[PrimeIdeal, ...]:
     """All prime ideals of norm <= max_norm, sorted by (norm, p, root).  The
-    ideals above one p share one int p; they form no cycles, so the cyclic
-    GC, whose scans of a large heap cost more than the build, is paused."""
+    ideals above one p share one int p."""
     t = prime_ideal_table(field, max_norm)
     new = np.diff(t.p, prepend=0) != 0  # the ideals above one p are adjacent
     ps = t.p[new].astype(object)[np.cumsum(new) - 1].tolist()  # one int per p
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        return tuple([PrimeIdeal(field, p, _KINDS[k], None if r < 0 else r)
-                      for p, k, r in zip(ps, t.kind.tolist(), t.root.tolist())])
-    finally:
-        if enabled:
-            gc.enable()
+    return tuple([PrimeIdeal(field, p, _KINDS[k], None if r < 0 else r)
+                  for p, k, r in zip(ps, t.kind.tolist(), t.root.tolist())])
 
 
 @dataclass(frozen=True, slots=True)
@@ -413,19 +405,34 @@ def ideal_lattice(q: SquarefreeIdeal) -> IdealLattice:
     return IdealLattice(a, b % a, c)
 
 
+def _ranges(count: np.ndarray):
+    """Yield int64 arrays (row, k) with k = 0 .. count[row] - 1 for each row
+    in turn, at most `_CHUNK` pairs at a time.  A row may be split across
+    two chunks; rows with count 0 are skipped."""
+    ends = np.cumsum(count)
+    starts, total = ends - count, int(count.sum())
+    for a in range(0, total, _CHUNK):
+        # the pairs a..b-1 of the walk, those of the rows r0..r1-1
+        b = min(a + _CHUNK, total)
+        r0, r1 = np.searchsorted(ends, a, "right"), np.searchsorted(starts, b, "left")
+        row = np.repeat(np.arange(r0, r1), np.minimum(ends[r0:r1], b) - np.maximum(starts[r0:r1], a))
+        yield row, np.arange(a, b) - starts[row]
+
+
 def lattice_half_points(bases, radius: int, budget: Optional[int] = None):
     """Yield the points u*b1 + v*b2 of sup-norm <= radius of each lattice
     with integer basis b1, b2, one point of each +-pair (v > 0, or v = 0 and
     u > 0), in ascending (basis, v, u) order.
 
-    `bases` holds rows x1, y1, x2, y2, one column per lattice.  Each chunk of
-    at most `_LATTICE_CHUNK` points is a triple of int64 arrays (i, k1, k2):
-    the basis index and the coordinates.  Cramer's rule bounds v by
-    radius*|b1|_1/det; each row's u-range is the intersection of the exact
-    integer slabs |u*x1 + v*x2| <= radius and |u*y1 + v*y2| <= radius, so
-    every listed point lies in the box.  With a `budget`, BudgetError is
-    raised when the rows, or then the points, exceed it, before any array of
-    that size is made.
+    `bases` holds rows x1, y1, x2, y2, one column per lattice.  Each chunk is
+    a triple of int64 arrays (i, k1, k2): the basis index and the
+    coordinates.  Cramer's rule bounds v by radius*|b1|_1/det; each row's
+    u-range is the intersection of the exact integer slabs
+    |u*x1 + v*x2| <= radius and |u*y1 + v*y2| <= radius, so every listed
+    point lies in the box.  The rows, then each row chunk's points, are
+    walked by `_ranges`.  With a `budget`, BudgetError is raised when the
+    rows, or then the points (summed a row chunk at a time), exceed it,
+    before any array of that size is made.
     """
     x1, y1, x2, y2 = np.asarray(bases, dtype=np.int64).reshape(4, -1)
     det = np.abs(x1 * y2 - y1 * x2)
@@ -436,32 +443,28 @@ def lattice_half_points(bases, radius: int, budget: Optional[int] = None):
             raise BudgetError(f"a walk over {brief(rows)} lattice rows in the box of radius "
                               f"{brief(radius)} exceeds the budget {budget}")
     n = radius * (np.abs(x1) + np.abs(y1)) // det + 1  # rows v = 0 .. n-1
-    i = np.repeat(np.arange(n.size), n)
-    v = np.arange(i.size) - np.repeat(np.cumsum(n) - n, n)
-    # the slabs |u*c + v*d| <= radius, c = x1, y1: u*|c| + off in [-radius, radius]
-    c, d = np.stack([x1[i], y1[i]]), v * np.stack([x2[i], y2[i]])
-    m, off, big = np.abs(c), np.where(c < 0, -d, d), np.iinfo(np.int64).max
-    free = np.abs(off) <= radius  # where c = 0: every u, or none
-    lo = np.where(m > 0, -((radius + off) // np.maximum(m, 1)), np.where(free, -big, 1)).max(0)
-    hi = np.where(m > 0, (radius - off) // np.maximum(m, 1), np.where(free, big, 0)).min(0)
-    lo[v == 0] = np.maximum(lo[v == 0], 1)
-    count = hi - lo + 1
-    keep = count > 0
-    i, v, lo, count = i[keep], v[keep], lo[keep], count[keep]
-    total = int(count.sum())
-    if budget is not None and total > budget:
-        raise BudgetError(f"a walk over {total} lattice points in the box of radius "
-                          f"{brief(radius)} exceeds the budget {budget}")
-    ends = np.cumsum(count)
-    starts = ends - count
-    ux, uy, vx, vy = x1[i], y1[i], v * x2[i], v * y2[i]
-    for a in range(0, total, _LATTICE_CHUNK):
-        b = min(a + _LATTICE_CHUNK, total)
-        r0, r1 = np.searchsorted(ends, a, "right"), np.searchsorted(starts, b, "left")
-        taken = np.minimum(ends[r0:r1], b) - np.maximum(starts[r0:r1], a)
-        row = np.repeat(np.arange(r0, r1), taken)
-        u = np.arange(a, b) - starts[row] + lo[row]
-        yield i[row], u * ux[row] + vx[row], u * uy[row] + vy[row]
+
+    def extent(i, v):
+        # each row's first u and its number of points, 0 when it has none;
+        # the slabs |u*c + v*d| <= radius, c = x1, y1: u*|c| + off in [-radius, radius]
+        c, d = np.stack([x1[i], y1[i]]), v * np.stack([x2[i], y2[i]])
+        m, off, big = np.abs(c), np.where(c < 0, -d, d), np.iinfo(np.int64).max
+        free = np.abs(off) <= radius  # where c = 0: every u, or none
+        lo = np.where(m > 0, -((radius + off) // np.maximum(m, 1)), np.where(free, -big, 1)).max(0)
+        hi = np.where(m > 0, (radius - off) // np.maximum(m, 1), np.where(free, big, 0)).min(0)
+        lo[v == 0] = np.maximum(lo[v == 0], 1)
+        return lo, np.maximum(hi - lo + 1, 0)
+
+    if budget is not None:
+        total = sum(int(extent(i, v)[1].sum()) for i, v in _ranges(n))
+        if total > budget:
+            raise BudgetError(f"a walk over {total} lattice points in the box of radius "
+                              f"{brief(radius)} exceeds the budget {budget}")
+    for i, v in _ranges(n):
+        lo, count = extent(i, v)
+        for row, k in _ranges(count):
+            b, u, w = i[row], lo[row] + k, v[row]
+            yield b, u * x1[b] + w * x2[b], u * y1[b] + w * y2[b]
 
 
 def dual_lattice_count(lat: IdealLattice, r: float) -> int:

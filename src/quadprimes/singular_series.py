@@ -17,7 +17,8 @@ in rows clipped to it, and applies their ratios with `np.multiply.at`, the
 points in ascending ideal order.  `ufunc.at` applies repeated indices in
 the order given, so each entry receives exactly the multiplication sequence
 of pointwise evaluation and sieved values are bit-identical to it; the
-rational sieve lists (multiple, ratio) pairs in ascending p alike.  The
+rational sieve lists (multiple, ratio) pairs in ascending p alike.  Both
+lists are walked in chunks of bounded size by `ideals._ranges`.  The
 residue's character moments are summed exactly over half a period and
 reflected by chi(q - r) = chi(-1) chi(r).  The mu^2/phi partial sums take
 one walk over the squarefree ideals for all their cutoffs, built as arrays
@@ -37,8 +38,8 @@ import numpy as np
 
 from .errors import BudgetError, UsageError, brief
 from .fields import FieldSpec, QuadInt
-from .ideals import (PRIME_BUDGET, _kronecker_primes, _prime_sieve, lattice_half_points,
-                     prime_ideal_table, squarefree_levels)
+from .ideals import (PRIME_BUDGET, _kronecker_primes, _prime_sieve, _ranges,
+                     lattice_half_points, prime_ideal_table, squarefree_levels)
 
 DEFAULT_CUTOFF = 100_000
 
@@ -505,17 +506,13 @@ def singular_sum_smoothed(
 # Rational-integer sieve and Montgomery's weighted sum
 
 
-# (multiple, ratio) pairs per np.multiply.at run of sieved_singular_rational
-_PAIR_RUN = 1 << 18
-
-
 def sieved_singular_rational(hmax: int, cutoff: int = DEFAULT_CUTOFF) -> np.ndarray:
     """Singular-series values for shifts 1..hmax (index 0 is NaN).
 
     The (multiple, ratio) pairs of the primes 3 <= p <= min(hmax, cutoff)
-    go in ascending p to an ordered `np.multiply.at`, at most `_PAIR_RUN` at
-    a time, so each entry gets its factors in the order of
-    `singular_series_rational`.
+    go in ascending p to an ordered `np.multiply.at`, a chunk of
+    `ideals._ranges` at a time, so each entry gets its factors in the order
+    of `singular_series_rational`.
     """
     if hmax < 1:
         raise ValueError("hmax must be at least 1")
@@ -526,15 +523,9 @@ def sieved_singular_rational(hmax: int, cutoff: int = DEFAULT_CUTOFF) -> np.ndar
     vals[2::2] *= 2.0
     vals[1::2] *= 0.0
     p = np.array(primes[: bisect.bisect_right(primes, hmax)], dtype=np.int64)
-    count, ratio = hmax // p, _member_ratio(p)
-    ends = np.cumsum(count)
-    starts, total = ends - count, int(count.sum())
-    for a in range(0, total, _PAIR_RUN):
-        # the pairs a..b-1 of the list, those of the primes r0..r1-1
-        b = min(a + _PAIR_RUN, total)
-        r0, r1 = np.searchsorted(ends, a, "right"), np.searchsorted(starts, b, "left")
-        row = np.repeat(np.arange(r0, r1), np.minimum(ends[r0:r1], b) - np.maximum(starts[r0:r1], a))
-        np.multiply.at(vals, p[row] * (np.arange(a, b) - starts[row] + 1), ratio[row])
+    ratio = _member_ratio(p)
+    for row, k in _ranges(hmax // p):
+        np.multiply.at(vals, p[row] * (k + 1), ratio[row])
     vals[0] = np.nan
     return vals
 

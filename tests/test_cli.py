@@ -1,7 +1,10 @@
 import importlib.util
 import json
 import os
+import pathlib
 import re
+import subprocess
+import sys
 import time
 
 import pytest
@@ -238,10 +241,16 @@ class TestConfigAndDiagnose:
         assert out.splitlines().count("D=-1,5,1,20,4") == 2
 
 
+# a child that runs one command line and prints its exit code and its own
+# peak RSS in KiB: VmHWM, the high-water mark of its process image since
+# exec (ru_maxrss carries the spawning process's peak across exec on Linux)
+PEAK_CHILD = ("import sys, quadprimes.cli; code = quadprimes.cli.main(sys.argv[1:]); "
+              "print(code, *[s.split()[1] for s in open('/proc/self/status') if s[:6] == 'VmHWM:'])")
+
+
 class TestHostileInputs:
     VARIANCE = ["variance", "--field", "D=-1", "--X", "10"]
-
-    @pytest.mark.parametrize("argv, code", [
+    HOSTILE = [
         (VARIANCE + ["--deltas", "0.1:0.9:0"], 2),
         (VARIANCE + ["--deltas", "abc"], 2),
         (VARIANCE + ["--deltas", "0.1:0.5"], 2),
@@ -294,7 +303,9 @@ class TestHostileInputs:
         (["variance", "--field", "D=-1", "--X", "1e300", "--deltas", "0.5"], 3),
         (["sum-singular", "--field", "D=-1", "--H", "1e300", "--cutoff", "1000"], 3),
         (["primes", "count", "--field", "D=-1", "--center", "0,0", "--H", "1e300"], 3),
-    ])
+    ]
+
+    @pytest.mark.parametrize("argv, code", HOSTILE)
     def test_one_error_line(self, capsys, argv, code):
         got, out, err = run(capsys, *argv)
         assert got == code
@@ -358,6 +369,19 @@ class TestHostileInputs:
         assert time.perf_counter() - start < 1.0
         assert (got, out) == (3, "")
         assert err.startswith("error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [argv for argv, code in HOSTILE if code == 3] + [
+        ["diagnose", "smooth-count", "--field", "D=-1", "--Y", "5", "--H", "3000000"]])
+    def test_budget_exit_bounds_memory(self, argv):
+        # each budget exit in a fresh process, which reports its own peak:
+        # a budget must refuse before the work it bounds allocates
+        src = str(pathlib.Path(cli.__file__).parent.parent)
+        child = subprocess.run([sys.executable, "-c", PEAK_CHILD, *argv], capture_output=True,
+                               text=True, env=dict(os.environ, PYTHONPATH=src))
+        assert child.stderr.startswith("error:") and child.stderr.count("\n") == 1
+        code, peak_kib = map(int, child.stdout.split())
+        assert code == 3
+        assert peak_kib < 150 * 1024
 
     def test_montgomery_hmax_checked_before_any_row(self, capsys, monkeypatch):
         def summed(H, cutoff):

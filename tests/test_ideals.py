@@ -102,8 +102,8 @@ class TestKroneckerPrimes:
 
     @pytest.mark.parametrize("D", [-1, -3, 10])
     def test_enumeration_shares_p_and_restores_gc(self, D):
-        # the two ideals above a split p hold one int; the collector is
-        # paused only during the build, whichever state it was in
+        # the two ideals above a split p hold one int; the build leaves the
+        # collector in whichever state it was in
         field = make_field(D)
         for enabled in (True, False):
             enumerate_prime_ideals.cache_clear()
@@ -124,6 +124,7 @@ class TestSplitting:
         assert p5a.split_type is SplitType.SPLIT
         [p3] = split_prime(3, Qi)
         assert p3.split_type is SplitType.INERT and p3.norm == 9
+        assert p3 == (Qi, 3, SplitType.INERT, None)  # a named tuple of its fields
         [p2] = split_prime(2, Qi)
         assert p2.split_type is SplitType.RAMIFIED and p2.root == 1
 
@@ -445,8 +446,28 @@ class TestLatticeHalfPoints:
         want = half_listing(bases, radius)
         with pytest.MonkeyPatch.context() as mp:
             for chunk in (1, 7):
-                mp.setattr(ideals, "_LATTICE_CHUNK", chunk)
+                mp.setattr(ideals, "_CHUNK", chunk)
                 assert half_listing(bases, radius) == want
+
+
+class TestRanges:
+    @settings(max_examples=60, deadline=None)
+    @given(count=st.lists(st.integers(0, 12), max_size=30), chunk=st.sampled_from([1, 3, 7]))
+    @example(count=[0, 0, 5, 0, 0, 9, 0, 0], chunk=3)
+    @example(count=[], chunk=1)
+    @example(count=[0, 0], chunk=7)
+    def test_chunks_concatenate_to_the_flat_walk(self, count, chunk):
+        count = np.array(count, dtype=np.int64)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ideals, "_CHUNK", chunk)
+            chunks = list(ideals._ranges(count))
+        assert all(0 < row.size <= chunk and row.size == k.size and row.dtype == k.dtype == np.int64
+                   for row, k in chunks)
+        rows = np.concatenate([np.empty(0, np.int64)] + [row for row, _ in chunks])
+        ks = np.concatenate([np.empty(0, np.int64)] + [k for _, k in chunks])
+        want = np.repeat(np.arange(count.size), count)
+        assert rows.tolist() == want.tolist()
+        assert ks.tolist() == (np.arange(want.size) - (np.cumsum(count) - count)[want]).tolist()
 
 
 class TestIdealLattice:

@@ -408,8 +408,8 @@ class TestRational:
     @pytest.mark.parametrize("run", [7, 1 << 18])
     def test_sieve_matches_pointwise_at_every_cutoff(self, run, monkeypatch):
         # cutoffs below, at and above the smallest primes and below hmax; the
-        # pair runs cut the ascending (multiple, ratio) list anywhere
-        monkeypatch.setattr(singular_series_module, "_PAIR_RUN", run)
+        # chunks cut the ascending (multiple, ratio) list anywhere
+        monkeypatch.setattr(ideals_module, "_CHUNK", run)
         for cutoff in (2, 3, 100, 10**4):
             vals = sieved_singular_rational(2000, cutoff)
             assert math.isnan(vals[0])
@@ -572,7 +572,7 @@ class TestSievedBox:
         F, r, P = make_field(D), 20, 3000
         want = sieved_singular_box(F, r, P).values
         for chunk in (13, 97, 4096):
-            monkeypatch.setattr(ideals_module, "_LATTICE_CHUNK", chunk)
+            monkeypatch.setattr(ideals_module, "_CHUNK", chunk)
             got = sieved_singular_box(F, r, P).values
             assert np.array_equal(got, want, equal_nan=True)
         assert singular_series(F.element(3, 5), P).value == want[r + 3, r + 5]
