@@ -3,9 +3,8 @@
 
 Writes one CSV per field (plus metadata sidecar) into --outdir via the CLI,
 so the artifacts are byte-identical to running `quadprimes variance` by hand
-with the same options.  V defaults to the second-order expected count, the
-statistic criterion 6 checks; `quadprimes variance` itself defaults to
-first-order.
+with the same options.  V is taken about the second-order expected count,
+the statistic criterion 6 checks.
 """
 
 import argparse
@@ -13,7 +12,6 @@ import os
 import sys
 
 from quadprimes.cli import main as cli_main
-from quadprimes.statistics import DENSITY_MODELS
 
 FIELDS = ["D=-1", "D=-3", "D=-5", "D=-7", "D=2", "D=3", "D=10"]
 
@@ -25,8 +23,6 @@ def main(argv=None):
                     help="delta grid, lo:hi:step or comma list")
     ap.add_argument("--outdir", default="out/variance", help="output directory")
     ap.add_argument("--sampler", default="grid", choices=["grid", "jitter"])
-    ap.add_argument("--density", default="second-order", choices=DENSITY_MODELS,
-                    help="expected-count model of V (criterion 6's is second-order)")
     args = ap.parse_args(argv)
 
     os.makedirs(args.outdir, exist_ok=True)
@@ -34,8 +30,7 @@ def main(argv=None):
         out = os.path.join(args.outdir, f"variance_{field.replace('=', '')}.csv")
         code = cli_main([
             "variance", "--field", field, "--X", str(args.X),
-            "--deltas", args.deltas, "--sampler", args.sampler,
-            "--density", args.density, "--out", out,
+            "--deltas", args.deltas, "--sampler", args.sampler, "--out", out,
         ])
         if code != 0:
             print(f"failed on {field} (exit {code})", file=sys.stderr)

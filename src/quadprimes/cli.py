@@ -37,9 +37,11 @@ from .singular_series import (
     singular_sums_smoothed,
 )
 from .smoothing import Kind, TestFunction
-from .statistics import DENSITY_MODELS, Sampler, grid_extent, variance_profile, zbaseline_row
+from .statistics import Sampler, grid_extent, variance_profile, zbaseline_row
 
 _DELTA_BUDGET = 1000
+# Ramanujan-sum terms of one `diagnose condensation` run: 49 shifts x 2^k divisors
+_CONDENSATION_BUDGET = 2_000_000
 
 
 def _fmt(v) -> str:
@@ -216,7 +218,7 @@ def cmd_variance(args) -> int:
     field = parse_field_spec(args.field)
     sampler = Sampler(kind=args.sampler)
     deltas = _parse_deltas(args.deltas)
-    rows = variance_profile(field, args.X, deltas, sampler, density=args.density)
+    rows = variance_profile(field, args.X, deltas, sampler)
     res = residue_rk(field, 1e-8)
     _emit(
         args,
@@ -224,8 +226,7 @@ def cmd_variance(args) -> int:
         [(r.field, r.X, r.delta, r.H, r.n_samples, r.E, r.V, r.ratio, r.target)
          for r in rows],
         {"rk": res.value, "rk_error_bound": res.error_bound,
-         "sampler": args.sampler, "density": args.density,
-         "grid_extent": grid_extent(args.X, deltas)},
+         "sampler": args.sampler, "grid_extent": grid_extent(args.X, deltas)},
     )
     return 0
 
@@ -279,8 +280,16 @@ def cmd_diagnose(args) -> int:
         _emit(args, ["field", "norm", "H", "count", "w0", "riemann_ref"], rows, {})
         return 0
     if args.topic == "condensation":
+        terms = 0
+
+        def terms_within_budget(c):
+            nonlocal terms
+            terms += 49 << len(c.factors)  # each shift sums c_d over the divisors d of c
+            if terms > _CONDENSATION_BUDGET:
+                raise BudgetError(f"--Y {args.Y}: over {_CONDENSATION_BUDGET} Ramanujan-sum terms")
+
         rows = []
-        for c in enumerate_squarefree_ideals(field, args.Y):
+        for c in enumerate_squarefree_ideals(field, args.Y, terms_within_budget):
             for k1 in range(-3, 4):
                 for k2 in range(-3, 4):
                     eta = field.element(k1, k2)
@@ -371,9 +380,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--deltas", default="0.1:0.9:0.1",
                    help="lo:hi:step or comma list of exponents")
     p.add_argument("--sampler", choices=["grid", "jitter"], default="grid")
-    p.add_argument("--density", choices=DENSITY_MODELS, default="first-order",
-                   help="expected-count model subtracted in V: 1/log|N|, or "
-                   "also the principal prime-ideal squares")
     _add_common(p)
     p.set_defaults(func=cmd_variance)
 

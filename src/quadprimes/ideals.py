@@ -7,13 +7,12 @@ minimal polynomial x^2 + b x + c factors mod p: each root r gives the prime
 ideal (p, omega - r), so two roots mean split, a double root ramified and no
 root inert.  One kernel, `_kronecker_primes`, gives (d|p) for an array of
 primes (Euler's criterion, p = 2 from d mod 8) to `_split_primes`, the
-residue's character table and `primes.is_prime_element`.  `_split_primes`
-splits an array of primes at once: for odd p the roots are
-(-b +- sqrt(d))/2, d = b^2 - 4c, by Tonelli-Shanks, one lane per prime
-(`_sqrt_mod_array`).  `prime_ideal_table` splits all sieved primes into
-one table of arrays per field and bound that every enumeration reads,
-`split_prime` splits one prime and `primes.build_grid` finds its inert
-primes with it.
+residue's character table, `primes.is_prime_element` and the inert primes
+of `primes.build_grid`.  `_split_primes` splits an array of primes at once:
+for odd p the roots are (-b +- sqrt(d))/2, d = b^2 - 4c, by Tonelli-Shanks,
+one lane per prime (`_sqrt_mod_array`).  `prime_ideal_table` splits all
+sieved primes into one table of arrays per field and bound that every
+enumeration reads, and `split_prime` splits one prime.
 Squarefree ideals are products of distinct prime ideals and carry their
 Moebius value, totient and norm.  They are built as arrays, one level per
 number of prime factors, each product from its parent (`squarefree_levels`),
@@ -431,8 +430,8 @@ def lattice_half_points(bases, radius: int, budget: Optional[int] = None):
     |u*x1 + v*x2| <= radius and |u*y1 + v*y2| <= radius, so every listed
     point lies in the box.  The rows, then each row chunk's points, are
     walked by `_ranges`.  With a `budget`, BudgetError is raised when the
-    rows, or then the points (summed a row chunk at a time), exceed it,
-    before any array of that size is made.
+    rows exceed it, or the points, summed a row chunk at a time, cross it:
+    at the first such chunk, before any array of that size is made.
     """
     x1, y1, x2, y2 = np.asarray(bases, dtype=np.int64).reshape(4, -1)
     det = np.abs(x1 * y2 - y1 * x2)
@@ -455,11 +454,10 @@ def lattice_half_points(bases, radius: int, budget: Optional[int] = None):
         lo[v == 0] = np.maximum(lo[v == 0], 1)
         return lo, np.maximum(hi - lo + 1, 0)
 
-    if budget is not None:
-        total = sum(int(extent(i, v)[1].sum()) for i, v in _ranges(n))
-        if total > budget:
-            raise BudgetError(f"a walk over {total} lattice points in the box of radius "
-                              f"{brief(radius)} exceeds the budget {budget}")
+    if budget is not None and any(total > budget for total in itertools.accumulate(
+            int(extent(i, v)[1].sum()) for i, v in _ranges(n))):
+        raise BudgetError(f"a walk over more than {budget} lattice points in the box of "
+                          f"radius {brief(radius)} exceeds the budget")
     for i, v in _ranges(n):
         lo, count = extent(i, v)
         for row, k in _ranges(count):

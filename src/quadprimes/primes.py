@@ -27,7 +27,8 @@ The 1/log|N| weight divided by r_K is the first-order expected number of
 prime elements per lattice point.  Prime elements generate prime ideals only,
 not squares of prime ideals, so the expectation has a second-order term
 -kappa_K / (r_K sqrt|N| log|N|), kappa_K = |Cl_K[2]| / 2; its weight has a
-prefix table of the same layout, built by `build_grid(..., square_weights=True)`.
+prefix table of the same layout, built for `statistics.variance_profile` by
+`build_grid(..., square_weights=True)`.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ import numpy as np
 
 from .errors import BudgetError, ExtentError, FieldSpecError, GridFileError, UsageError, brief
 from .fields import BasisKind, FieldSpec, QuadInt, divide_exact
-from .ideals import _INERT, _kronecker_primes, _prime_sieve, _split_primes, miller_rabin
+from .ideals import _kronecker_primes, _prime_sieve, miller_rabin
 
 GRID_MAGIC = b"SINF"
 GRID_VERSION = 1
@@ -131,8 +132,8 @@ def build_grid(field: FieldSpec, extent: int, square_weights: bool = False) -> P
     if max_norm > 2_000_000_000:
         raise BudgetError(f"norms up to {brief(max_norm)} exceed the sieve budget")
     prime_norm = _prime_sieve(max(max_norm, 2))
-    p, _, kind = _split_primes(field, np.flatnonzero(prime_norm[: math.isqrt(max_norm) + 1]))
-    prime_norm[p[kind == _INERT] ** 2] = True
+    p = np.flatnonzero(prime_norm[: math.isqrt(max_norm) + 1])
+    prime_norm[p[_kronecker_primes(field.discriminant, p) == -1] ** 2] = True
 
     dtypes = [np.int64, np.float64, np.float64][: 3 if square_weights else 2]
     tables = [np.zeros((W + 1, W + 1), dtype) for dtype in dtypes]

@@ -3,18 +3,17 @@
 The field statistics are the rows of `variance_profile`, its one entry point:
 per interval exponent delta, E is the mean count of prime elements in the
 boxes of radius H = X^delta around centers in the sup-norm ball of radius X,
-and V the mean square of each count minus its expected count.  The expected
-count follows one of two density models: "first-order" (the default)
-subtracts the 1/log|N| weight over r_K; "second-order" also subtracts
-kappa_K / (r_K sqrt|N| log|N|) for the prime-ideal squares that are
-principal.  Both samplers average exactly, over integer centers or over
-centers uniform in their cells: a box's bounds are constant on at most three
-pieces of the in-cell offset per axis (`Sampler.offsets`), so every average
-is a weighted sum of prefix-table slices (`grid_box_sums`).  Those sums run
-in strips of center rows, one strip per task on a thread pool with one
-worker per CPU the process may use.  The rows do not depend on the order in
-which the strips finish: their counts add up as integers, and V is one mean
-over one buffer that the strips fill.
+and V the mean square of each count minus its expected count: the 1/log|N|
+weight less kappa_K / (sqrt|N| log|N|), over r_K, since the prime-ideal
+squares that are principal hold no prime element.  Both samplers average
+exactly, over integer centers or over centers uniform in their cells: a
+box's bounds are constant on at most three pieces of the in-cell offset per
+axis (`Sampler.offsets`), so every average is a weighted sum of prefix-table
+slices (`grid_box_sums`).  Those sums run in strips of center rows, one
+strip per task on a thread pool with one worker per CPU the process may
+use.  The rows do not depend on the order in which the strips finish: their
+counts add up as integers, and V is one mean over one buffer that the
+strips fill.
 
 The rational baselines are exact by the argument of the samplers: for
 integer interval length the window counts are piecewise constant in the
@@ -107,28 +106,23 @@ class VarianceRow:
     target: float  # 1 - delta
 
 
-DENSITY_MODELS = ("first-order", "second-order")
-
-
 def variance_profile(
     field: FieldSpec,
     X: float,
     deltas: list[float],
     sampler: Sampler = Sampler(),
     grid: PrefixGrid | None = None,
-    density: str = "first-order",
 ) -> list[VarianceRow]:
     """One grid build, one row per interval exponent delta, H = X^delta.
 
-    V is the mean square of the box count minus its expected count; density
-    picks the expectation.  "first-order" subtracts sum 1/log|N| / r_K, the
-    prime ideal theorem's density.  "second-order" subtracts
-    sum (1/log|N| - kappa_K / (sqrt|N| log|N|)) / r_K with
+    V is the mean square of the box count minus its expected count
+    sum (1/log|N| - kappa_K / (sqrt|N| log|N|)) / r_K over the box, with
     kappa_K = |Cl_K[2]| / 2: prime elements generate prime ideals but not
     prime-ideal squares, and p^2 is principal exactly when [p] lies in
-    Cl_K[2].  E is the mean box count under either model.  A grid passed
-    in must be built for `field`, and for "second-order" with
-    `square_weights=True`.
+    Cl_K[2].  E is the mean box count.  The grid built here carries the
+    `sqrt_log_weight` table.  A grid passed in must be built for `field`;
+    without that table (`build_grid`'s default) the kappa_K term is left
+    out, which keeps the first-order rows of such a grid.
 
     E and V sum the means over pairs of the sampler's per-axis pieces, times
     the pieces' weights.  Every box sum is a slice of a prefix table, so the
@@ -147,18 +141,13 @@ def variance_profile(
         raise UsageError(f"X must be a finite number >= 0, got {X!r}")
     if not deltas or not all(0.0 < d < 1.0 for d in deltas):
         raise UsageError("deltas must lie strictly between 0 and 1")
-    if density not in DENSITY_MODELS:
-        raise UsageError(f"unknown density model {density!r}")
-    second_order = density == "second-order"
     M = sampler.radius(X)  # fail on the sample budget before building a grid
     if grid is None:
-        grid = build_grid(field, grid_extent(X, deltas), square_weights=second_order)
+        grid = build_grid(field, grid_extent(X, deltas), square_weights=True)
     elif grid.field != field:
         raise UsageError(f"grid built for {grid.field.spec_string()}, not {field.spec_string()}")
     tables = [grid.prime_count, grid.log_weight]
-    if second_order:
-        if grid.sqrt_log_weight is None:
-            raise ValueError("second-order density needs a grid built with square_weights=True")
+    if grid.sqrt_log_weight is not None:
         tables.append(grid.sqrt_log_weight)
         kappa = 2.0 ** class_group_2_rank(field) / 2.0
     rk = residue_rk(field, 1e-8).value

@@ -150,7 +150,7 @@ def test_criterion_6_variance_figures(capsys):
     ok = True
     for D in (-1, -3, -5, -7, 2, 3, 10):
         field = make_field(D)
-        rows = variance_profile(field, 1000.0, deltas, density="second-order")
+        rows = variance_profile(field, 1000.0, deltas)
         ratios = [r.ratio for r in rows]
         inversions = sum(1 for a, b in zip(ratios, ratios[1:]) if b > a)
         slope = fit_slope(deltas, ratios)

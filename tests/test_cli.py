@@ -149,36 +149,18 @@ class TestVariance:
         assert open(a).read() == open(b).read()
 
     def test_default_density_output_unchanged(self, capsys):
-        # first-order output pinned from before --density existed; the
-        # default must not change it
+        # the second-order output, pinned from when it was spelled
+        # `--density second-order`; the one expected-count model must keep it
         want = (
             "field,X,delta,H,n_samples,E,V,ratio,target\n"
-            "D=10,40,0.3,3.02425214533,6561,5.53696082914,4.84339475591,"
-            "0.874738851396,0.7\n"
-            "D=10,40,0.9,27.6601156872,6561,328.561804603,1086.11792326,"
-            "3.30567311248,0.1\n"
+            "D=10,40,0.3,3.02425214533,6561,5.53696082914,4.0444405032,"
+            "0.730444124133,0.7\n"
+            "D=10,40,0.9,27.6601156872,6561,328.561804603,288.290900986,"
+            "0.877432790262,0.1\n"
         )
         argv = ["variance", "--field", "D=10", "--X", "40", "--deltas", "0.3,0.9"]
         code, out, _ = run(capsys, *argv)
         assert code == 0 and out == want
-        code, out, _ = run(capsys, *argv, "--density", "first-order")
-        assert code == 0 and out == want
-
-    def test_density_models_share_e_not_v(self, capsys, tmp_path):
-        cols = {}
-        for model in ("first-order", "second-order"):
-            path = str(tmp_path / f"{model}.csv")
-            code, _, _ = run(capsys, "variance", "--field", "D=10", "--X", "40",
-                             "--deltas", "0.3,0.9", "--density", model,
-                             "--out", path)
-            assert code == 0
-            meta = json.loads(open(path + ".meta.json").read())
-            assert meta["density"] == model
-            rows = [line.split(",") for line in open(path).read().splitlines()[1:]]
-            cols[model] = ([r[5] for r in rows], [r[6] for r in rows])
-        (e1, v1), (e2, v2) = cols["first-order"], cols["second-order"]
-        assert e1 == e2
-        assert all(a != b for a, b in zip(v1, v2))
 
     def test_figure_script_writes_second_order_data(self, capsys, tmp_path):
         # the figure data is the statistic criterion 6 checks
@@ -192,12 +174,11 @@ class TestVariance:
                             "--outdir", str(outdir)]) == 0
         by_hand = str(tmp_path / "by_hand.csv")
         code, _, _ = run(capsys, "variance", "--field", "D=10", "--X", "20",
-                         "--deltas", "0.3,0.9", "--density", "second-order",
-                         "--out", by_hand)
+                         "--deltas", "0.3,0.9", "--out", by_hand)
         assert code == 0
         fig = str(outdir / "variance_D10.csv")
         assert open(fig).read() == open(by_hand).read()
-        assert json.loads(open(fig + ".meta.json").read())["density"] == "second-order"
+        assert "density" not in json.loads(open(fig + ".meta.json").read())
 
     def test_variance_z(self, capsys):
         code, out, _ = run(capsys, "variance-z", "--X", "2000",
@@ -303,6 +284,10 @@ class TestHostileInputs:
         (["variance", "--field", "D=-1", "--X", "1e300", "--deltas", "0.5"], 3),
         (["sum-singular", "--field", "D=-1", "--H", "1e300", "--cutoff", "1000"], 3),
         (["primes", "count", "--field", "D=-1", "--center", "0,0", "--H", "1e300"], 3),
+        # V has one expected-count model, so the old switch is an unknown option
+        (VARIANCE + ["--density", "second-order"], 2),
+        # passes the prime budget; its 49 x 2^k Ramanujan-sum terms do not
+        (["diagnose", "condensation", "--Y", "2000000"], 3),
     ]
 
     @pytest.mark.parametrize("argv, code", HOSTILE)
@@ -420,8 +405,7 @@ FUZZ_COMMANDS = {
                         "--w": ("square", CHOICES), "--cutoff": ("1000", NUMBERS)},
     ("montgomery",): {"--Hmax": ("64", NUMBERS), "--cutoff": ("1000", NUMBERS)},
     ("variance",): {"--field": ("D=-1", FIELDS), "--X": ("8", NUMBERS),
-                    "--deltas": ("0.5", LISTS), "--sampler": ("grid", CHOICES),
-                    "--density": ("first-order", CHOICES)},
+                    "--deltas": ("0.5", LISTS), "--sampler": ("grid", CHOICES)},
     ("variance-z",): {"--X": ("1000", NUMBERS), "--deltas": ("0.5", LISTS)},
     ("diagnose", "dual-count"): {"--field": ("D=-1", FIELDS), "--Y": ("5", NUMBERS)},
     ("diagnose", "smooth-count"): {"--field": ("D=-1", FIELDS), "--Y": ("5", NUMBERS),

@@ -627,6 +627,22 @@ class TestSmoothedCounts:
         with pytest.raises(BudgetError):
             next(lattice_half_points(bases, radius, len(points) - 1))
 
+    def test_point_budget_stops_at_the_first_crossing_chunk(self, monkeypatch):
+        # basis (1, 0), (0, 2) at radius 10: the 6 rows pass a budget of 8,
+        # and the first row alone holds 10 points, so one row chunk decides
+        chunks = []
+
+        def counted(count, ranges=ideals._ranges):
+            for chunk in ranges(count):
+                chunks.append(len(chunk[0]))
+                yield chunk
+
+        monkeypatch.setattr(ideals, "_CHUNK", 1)
+        monkeypatch.setattr(ideals, "_ranges", counted)
+        with pytest.raises(BudgetError, match="more than 8 lattice points"):
+            next(lattice_half_points([1, 0, 0, 2], 10, 8))
+        assert chunks == [1]
+
     def test_walk_budget(self, monkeypatch):
         unit = SquarefreeIdeal.unit(Qi)
         with pytest.raises(BudgetError):

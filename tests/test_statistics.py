@@ -40,6 +40,11 @@ def _residue(F):
     return residue_rk(F, 1e-8).value
 
 
+# test ids of the grids without and with the sqrt_log_weight table, the
+# expected-count models that `variance_profile` reads off them
+ORDER = ["first-order", "second-order"]
+
+
 class TestSampler:
     def test_grid_centers(self):
         pts = Sampler().centers(3.0)
@@ -157,33 +162,35 @@ class TestFieldStatistics:
         built = []
 
         def spy(field, extent, square_weights=False):
-            built.append(extent)
+            built.append((extent, square_weights))
             return build_grid(field, extent, square_weights)
 
         monkeypatch.setattr(statistics, "build_grid", spy)
         variance_profile(Qi, 30.0, [0.2, 0.7])
-        assert built == [grid_extent(30.0, [0.2, 0.7])] == [math.ceil(30 + 30**0.7) + 2]
+        assert built == [(grid_extent(30.0, [0.2, 0.7]), True)]
+        assert grid_extent(30.0, [0.2, 0.7]) == math.ceil(30 + 30**0.7) + 2
 
 
 class TestSlicePath:
     """Grid-sampler rows come from slices; they equal the gather path's."""
 
     @pytest.mark.parametrize("D", [-1, -3, 10])
-    @pytest.mark.parametrize("density", ["first-order", "second-order"])
-    def test_rows_equal_gather_path(self, D, density):
+    @pytest.mark.parametrize("square_weights", [False, True], ids=ORDER)
+    def test_rows_equal_gather_path(self, D, square_weights):
+        # a grid with the sqrt_log_weight table gives the second-order rows,
+        # one without it the first-order rows; E is the mean count on both
         F = make_field(D)
         X, deltas = 30.0, [0.2, 0.5, 0.9]
-        g = build_grid(F, grid_extent(X, deltas), square_weights=True)
-        rows = variance_profile(F, X, deltas, grid=g, density=density)
+        g = build_grid(F, grid_extent(X, deltas), square_weights=square_weights)
+        rows = variance_profile(F, X, deltas, grid=g)
         centers = Sampler().centers(X)
         rk = _residue(F)
-        kappa = 2 ** class_group_2_rank(F) / 2 if density == "second-order" else 0.0
+        kappa = 2 ** class_group_2_rank(F) / 2
+        tables = [g.prime_count, g.log_weight] + [g.sqrt_log_weight] * square_weights
         for delta, row in zip(deltas, rows):
-            counts, weights, sq = box_sums(
-                g, [g.prime_count, g.log_weight, g.sqrt_log_weight], centers, X**delta
-            )
+            counts, weights, *sq = box_sums(g, tables, centers, X**delta)
             counts = counts.astype(np.float64)
-            expected = weights - kappa * sq if kappa else weights
+            expected = weights - kappa * sq[0] if sq else weights
             tilde = counts - expected / rk
             assert row.n_samples == len(centers)
             assert row.E == float(counts.mean())
@@ -224,35 +231,35 @@ class TestStrips:
     """`variance_profile` answers each pair of pieces in strips of center rows."""
 
     @pytest.mark.parametrize("D", [-1, -3, 10])
-    @pytest.mark.parametrize("density", ["first-order", "second-order"])
-    def test_strip_height_does_not_change_rows(self, D, density, monkeypatch):
+    @pytest.mark.parametrize("square_weights", [False, True], ids=ORDER)
+    def test_strip_height_does_not_change_rows(self, D, square_weights, monkeypatch):
         # X = 0.2 has H = 0.2^0.5 < 1/2, so two of its jitter pieces are empty
         F = make_field(D)
         for X in (40.0, 0.2):
             deltas = [0.3, 0.5, 0.9]
-            g = build_grid(F, grid_extent(X, deltas), square_weights=True)
+            g = build_grid(F, grid_extent(X, deltas), square_weights=square_weights)
             n = 2 * math.floor(X) + 1
             for kind in ("grid", "jitter"):
-                want = variance_profile(F, X, deltas, Sampler(kind), g, density)
+                want = variance_profile(F, X, deltas, Sampler(kind), g)
                 for strip in (1, 7, n, n + 5):
                     monkeypatch.setattr(primes, "_STRIP_ROWS", strip)
-                    assert variance_profile(F, X, deltas, Sampler(kind), g, density) == want
+                    assert variance_profile(F, X, deltas, Sampler(kind), g) == want
                 monkeypatch.undo()
         assert any(lo > hi for _, lo, hi in Sampler("jitter").offsets(0.2**0.5))
 
-    @pytest.mark.parametrize("density", ["first-order", "second-order"])
+    @pytest.mark.parametrize("square_weights", [False, True], ids=ORDER)
     @pytest.mark.parametrize("workers", [1, 2, 3])
-    def test_worker_count_does_not_change_rows(self, density, workers, monkeypatch):
+    def test_worker_count_does_not_change_rows(self, square_weights, workers, monkeypatch):
         F, X, deltas = make_field(10), 40.0, [0.3, 0.5, 0.9]
-        g = build_grid(F, grid_extent(X, deltas), square_weights=True)
+        g = build_grid(F, grid_extent(X, deltas), square_weights=square_weights)
         n = 2 * math.floor(X) + 1
         for kind in ("grid", "jitter"):
             monkeypatch.setattr(statistics, "_cpu_count", lambda: 1)
-            want = variance_profile(F, X, deltas, Sampler(kind), g, density)
+            want = variance_profile(F, X, deltas, Sampler(kind), g)
             monkeypatch.setattr(statistics, "_cpu_count", lambda: workers)
             for strip in (1, 7, n):
                 monkeypatch.setattr(primes, "_STRIP_ROWS", strip)
-                assert variance_profile(F, X, deltas, Sampler(kind), g, density) == want
+                assert variance_profile(F, X, deltas, Sampler(kind), g) == want
             monkeypatch.undo()
 
     def test_finishing_order_does_not_change_rows(self, monkeypatch):
@@ -294,19 +301,19 @@ class TestStrips:
         monkeypatch.setattr(os, "cpu_count", lambda: None)
         assert statistics._cpu_count() == 1
 
-    @pytest.mark.parametrize("density", ["first-order", "second-order"])
-    def test_peak_is_one_buffer(self, density, monkeypatch):
+    @pytest.mark.parametrize("square_weights", [False, True], ids=ORDER)
+    def test_peak_is_one_buffer(self, square_weights, monkeypatch):
         # past the prebuilt tables, a call holds one (2M+1)^2 float64 buffer
         # and, per worker, a few strip-sized temporaries, not whole-box box sums
         F, X, deltas = make_field(10), 300.0, [0.3, 0.9]
         n = 2 * 300 + 1
-        g = build_grid(F, grid_extent(X, deltas), square_weights=True)
-        variance_profile(F, X, deltas, grid=g, density=density)  # warm the caches
+        g = build_grid(F, grid_extent(X, deltas), square_weights=square_weights)
+        variance_profile(F, X, deltas, grid=g)  # warm the caches
         for workers in (1, 2, 3):
             monkeypatch.setattr(statistics, "_cpu_count", lambda: workers)
             tracemalloc.start()
             try:
-                variance_profile(F, X, deltas, grid=g, density=density)
+                variance_profile(F, X, deltas, grid=g)
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
@@ -319,9 +326,11 @@ class TestJitterIsExact:
     @staticmethod
     def midpoint_rule(F, X, delta, N=100_000):
         """E and V at N midpoints u per axis, centers cell + u gathered by
-        `box_sums`; the midpoints with equal box bounds share one call."""
+        `box_sums`, about the second-order expected count; the midpoints
+        with equal box bounds share one call."""
         H = X**delta
-        g = build_grid(F, grid_extent(X, [delta]))
+        g = build_grid(F, grid_extent(X, [delta]), square_weights=True)
+        kappa = 2 ** class_group_2_rank(F) / 2
         u = -0.5 + (np.arange(N) + 0.5) / N
         bounds = np.stack([np.ceil(u - H), np.floor(u + H)], axis=1)
         _, first, count = np.unique(bounds, axis=0, return_index=True, return_counts=True)
@@ -329,8 +338,9 @@ class TestJitterIsExact:
         E = V = 0.0
         for u1, n1 in zip(u[first], count):
             for u2, n2 in zip(u[first], count):
-                c, w = box_sums(g, [g.prime_count, g.log_weight], cells + (u1, u2), H)
-                tilde = c - w / _residue(F)
+                c, w, sq = box_sums(g, [g.prime_count, g.log_weight, g.sqrt_log_weight],
+                                    cells + (u1, u2), H)
+                tilde = c - (w - kappa * sq) / _residue(F)
                 E += n1 * n2 / N**2 * c.mean()
                 V += n1 * n2 / N**2 * np.mean(tilde * tilde)
         return E, V
@@ -357,7 +367,7 @@ class TestVarianceRun:
         g = build_grid(make_field(10), grid_extent(30.0, [0.5]))
         with pytest.raises(UsageError, match="D=10"):
             variance_profile(F, 30.0, [0.5], grid=g)
-        own = build_grid(F, grid_extent(30.0, [0.5]))
+        own = build_grid(F, grid_extent(30.0, [0.5]), square_weights=True)
         assert variance_profile(F, 30.0, [0.5], grid=own) == variance_profile(F, 30.0, [0.5])
 
     def test_builds_the_character_table_once(self, monkeypatch, capsys):
@@ -384,13 +394,6 @@ def test_no_random_numbers():
 
 
 class TestDensityModels:
-    def test_rejects_unknown_model_and_grid_without_square_weights(self):
-        with pytest.raises(ValueError):
-            variance_profile(Qi, 40.0, [0.5], density="third-order")
-        g = build_grid(Qi, 80)
-        with pytest.raises(ValueError):
-            variance_profile(Qi, 40.0, [0.5], grid=g, density="second-order")
-
     def test_second_order_reduces_bias(self):
         # mean(count - expected) at delta = 0.9: the 1/log|N| density alone
         # leaves a bias from the principal prime-ideal squares it counts
@@ -408,7 +411,7 @@ class TestDensityModels:
             first = np.mean(counts - weights / rk)
             tilde = counts - (weights - kappa * sq) / rk
             assert abs(np.mean(tilde)) <= 0.5 * abs(first), D
-            (row,) = variance_profile(F, X, [0.9], grid=g, density="second-order")
+            (row,) = variance_profile(F, X, [0.9], grid=g)
             assert row.V == pytest.approx(np.mean(tilde * tilde), rel=1e-12)
             assert row.E == pytest.approx(np.mean(counts), rel=1e-12)
 
