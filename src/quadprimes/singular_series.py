@@ -18,7 +18,12 @@ points in ascending ideal order.  `ufunc.at` applies repeated indices in
 the order given, so each entry receives exactly the multiplication sequence
 of pointwise evaluation and sieved values are bit-identical to it; the
 rational sieve lists (multiple, ratio) pairs in ascending p alike.  Both
-lists are walked in chunks of bounded size by `ideals._ranges`.  The
+lists are walked in chunks of bounded size by `ideals._ranges`.  A process
+keeps one sieved box alive: the largest asked for under the last (field,
+cutoff), until another (field, cutoff) is asked for.  Smaller boxes, and
+the boxes of every H of the smoothed sums, are its centre slices; every
+entry depends only on its lattice point, so a slice equals a fresh sieve
+bit for bit.  The
 residue's character moments are summed exactly over half a period and
 reflected by chi(q - r) = chi(-1) chi(r).  The mu^2/phi partial sums take
 one walk over the squarefree ideals for all their cutoffs, built as arrays
@@ -379,9 +384,7 @@ class SingularBox:
 _STRIDED_FRACTION = 8
 
 
-def sieved_singular_box(
-    field: FieldSpec, radius: int, cutoff: int = DEFAULT_CUTOFF
-) -> SingularBox:
+def _sieve_box(field: FieldSpec, radius: int, cutoff: int) -> SingularBox:
     """Sieve the singular series over a full coordinate box.
 
     After the base fill and the norm-2 factors, every prime ideal of norm >= 3
@@ -404,11 +407,7 @@ def sieved_singular_box(
     u > 0) is applied, to whichever of eta, -eta has the larger flat index.
     That half of the box is then mirrored onto the other.
     """
-    if radius < 1:
-        raise ValueError("radius must be at least 1")
     W = 2 * radius + 1
-    if W * W > 40_000_000:
-        raise BudgetError(f"box with {brief(W * W)} entries exceeds the memory budget")
     data = _euler_data(field, cutoff)
     M = radius
     vals = np.full((W, W), data.base, dtype=np.float64)
@@ -436,6 +435,60 @@ def sieved_singular_box(
     flat[:c] = flat[:c:-1]
     vals[M, M] = np.nan
     return SingularBox(field, radius, cutoff, _tail_bound(cutoff), vals)
+
+
+# the largest box sieved under the last (field, cutoff) asked for, or None
+_largest_box: SingularBox | None = None
+
+
+def _covering_box(field: FieldSpec, radius: int, cutoff: int) -> SingularBox:
+    """A sieved box of this field and cutoff with radius >= `radius`.
+
+    The radius must be at least 1 and the box within the memory budget; both
+    are checked before the cache is looked at.  The cache holds one box, with
+    read-only values: the largest sieved under the last (field, cutoff) asked
+    for.  It is returned when it covers `radius`; otherwise it is dropped, so
+    that its memory is freed before the new box is allocated, and a box
+    sieved at `radius` takes its place.  Two threads that miss at once each
+    sieve a box; both are correct, and the last one stored stays in the cache.
+    """
+    global _largest_box
+    if radius < 1:
+        raise ValueError("radius must be at least 1")
+    W = 2 * radius + 1
+    if W * W > 40_000_000:
+        raise BudgetError(f"box with {brief(W * W)} entries exceeds the memory budget")
+    box = _largest_box
+    if box is not None and (box.field, box.cutoff) == (field, cutoff) and box.radius >= radius:
+        return box
+    box = _largest_box = None  # free the old box before the new one is allocated
+    box = _sieve_box(field, radius, cutoff)
+    box.values.flags.writeable = False
+    _largest_box = box
+    return box
+
+
+def sieved_singular_box(
+    field: FieldSpec, radius: int, cutoff: int = DEFAULT_CUTOFF
+) -> SingularBox:
+    """Singular-series values over the coordinate box sup|m(eta)| <= radius,
+    bit-identical to pointwise `singular_series`.
+
+    The box comes from `_covering_box`, which keeps the largest box sieved
+    under the last (field, cutoff) asked for alive until another (field,
+    cutoff) is asked for; `_sieve_box` describes the sieve.  At that box's
+    radius the cached box itself is returned.  A smaller box is the centre
+    slice of a larger one, since every entry depends only on its lattice
+    point, so a smaller radius gets a C-contiguous copy of that slice.  The
+    values are read-only either way.
+    """
+    box = _covering_box(field, radius, cutoff)
+    R = box.radius
+    if R == radius:
+        return box
+    values = box.values[R - radius : R + radius + 1, R - radius : R + radius + 1].copy()
+    values.flags.writeable = False
+    return SingularBox(field, radius, cutoff, box.tail_bound, values)
 
 
 @dataclass(frozen=True, slots=True)
@@ -469,10 +522,13 @@ def singular_sums_smoothed(
     Sums (S(eta) - 1) * w(m(eta)/H) over the scaled support box.  w must be
     even in each coordinate, as both `TestFunction` kinds are (they depend
     on |x1|, |x2| or on hypot(x1, x2)): its grid is evaluated on one quadrant
-    and mirrored (`_weight_grid`).  One box is sieved at the largest H; every entry depends only on its lattice point,
-    so the centre slice of that box equals the box of a smaller H, and each
-    slice is copied to a contiguous array so the sums reduce in the same order
-    as over a box of its own.  The reported uncertainty is the conservative
+    and mirrored (`_weight_grid`).  One box covers every H: `_covering_box`
+    at the largest H, which is the box kept in its cache when that covers
+    it, or else a box sieved now and kept until another (field, cutoff) is
+    asked for.  Every entry depends only on its lattice point, so the centre
+    slice of that box equals the box of a smaller H, and each slice is
+    copied to a contiguous array so the sums reduce in the same order as
+    over a box of its own.  The reported uncertainty is the conservative
     per-term tail bound; membership and avoidance corrections beyond the
     cutoff cancel on average, so the realized truncation error is far smaller.
     """
@@ -481,12 +537,12 @@ def singular_sums_smoothed(
             raise UsageError(f"H must be a finite number >= 2, got {H!r}")
     if not Hs:
         return []
-    Mmax = math.floor(max(Hs) * w.support_radius)
-    box = sieved_singular_box(field, Mmax, cutoff)
+    box = _covering_box(field, math.floor(max(Hs) * w.support_radius), cutoff)
+    R = box.radius
     results = []
     for H in Hs:
         M = math.floor(H * w.support_radius)
-        vals = box.values[Mmax - M : Mmax + M + 1, Mmax - M : Mmax + M + 1].copy()
+        vals = box.values[R - M : R + M + 1, R - M : R + M + 1].copy()
         vals[M, M] = 1.0  # origin excluded: contributes (1 - 1) * w = 0
         wgrid = _weight_grid(w, H, M)
         total = float(np.sum((vals - 1.0) * wgrid))

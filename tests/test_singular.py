@@ -1,6 +1,7 @@
 import functools
 import importlib
 import math
+import weakref
 from unittest import mock
 
 import mpmath
@@ -22,6 +23,7 @@ from quadprimes.singular_series import (
     _member_ratio,
     _moments,
     _rational_euler_data,
+    _sieve_box,
     mobius_phi_profile,
     montgomery_sum,
     residue_rk,
@@ -517,12 +519,13 @@ class TestSievedBox:
 
     @pytest.mark.parametrize("D", [-1, 10, -3, -7])
     def test_strided_share_does_not_change_values(self, D, monkeypatch):
-        # 1: every ideal of norm <= W is sliced; 10**9: only norm 2 is
+        # 1: every ideal of norm <= W is sliced; 10**9: only norm 2 is.
+        # Fresh sieves: a cached box would be compared with itself.
         F, r, P = make_field(D), 45, 5000
-        want = sieved_singular_box(F, r, P).values.tobytes()
+        want = _sieve_box(F, r, P).values.tobytes()
         for fraction in (1, 10**9):
             monkeypatch.setattr(singular_series_module, "_STRIDED_FRACTION", fraction)
-            assert sieved_singular_box(F, r, P).values.tobytes() == want
+            assert _sieve_box(F, r, P).values.tobytes() == want
 
     @pytest.mark.parametrize("D", [-7, 10, -5, 17])
     def test_array_pointwise_matches_objects_and_sieve(self, D):
@@ -550,10 +553,12 @@ class TestSievedBox:
 
     @pytest.mark.parametrize("D", [-1, 17])
     def test_centre_slice_equals_smaller_box(self, D):
+        # fresh sieves of both radii: the cache serves the small box from
+        # the big one exactly when this holds
         F, R, P = make_field(D), 50, 5000
-        big = sieved_singular_box(F, R, P).values
+        big = _sieve_box(F, R, P).values
         for r in (1, 7, 40):
-            small = sieved_singular_box(F, r, P).values
+            small = _sieve_box(F, r, P).values
             assert np.array_equal(big[R - r : R + r + 1, R - r : R + r + 1], small,
                                   equal_nan=True)
 
@@ -568,12 +573,13 @@ class TestSievedBox:
     @pytest.mark.parametrize("D", [-1, 10])
     def test_chunk_size_does_not_change_values(self, D, monkeypatch):
         # small chunks split ideals' point lists across np.multiply.at
-        # calls; the per-entry multiplication order must not change
+        # calls; the per-entry multiplication order must not change.
+        # Fresh sieves: a cached box would be compared with itself.
         F, r, P = make_field(D), 20, 3000
-        want = sieved_singular_box(F, r, P).values
+        want = _sieve_box(F, r, P).values
         for chunk in (13, 97, 4096):
             monkeypatch.setattr(ideals_module, "_CHUNK", chunk)
-            got = sieved_singular_box(F, r, P).values
+            got = _sieve_box(F, r, P).values
             assert np.array_equal(got, want, equal_nan=True)
         assert singular_series(F.element(3, 5), P).value == want[r + 3, r + 5]
 
@@ -596,6 +602,81 @@ class TestSievedBox:
     def test_budget_guard(self):
         with pytest.raises(BudgetError):
             sieved_singular_box(Qi, 10**5, 100)
+
+
+class TestBoxCache:
+    @pytest.fixture
+    def sieves(self, monkeypatch):
+        """Start from an empty cache; count the sieves, and check at the start
+        of each that the cache is empty and every box sieved before is freed."""
+        monkeypatch.setattr(singular_series_module, "_largest_box", None)
+        made = []
+
+        def counted(field, radius, cutoff):
+            assert singular_series_module._largest_box is None
+            assert all(ref() is None for ref in made)
+            box = _sieve_box(field, radius, cutoff)
+            made.append(weakref.ref(box.values))
+            return box
+
+        monkeypatch.setattr(singular_series_module, "_sieve_box", counted)
+        return made
+
+    @pytest.mark.parametrize("D", [-1, -7, 10])
+    @pytest.mark.parametrize("P", [1000, 5000])
+    def test_served_boxes_equal_fresh_sieves(self, D, P, sieves):
+        F = make_field(D)
+        for r in (5, 20, 12, 20, 3, 40, 1):
+            box = sieved_singular_box(F, r, P)
+            fresh = _sieve_box(F, r, P)
+            assert (box.field, box.radius, box.cutoff, box.tail_bound) == (
+                F, r, P, fresh.tail_bound)
+            assert box.values.flags.c_contiguous
+            assert box.values.tobytes() == fresh.values.tobytes()
+            del box, fresh  # the next miss must find the cached box freed
+        assert len(sieves) == 3  # radii 5, 20 and 40
+
+    def test_another_key_evicts(self, sieves):
+        F = make_field(-7)
+        counts = []
+        for field, r, P in [(Qi, 10, 1000), (Qi, 6, 1000), (Qi, 10, 2000),
+                            (Qi, 10, 1000), (F, 4, 1000), (Qi, 10, 1000), (Qi, 10, 1000)]:
+            sieved_singular_box(field, r, P)
+            counts.append(len(sieves))
+        assert counts == [1, 1, 2, 3, 4, 5, 5]
+
+    def test_values_are_read_only(self, sieves):
+        for r in (12, 12, 5):
+            values = sieved_singular_box(Qi, r, 1000).values
+            assert not values.flags.writeable
+            with pytest.raises(ValueError):
+                values[0, 0] = 1.0
+        assert len(sieves) == 1
+
+    def test_criterion_5_order_sieves_each_box_once(self, sieves):
+        order = [(kind, H) for kind in (Kind.DISC_AUTOCORR, Kind.SQUARE_AUTOCORR)
+                 for H in (2, 4, 8, 16)]
+        cached = [singular_sum_smoothed(Qi, TestFunction(kind), H, 5000)
+                  for kind, H in order]
+        assert len(sieves) == 4  # the disc pass; the square pass is served
+        fresh = []
+        for kind, H in order:
+            singular_series_module._largest_box = None
+            fresh.append(singular_sum_smoothed(Qi, TestFunction(kind), H, 5000))
+        assert len(sieves) == 12
+        assert cached == fresh
+
+    def test_bad_radius_raises_before_sieving(self, sieves):
+        kept = sieved_singular_box(Qi, 10, 1000)
+        w = TestFunction(Kind.SQUARE_AUTOCORR)
+        with pytest.raises(ValueError):
+            sieved_singular_box(Qi, 0, 1000)
+        with pytest.raises(BudgetError):
+            sieved_singular_box(Qi, 10**5, 1000)
+        with pytest.raises(BudgetError):
+            singular_sums_smoothed(Qi, w, [4.0, 10**5], 1000)
+        assert singular_series_module._largest_box is kept
+        assert len(sieves) == 1
 
 
 class TestWeightGrid:
@@ -637,12 +718,14 @@ class TestHeadlineSums:
     def test_batch_equals_single_calls(self, D, kind):
         # one sieve at the largest H, sliced for the others; the box of
         # D = -7 is not symmetric under (k1, k2) -> (k2, k1), so a slice
-        # summed in another memory order would round differently
+        # summed in another memory order would round differently.  Each
+        # single call sieves a box of its own: the cache is emptied first.
         F, w = make_field(D), TestFunction(kind)
         Hs = [64.0, 32.0, 128.0]
         batch = singular_sums_smoothed(F, w, Hs, 2000)
         assert [res.H for res in batch] == Hs
         for H, res in zip(Hs, batch):
+            singular_series_module._largest_box = None
             one = singular_sum_smoothed(F, w, H, 2000)
             assert res.value == one.value
             assert res.uncertainty == one.uncertainty
