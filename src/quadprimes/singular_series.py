@@ -447,8 +447,9 @@ def _covering_box(field: FieldSpec, radius: int, cutoff: int) -> SingularBox:
     The radius must be at least 1 and the box within the memory budget; both
     are checked before the cache is looked at.  The cache holds one box, with
     read-only values: the largest sieved under the last (field, cutoff) asked
-    for.  It is returned when it covers `radius`; otherwise it is dropped, so
-    that its memory is freed before the new box is allocated, and a box
+    for.  It is returned when it covers `radius`; otherwise the cutoff is
+    validated, so a bad one raises with the cache kept, and the box is
+    dropped, freeing its memory before the new box is allocated, and a box
     sieved at `radius` takes its place.  Two threads that miss at once each
     sieve a box; both are correct, and the last one stored stays in the cache.
     """
@@ -461,6 +462,7 @@ def _covering_box(field: FieldSpec, radius: int, cutoff: int) -> SingularBox:
     box = _largest_box
     if box is not None and (box.field, box.cutoff) == (field, cutoff) and box.radius >= radius:
         return box
+    _euler_data(field, cutoff)
     box = _largest_box = None  # free the old box before the new one is allocated
     box = _sieve_box(field, radius, cutoff)
     box.values.flags.writeable = False
@@ -499,19 +501,16 @@ class SmoothedSumResult:
     cutoff: int
 
 
-def _weight_grid(w, H: float, M: int) -> np.ndarray:
-    """w(k1/H, k2/H) over the box [-M, M]^2, zero at the origin.
-
-    w is even in each coordinate, so it is evaluated on the quadrant
-    k1, k2 >= 0 only and mirrored onto the other three.
-    """
-    k = np.arange(M + 1)
-    wgrid = np.empty((2 * M + 1, 2 * M + 1))
-    wgrid[M:, M:] = w.eval(k[:, None] / H, k[None, :] / H)
-    wgrid[M:, :M] = wgrid[M:, :M:-1]
-    wgrid[:M] = wgrid[:M:-1]
-    wgrid[M, M] = 0.0
-    return wgrid
+def _weighted_sum(t: np.ndarray, wq: np.ndarray, M: int) -> float:
+    """Multiply t, over the box [-M, M]^2, in place by the weights wq given on
+    the quadrant k1, k2 >= 0 and mirrored onto the other three, zero the
+    origin, and sum."""
+    t[M:, M:] *= wq
+    t[M:, :M] *= wq[:, :0:-1]
+    t[:M, M:] *= wq[:0:-1, :]
+    t[:M, :M] *= wq[:0:-1, :0:-1]
+    t[M, M] = 0.0  # origin excluded; its NaN must not reach the sum
+    return float(t.sum())
 
 
 def singular_sums_smoothed(
@@ -519,16 +518,15 @@ def singular_sums_smoothed(
 ) -> list[SmoothedSumResult]:
     """Smoothed sums of (singular series - 1) over nonzero shifts, one per H.
 
-    Sums (S(eta) - 1) * w(m(eta)/H) over the scaled support box.  w must be
-    even in each coordinate, as both `TestFunction` kinds are (they depend
-    on |x1|, |x2| or on hypot(x1, x2)): its grid is evaluated on one quadrant
-    and mirrored (`_weight_grid`).  One box covers every H: `_covering_box`
-    at the largest H, which is the box kept in its cache when that covers
-    it, or else a box sieved now and kept until another (field, cutoff) is
-    asked for.  Every entry depends only on its lattice point, so the centre
-    slice of that box equals the box of a smaller H, and each slice is
-    copied to a contiguous array so the sums reduce in the same order as
-    over a box of its own.  The reported uncertainty is the conservative
+    Sums (S(eta) - 1) * w(m(eta)/H) over the scaled support box: the centre
+    slice, for each H, of `_covering_box` at the largest H (every entry
+    depends only on its lattice point).  w must be even in each coordinate,
+    as both `TestFunction` kinds are, so it is evaluated on one quadrant.
+    Each H fills one scratch array with S - 1, then with |S|, and weighs and
+    sums it in place (`_weighted_sum`).  Every entry is the same product as
+    over a full mirrored weight grid and the array is C-contiguous, so
+    `np.sum` adds the same terms in the same pairwise order: the sums are
+    bit-identical to it.  The reported uncertainty is the conservative
     per-term tail bound; membership and avoidance corrections beyond the
     cutoff cancel on average, so the realized truncation error is far smaller.
     """
@@ -542,11 +540,12 @@ def singular_sums_smoothed(
     results = []
     for H in Hs:
         M = math.floor(H * w.support_radius)
-        vals = box.values[R - M : R + M + 1, R - M : R + M + 1].copy()
-        vals[M, M] = 1.0  # origin excluded: contributes (1 - 1) * w = 0
-        wgrid = _weight_grid(w, H, M)
-        total = float(np.sum((vals - 1.0) * wgrid))
-        uncertainty = box.tail_bound * float(np.sum(np.abs(vals) * wgrid))
+        view = box.values[R - M : R + M + 1, R - M : R + M + 1]
+        k = np.arange(M + 1)
+        wq = np.asarray(w.eval(k[:, None] / H, k[None, :] / H), dtype=np.float64)
+        t = np.subtract(view, 1.0)
+        total = _weighted_sum(t, wq, M)
+        uncertainty = box.tail_bound * _weighted_sum(np.abs(view, out=t), wq, M)
         results.append(SmoothedSumResult(total, uncertainty, H, cutoff))
     return results
 

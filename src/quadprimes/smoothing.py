@@ -48,6 +48,11 @@ class TestFunction:
         if self.kind is not Kind.DISC_AUTOCORR:
             raise ValueError("radial profile only defined for the disc kind")
         r = np.asarray(r, dtype=float)
-        rc = np.minimum(r, 2.0)
-        val = 2.0 * np.arccos(rc / 2.0) - (rc / 2.0) * np.sqrt(4.0 - rc * rc)
-        return np.where(r < 2.0, val, 0.0)
+        # 2 arccos(rc/2) - (rc/2) sqrt(4 - rc^2), rc = min(r, 2), in two scratch arrays
+        a = np.minimum(r, 2.0, out=np.empty(r.shape))
+        b = np.divide(a, 2.0, out=np.empty(r.shape))
+        np.sqrt(np.subtract(4.0, np.multiply(a, a, out=a), out=a), out=a)
+        np.multiply(b, a, out=a)
+        np.subtract(np.multiply(2.0, np.arccos(b, out=b), out=b), a, out=b)
+        b[~(r < 2.0)] = 0.0
+        return b

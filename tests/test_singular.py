@@ -1,6 +1,7 @@
 import functools
 import importlib
 import math
+import tracemalloc
 import weakref
 from unittest import mock
 
@@ -678,19 +679,88 @@ class TestBoxCache:
         assert singular_series_module._largest_box is kept
         assert len(sieves) == 1
 
+    def test_bad_cutoff_raises_before_the_cache_is_dropped(self, sieves):
+        kept = sieved_singular_box(Qi, 10, 1000)
+        with pytest.raises(UsageError):
+            sieved_singular_box(Qi, 5, 1)
+        with pytest.raises(BudgetError):
+            sieved_singular_box(Qi, 5, PRIME_BUDGET + 1)
+        with pytest.raises(UsageError):
+            singular_sums_smoothed(Qi, TestFunction(Kind.DISC_AUTOCORR), [4.0], 1)
+        assert singular_series_module._largest_box is kept
+        assert len(sieves) == 1
+
 
 class TestWeightGrid:
     @pytest.mark.parametrize("kind", [Kind.SQUARE_AUTOCORR, Kind.DISC_AUTOCORR])
     @pytest.mark.parametrize("H", [2.0, 2.5, 37.3, 512.0])
     def test_mirror_equals_full_box_eval(self, kind, H):
+        # the quadrant weights, mirrored by `_weighted_sum` onto a box of ones, are
+        # the weights evaluated over the full box, zero at the origin
         w = TestFunction(kind)
         M = math.floor(H * w.support_radius)
         k = np.arange(-M, M + 1)
         want = np.asarray(w.eval(k[:, None] / H, k[None, :] / H), dtype=np.float64)
         want[M, M] = 0.0
-        got = singular_series_module._weight_grid(w, H, M)
+        got = np.ones((2 * M + 1, 2 * M + 1))
+        q = k[M:]
+        singular_series_module._weighted_sum(got, w.eval(q[:, None] / H, q[None, :] / H), M)
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
+
+
+def full_grid_sums(box, w, Hs):
+    """The smoothed sums as computed before the scratch array: a mirrored
+    weight grid over the full box, a copy of each slice with the origin set
+    to 1, and the sums of two product arrays."""
+    R, out = box.radius, []
+    for H in Hs:
+        M = math.floor(H * w.support_radius)
+        k = np.arange(-M, M + 1)
+        wgrid = np.asarray(w.eval(k[:, None] / H, k[None, :] / H), dtype=np.float64)
+        wgrid[M, M] = 0.0
+        vals = box.values[R - M : R + M + 1, R - M : R + M + 1].copy()
+        vals[M, M] = 1.0
+        out.append((float(np.sum((vals - 1.0) * wgrid)),
+                    box.tail_bound * float(np.sum(np.abs(vals) * wgrid))))
+    return out
+
+
+class TestScratchSums:
+    HS = [2.0, 2.5, 37.3, 64.0]
+
+    @pytest.mark.parametrize("kind", [Kind.SQUARE_AUTOCORR, Kind.DISC_AUTOCORR])
+    @pytest.mark.parametrize("D", [-1, -7, 10])
+    def test_bits_equal_full_grid_formula(self, D, kind):
+        # compared by .hex(), so that a -0.0 or a NaN difference shows
+        F, w, P = make_field(D), TestFunction(kind), 2000
+        want = full_grid_sums(_sieve_box(F, math.floor(max(self.HS) * 2.0), P), w, self.HS)
+        want = [(v.hex(), u.hex()) for v, u in want]
+        singular_series_module._largest_box = None
+        batch = singular_sums_smoothed(F, w, self.HS, P)
+        assert [(r.value.hex(), r.uncertainty.hex()) for r in batch] == want
+        single = []
+        for H in self.HS:
+            singular_series_module._largest_box = None  # a box of this H's radius
+            r = singular_sum_smoothed(F, w, H, P)
+            single.append((r.value.hex(), r.uncertainty.hex()))
+        assert single == want
+
+    @pytest.mark.parametrize("kind", [Kind.SQUARE_AUTOCORR, Kind.DISC_AUTOCORR])
+    def test_peak_memory_below_two_boxes(self, kind):
+        # no full weight grid, slice copy or product temporaries: one scratch
+        # array of the box's size, the quadrant weights and their transients
+        singular_series_module._largest_box = None
+        box = sieved_singular_box(Qi, 256, 2000)
+        w = TestFunction(kind)
+        tracemalloc.start()
+        try:
+            singular_sums_smoothed(Qi, w, [128.0], 2000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert singular_series_module._largest_box is box
+        assert peak < 2 * box.values.nbytes
 
 
 class TestHeadlineSums:

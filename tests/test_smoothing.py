@@ -87,6 +87,19 @@ class TestEval:
             assert v >= 0.0
             assert v == w.eval(-x1, -x2)
 
+    def test_disc_radial_equals_where_formula(self):
+        # computed in place; the bits must be those of the np.where expression
+        r = np.concatenate([np.linspace(0.0, 2.5, 2002), [2.0, np.nextafter(2.0, 3.0),
+                                                          7.0, np.inf, np.nan, -0.5]])
+        for x in (r, r.reshape(-1, 8), 2.0, 1.5, np.nan):
+            x = np.asarray(x, dtype=float)
+            rc = np.minimum(x, 2.0)
+            val = 2.0 * np.arccos(rc / 2.0) - (rc / 2.0) * np.sqrt(4.0 - rc * rc)
+            want = np.where(x < 2.0, val, 0.0)
+            got = DISC.eval_radial(x)
+            assert type(got) is type(want) and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
     def test_disc_radial_monotone(self):
         r = np.linspace(0, 2.2, 500)
         vals = DISC.eval_radial(r)
