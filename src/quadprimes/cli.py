@@ -150,7 +150,10 @@ def cmd_primes(args) -> int:
         if grid.field != field:
             raise QuadPrimesError("grid file was built for a different field")
     else:
-        extent = math.ceil(max(abs(x1), abs(x2)) + args.H) + 1
+        reach = max(abs(x1), abs(x2)) + args.H
+        if reach == math.inf:  # finite terms whose sum overflows
+            raise BudgetError(f"the box of radius {args.H} around {x1},{x2} needs an infinite grid")
+        extent = math.ceil(reach) + 1
         grid = build_grid(field, extent)
     count = count_primes_box(grid, x1, x2, args.H)
     _emit(

@@ -26,9 +26,9 @@ the whole box.
 The 1/log|N| weight divided by r_K is the first-order expected number of
 prime elements per lattice point.  Prime elements generate prime ideals only,
 not squares of prime ideals, so the expectation has a second-order term
--kappa_K / (r_K sqrt|N| log|N|), kappa_K = |Cl_K[2]| / 2; its weight has a
-prefix table of the same layout, built for `statistics.variance_profile` by
-`build_grid(..., square_weights=True)`.
+-kappa_K / (r_K sqrt|N| log|N|), kappa_K = |Cl_K[2]| / 2, which
+`build_grid(..., square_weights=True)` folds into each cell's weight for
+`statistics.variance_profile`; `PrefixGrid.kappa` records which weight it is.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetError, ExtentError, FieldSpecError, GridFileError, UsageError, brief
-from .fields import BasisKind, FieldSpec, QuadInt, divide_exact
+from .fields import BasisKind, FieldSpec, QuadInt, class_group_2_rank, divide_exact
 from .ideals import _kronecker_primes, _prime_sieve, miller_rabin
 
 GRID_MAGIC = b"SINF"
@@ -71,16 +71,16 @@ class PrefixGrid:
 
     Tables have shape (2R+2, 2R+2) with a zero row/column in front, so
     `prime_count[i+1, j+1]` is the count over k1 <= i-R, k2 <= j-R, and a box
-    query is plain four-corner inclusion-exclusion.  `sqrt_log_weight`, the
-    table of 1/(sqrt|N| log|N|), is built only on request and is not saved
-    to grid files.
+    query is plain four-corner inclusion-exclusion.  `log_weight` sums
+    1/log|N| - kappa / (sqrt|N| log|N|), with kappa 0.0 (the default, and the
+    only weight grid files hold) or kappa_K.
     """
 
     field: FieldSpec
     extent: int
     prime_count: np.ndarray
     log_weight: np.ndarray
-    sqrt_log_weight: np.ndarray | None = None
+    kappa: float = 0.0
 
     def total_primes(self) -> int:
         return int(self.prime_count[-1, -1])
@@ -111,8 +111,8 @@ def build_grid(field: FieldSpec, extent: int, square_weights: bool = False) -> P
     with p inert is automatically an associate of p, since no ideal of norm
     p exists).  Each strip's norm surface then gives its prime mask, one
     lookup in that table, and its weights, added to the tables.  With
-    square_weights the same norm surface also gives the `sqrt_log_weight`
-    table.
+    square_weights each weight 1/log|N| less kappa_K / (sqrt|N| log|N|),
+    kappa_K = |Cl_K[2]| / 2, before it is added.
     """
     if extent < 0:
         raise UsageError(f"extent must be nonnegative, got {extent}")
@@ -135,24 +135,20 @@ def build_grid(field: FieldSpec, extent: int, square_weights: bool = False) -> P
     p = np.flatnonzero(prime_norm[: math.isqrt(max_norm) + 1])
     prime_norm[p[_kronecker_primes(field.discriminant, p) == -1] ** 2] = True
 
-    dtypes = [np.int64, np.float64, np.float64][: 3 if square_weights else 2]
-    tables = [np.zeros((W + 1, W + 1), dtype) for dtype in dtypes]
+    kappa = 2.0 ** class_group_2_rank(field) / 2.0 if square_weights else 0.0
+    tables = [np.zeros((W + 1, W + 1), np.int64), np.zeros((W + 1, W + 1))]
     # extended-precision column sums keep the 10^7-term weight sums tight
-    carries = [np.zeros(W, np.int64 if dtype is np.int64 else np.longdouble) for dtype in dtypes]
+    carries = [np.zeros(W, np.int64), np.zeros(W, np.longdouble)]
     for i0 in range(0, W, _STRIP_ROWS):
         abs_norm = np.abs(field.norm_form(k[i0 : i0 + _STRIP_ROWS, None], k[None, :]))
         prime_mask = prime_norm[abs_norm]
         with np.errstate(divide="ignore"):
             wts = np.where(abs_norm > 1, 1.0 / np.log(np.maximum(abs_norm, 2)), 0.0)
-        strip = [prime_mask, wts]
-        if square_weights:
-            n = np.maximum(abs_norm, 2).astype(np.float64)
-            sq_wts = 1.0 / (np.sqrt(n) * np.log(n))
-            sq_wts[abs_norm <= 1] = 0.0
-            strip.append(sq_wts)
-        for table, carry, values in zip(tables, carries, strip):
+        if square_weights:  # wts / sqrt|N| is 1/(sqrt|N| log|N|), and 0 where wts is
+            wts -= kappa * wts / np.sqrt(np.maximum(abs_norm, 2))
+        for table, carry, values in zip(tables, carries, (prime_mask, wts)):
             _accumulate(table, carry, values, i0)
-    return PrefixGrid(field, R, *tables)
+    return PrefixGrid(field, R, *tables, kappa)
 
 
 def _corners(table: np.ndarray, a, b, c, d):
@@ -304,7 +300,10 @@ _HEADER = struct.Struct("<4sIqBI")
 
 
 def save_grid(grid: PrefixGrid, path: str) -> None:
-    """Little-endian binary dump: header, u32 count prefixes, f64 weights."""
+    """Little-endian binary dump of a first-order grid: header, u32 count
+    prefixes, f64 weights."""
+    if grid.kappa:
+        raise UsageError(f"a grid file holds first-order weights; this grid has kappa {grid.kappa}")
     if grid.total_primes() >= 2**32:
         raise BudgetError("prime counts do not fit the u32 file format")
     with open(path, "wb") as f:

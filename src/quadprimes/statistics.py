@@ -3,9 +3,9 @@
 The field statistics are the rows of `variance_profile`, its one entry point:
 per interval exponent delta, E is the mean count of prime elements in the
 boxes of radius H = X^delta around centers in the sup-norm ball of radius X,
-and V the mean square of each count minus its expected count: the 1/log|N|
-weight less kappa_K / (sqrt|N| log|N|), over r_K, since the prime-ideal
-squares that are principal hold no prime element.  Both samplers average
+and V the mean square of each count minus its expected count: the grid's
+weight, 1/log|N| less kappa_K / (sqrt|N| log|N|) since the principal
+prime-ideal squares hold no prime element, over r_K.  Both samplers average
 exactly, over integer centers or over centers uniform in their cells: a
 box's bounds are constant on at most three pieces of the in-cell offset per
 axis (`Sampler.offsets`), so every average is a weighted sum of prefix-table
@@ -33,7 +33,7 @@ import numpy as np
 
 from . import primes
 from .errors import BudgetError, UsageError, brief
-from .fields import FieldSpec, class_group_2_rank
+from .fields import FieldSpec
 from .ideals import PRIME_BUDGET, _prime_sieve
 from .primes import PrefixGrid, build_grid, grid_box_sums
 from .singular_series import residue_rk
@@ -119,10 +119,10 @@ def variance_profile(
     sum (1/log|N| - kappa_K / (sqrt|N| log|N|)) / r_K over the box, with
     kappa_K = |Cl_K[2]| / 2: prime elements generate prime ideals but not
     prime-ideal squares, and p^2 is principal exactly when [p] lies in
-    Cl_K[2].  E is the mean box count.  The grid built here carries the
-    `sqrt_log_weight` table.  A grid passed in must be built for `field`;
-    without that table (`build_grid`'s default) the kappa_K term is left
-    out, which keeps the first-order rows of such a grid.
+    Cl_K[2].  E is the mean box count.  The grid built here folds that model
+    into its weight table (`build_grid(..., square_weights=True)`).  A grid
+    passed in must be built for `field` and is used as built: the weight
+    table of `build_grid`'s default gives the first-order rows.
 
     E and V sum the means over pairs of the sampler's per-axis pieces, times
     the pieces' weights.  Every box sum is a slice of a prefix table, so the
@@ -142,15 +142,12 @@ def variance_profile(
     if not deltas or not all(0.0 < d < 1.0 for d in deltas):
         raise UsageError("deltas must lie strictly between 0 and 1")
     M = sampler.radius(X)  # fail on the sample budget before building a grid
+    rk = residue_rk(field, 1e-8).value  # and on the residue budget
     if grid is None:
         grid = build_grid(field, grid_extent(X, deltas), square_weights=True)
     elif grid.field != field:
         raise UsageError(f"grid built for {grid.field.spec_string()}, not {field.spec_string()}")
     tables = [grid.prime_count, grid.log_weight]
-    if grid.sqrt_log_weight is not None:
-        tables.append(grid.sqrt_log_weight)
-        kappa = 2.0 ** class_group_2_rank(field) / 2.0
-    rk = residue_rk(field, 1e-8).value
     # a piece with lo > hi holds no lattice point, so its pairs add exactly 0
     pairs = [list(product([(w, (lo, hi)) for w, lo, hi in sampler.offsets(X**delta) if lo <= hi],
                           repeat=2)) for delta in deltas]
@@ -162,9 +159,7 @@ def variance_profile(
 
     def strip_total(span1, span2, strip):
         """Fill the strip's rows of sq; return the strip's integer count."""
-        counts, expected, *squares = grid_box_sums(grid, tables, M, span1, span2, strip)
-        if squares:
-            expected -= kappa * squares[0]
+        counts, expected = grid_box_sums(grid, tables, M, span1, span2, strip)
         expected /= rk
         np.subtract(counts, expected, out=expected)
         np.multiply(expected, expected, out=sq[strip[0] * n : strip[1] * n])

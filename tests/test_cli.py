@@ -288,6 +288,10 @@ class TestHostileInputs:
         (VARIANCE + ["--density", "second-order"], 2),
         # passes the prime budget; its 49 x 2^k Ramanujan-sum terms do not
         (["diagnose", "condensation", "--Y", "2000000"], 3),
+        # each term is finite, but the grid's reach |x| + H overflows to inf
+        (["primes", "count", "--field", "D=-1", "--center", "1e308,0", "--H", "1e308"], 3),
+        # the residue budget refuses before the grid's 1.5 GB norm sieve is built
+        (["variance", "--field", "D=-150001", "--X", "60"], 3),
     ]
 
     @pytest.mark.parametrize("argv, code", HOSTILE)

@@ -21,7 +21,7 @@ from quadprimes.errors import (
     UsageError,
 )
 from quadprimes import primes
-from quadprimes.fields import BasisKind, _is_squarefree, make_field
+from quadprimes.fields import BasisKind, _is_squarefree, class_group_2_rank, make_field
 from quadprimes.ideals import _prime_sieve, miller_rabin
 from quadprimes.primes import (
     box_sums,
@@ -139,10 +139,16 @@ def _prefix_table(values, acc_dtype, dtype):
     return table
 
 
+def _kappa(field):
+    """kappa_K = |Cl_K[2]| / 2, the weight of the principal prime-ideal squares."""
+    return 2 ** class_group_2_rank(field) / 2
+
+
 def _whole_box_tables(field, R, square_weights):
     """The tables of `build_grid`, each surface evaluated over the whole box
     at once and prefix-summed by `_prefix_table`: the oracle of the strip
-    build."""
+    build.  With square_weights the one weight per cell is 1/log|N| less
+    kappa_K / (sqrt|N| log|N|)."""
     k = np.arange(-R, R + 1, dtype=np.int64)
     abs_norm = np.abs(field.norm_form(k[:, None], k[None, :]))
     max_norm = int(abs_norm.max())
@@ -155,14 +161,10 @@ def _whole_box_tables(field, R, square_weights):
     prime_mask = sieve[abs_norm] | (square & inert[np.minimum(root, limit)])
     with np.errstate(divide="ignore"):
         wts = np.where(abs_norm > 1, 1.0 / np.log(np.maximum(abs_norm, 2)), 0.0)
-    tables = [_prefix_table(prime_mask, np.int64, np.int64),
-              _prefix_table(wts, np.longdouble, np.float64)]
     if square_weights:
-        n = np.maximum(abs_norm, 2).astype(np.float64)
-        sq_wts = 1.0 / (np.sqrt(n) * np.log(n))
-        sq_wts[abs_norm <= 1] = 0.0
-        tables.append(_prefix_table(sq_wts, np.longdouble, np.float64))
-    return tables
+        wts -= _kappa(field) * wts / np.sqrt(np.maximum(abs_norm, 2))
+    return [_prefix_table(prime_mask, np.int64, np.int64),
+            _prefix_table(wts, np.longdouble, np.float64)]
 
 
 STRIP = primes._STRIP_ROWS
@@ -173,11 +175,8 @@ class TestStripBuild:
     def assert_matches_oracle(self, D, R, square_weights):
         F = make_field(D)
         g = build_grid(F, R, square_weights=square_weights)
+        assert g.kappa == (_kappa(F) if square_weights else 0.0)
         got = [g.prime_count, g.log_weight]
-        if square_weights:
-            got.append(g.sqrt_log_weight)
-        else:
-            assert g.sqrt_log_weight is None
         for table, want in zip(got, _whole_box_tables(F, R, square_weights), strict=True):
             assert table.dtype == want.dtype
             assert np.array_equal(table, want)
@@ -204,6 +203,19 @@ class TestStripBuild:
         monkeypatch.setattr(primes, "_STRIP_ROWS", strip)
         for R in (0, 3, 24):
             self.assert_matches_oracle(D, R, square_weights)
+
+    @pytest.mark.parametrize("D", ORACLE_FIELDS)
+    def test_default_grid_is_first_order_bit_for_bit(self, D):
+        # the default weight is 1/log|N| alone: every entry equal, by ==, to
+        # the first-order oracle's, at widths of one strip and of several
+        F = make_field(D)
+        for R in (STRIP // 2, 2 * STRIP + 3):
+            g = build_grid(F, R)
+            assert g.kappa == 0.0
+            for table, want in zip((g.prime_count, g.log_weight),
+                                   _whole_box_tables(F, R, False), strict=True):
+                assert table.dtype == want.dtype and table.shape == want.shape
+                assert (table == want).all()
 
     def test_cell_budget_boundary(self, monkeypatch):
         # 7747^2 cells exceed the 60M budget; 7745^2 pass it and reach the sieve
@@ -266,7 +278,7 @@ class TestStripBuild:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        tables = g.prime_count.nbytes + g.log_weight.nbytes + g.sqrt_log_weight.nbytes
+        tables = g.prime_count.nbytes + g.log_weight.nbytes
         assert peak <= 1.6 * tables
 
 
@@ -404,16 +416,18 @@ class TestEmptyBoxes:
 
     @pytest.mark.parametrize("D", [-1, -3, 10])
     def test_all_paths_give_positive_zero(self, D):
+        # both weights: the first-order one and the second-order one
         R = 10
-        g = build_grid(make_field(D), R, square_weights=True)
-        tables = [g.log_weight, g.sqrt_log_weight]
+        grids = [build_grid(make_field(D), R, square_weights=s) for s in (False, True)]
+        g = grids[1]
+        tables = [grid.log_weight for grid in grids]
         half = [(i + 0.5, j) for i in range(-R, R) for j in range(-R, R + 1)]
         half = np.array(half + [(j, i) for i, j in half])
         for H in (0.0, 0.2, 0.4999):
             for got in box_sums(g, tables, half, H):
                 assert all(self.positive_zero(x) for x in got.tolist())
             for x1, x2 in half.tolist():
-                assert self.positive_zero(log_weight_box(g, x1, x2, H))
+                assert all(self.positive_zero(log_weight_box(grid, x1, x2, H)) for grid in grids)
         # offsets with an empty column or row range, around every centre
         for rows, cols in [((0, 0), (1, 0)), ((1, 0), (0, 0)), ((-2, 3), (1, 0)),
                            ((1, 0), (-2, 3)), ((1, 0), (1, 0))]:
@@ -478,14 +492,16 @@ class TestExactBounds:
 class TestSquareWeightTable:
     @pytest.mark.parametrize("D", [-1, 5, 10])
     def test_random_boxes_match_fsum_scan(self, D):
+        # the second-order weight table sums 1/log|N| - kappa_K / (sqrt|N| log|N|)
         F = make_field(D)
+        kappa = _kappa(F)
         g = build_grid(F, 60, square_weights=True)
-        table = g.sqrt_log_weight
-        assert table.shape == g.log_weight.shape
+        assert g.kappa == kappa
+        table = g.log_weight
         plain = build_grid(F, 60)
-        assert plain.sqrt_log_weight is None
+        assert plain.kappa == 0.0
         assert np.array_equal(g.prime_count, plain.prime_count)
-        assert np.array_equal(g.log_weight, plain.log_weight)
+        assert not np.array_equal(g.log_weight, plain.log_weight)
         rng = random.Random(0)
         for _ in range(200):
             cx = rng.uniform(-45.0, 45.0)
@@ -496,7 +512,7 @@ class TestSquareWeightTable:
                 for b in range(math.ceil(cy - H), math.floor(cy + H) + 1):
                     n = abs(F.element(a, b).norm())
                     if n > 1:
-                        terms.append(1.0 / (math.sqrt(n) * math.log(n)))
+                        terms += [1.0 / math.log(n), -kappa / (math.sqrt(n) * math.log(n))]
             (got,) = box_sums(g, [table], np.array([[cx, cy]]), H)
             assert got[0] == pytest.approx(math.fsum(terms), rel=1e-10)
 
@@ -506,7 +522,7 @@ class TestGridBoxSums:
 
     @staticmethod
     def tables(g):
-        return [g.prime_count, g.log_weight, g.sqrt_log_weight]
+        return [g.prime_count, g.log_weight]
 
     @pytest.mark.parametrize("D", [-1, -3, 10])
     @pytest.mark.parametrize("X", [7.5, 20.0])
@@ -516,7 +532,7 @@ class TestGridBoxSums:
         h = math.floor(H)
         got = grid_box_sums(g, self.tables(g), math.floor(X), (-h, h), (-h, h))
         want = box_sums(g, self.tables(g), Sampler().centers(X), H)
-        assert len(got) == 3
+        assert len(got) == 2
         for a, b in zip(got, want):
             assert a.dtype == b.dtype
             assert np.array_equal(a, b)
@@ -564,7 +580,7 @@ class TestGridBoxSums:
         r0, r1 = sorted(min(r, n) for r in strip)
         got = grid_box_sums(g, self.tables(g), M, rows, cols, (r0, r1))
         want = box_sums(g, self.tables(g), Sampler().centers(M) + mid, H)
-        assert len(got) == 3
+        assert len(got) == 2
         for a, b in zip(got, want):
             assert a.dtype == b.dtype
             assert np.array_equal(a, b[r0 * n : r1 * n])
@@ -590,8 +606,23 @@ class TestPersistence:
         g2 = load_grid(path)
         assert g2.field == g.field
         assert g2.extent == g.extent
+        assert g2.kappa == 0.0
         assert np.array_equal(g2.prime_count, g.prime_count)
         assert np.array_equal(g2.log_weight, g.log_weight)
+
+    @pytest.mark.parametrize("D", [-1, 10])
+    def test_second_order_grid_is_not_saved(self, tmp_path, D):
+        # the file format labels its weights first-order: a grid whose weight
+        # holds the kappa_K term is refused before the file is opened
+        g = build_grid(make_field(D), 20, square_weights=True)
+        assert g.kappa > 0.0
+        path = tmp_path / "grid.bin"
+        with pytest.raises(UsageError, match="first-order") as exc:
+            save_grid(g, str(path))
+        assert exc.value.exit_code == 2
+        assert not path.exists()
+        save_grid(build_grid(make_field(D), 20), str(path))
+        assert load_grid(str(path)).kappa == 0.0
 
     def test_file_bytes_and_loaded_arrays(self, tmp_path):
         g = build_grid(make_field(-3), 30)

@@ -40,8 +40,8 @@ def _residue(F):
     return residue_rk(F, 1e-8).value
 
 
-# test ids of the grids without and with the sqrt_log_weight table, the
-# expected-count models that `variance_profile` reads off them
+# test ids of the grids built without and with square_weights, the
+# expected-count models that their one weight table holds
 ORDER = ["first-order", "second-order"]
 
 
@@ -162,12 +162,14 @@ class TestFieldStatistics:
         built = []
 
         def spy(field, extent, square_weights=False):
-            built.append((extent, square_weights))
-            return build_grid(field, extent, square_weights)
+            grid = build_grid(field, extent, square_weights)
+            built.append((extent, square_weights, grid.kappa))
+            return grid
 
         monkeypatch.setattr(statistics, "build_grid", spy)
         variance_profile(Qi, 30.0, [0.2, 0.7])
-        assert built == [(grid_extent(30.0, [0.2, 0.7]), True)]
+        # the second-order grid: its weight table holds kappa_K = 1/2 for Q(i)
+        assert built == [(grid_extent(30.0, [0.2, 0.7]), True, 0.5)]
         assert grid_extent(30.0, [0.2, 0.7]) == math.ceil(30 + 30**0.7) + 2
 
 
@@ -177,21 +179,18 @@ class TestSlicePath:
     @pytest.mark.parametrize("D", [-1, -3, 10])
     @pytest.mark.parametrize("square_weights", [False, True], ids=ORDER)
     def test_rows_equal_gather_path(self, D, square_weights):
-        # a grid with the sqrt_log_weight table gives the second-order rows,
-        # one without it the first-order rows; E is the mean count on both
+        # the rows are read off the grid's one weight table, whichever model
+        # it holds; E is the mean count for both
         F = make_field(D)
         X, deltas = 30.0, [0.2, 0.5, 0.9]
         g = build_grid(F, grid_extent(X, deltas), square_weights=square_weights)
         rows = variance_profile(F, X, deltas, grid=g)
         centers = Sampler().centers(X)
         rk = _residue(F)
-        kappa = 2 ** class_group_2_rank(F) / 2
-        tables = [g.prime_count, g.log_weight] + [g.sqrt_log_weight] * square_weights
         for delta, row in zip(deltas, rows):
-            counts, weights, *sq = box_sums(g, tables, centers, X**delta)
+            counts, weights = box_sums(g, [g.prime_count, g.log_weight], centers, X**delta)
             counts = counts.astype(np.float64)
-            expected = weights - kappa * sq[0] if sq else weights
-            tilde = counts - expected / rk
+            tilde = counts - weights / rk
             assert row.n_samples == len(centers)
             assert row.E == float(counts.mean())
             assert row.V == float(np.mean(tilde * tilde))
@@ -330,7 +329,6 @@ class TestJitterIsExact:
         with equal box bounds share one call."""
         H = X**delta
         g = build_grid(F, grid_extent(X, [delta]), square_weights=True)
-        kappa = 2 ** class_group_2_rank(F) / 2
         u = -0.5 + (np.arange(N) + 0.5) / N
         bounds = np.stack([np.ceil(u - H), np.floor(u + H)], axis=1)
         _, first, count = np.unique(bounds, axis=0, return_index=True, return_counts=True)
@@ -338,9 +336,8 @@ class TestJitterIsExact:
         E = V = 0.0
         for u1, n1 in zip(u[first], count):
             for u2, n2 in zip(u[first], count):
-                c, w, sq = box_sums(g, [g.prime_count, g.log_weight, g.sqrt_log_weight],
-                                    cells + (u1, u2), H)
-                tilde = c - (w - kappa * sq) / _residue(F)
+                c, w = box_sums(g, [g.prime_count, g.log_weight], cells + (u1, u2), H)
+                tilde = c - w / _residue(F)
                 E += n1 * n2 / N**2 * c.mean()
                 V += n1 * n2 / N**2 * np.mean(tilde * tilde)
         return E, V
@@ -401,15 +398,15 @@ class TestDensityModels:
         H = X**0.9
         for D in (-1, -3, -5, -7, 2, 3, 10):
             F = make_field(D)
-            g = build_grid(F, math.ceil(X + H) + 2, square_weights=True)
-            counts, weights, sq = box_sums(
-                g, [g.prime_count, g.log_weight, g.sqrt_log_weight],
-                Sampler().centers(X), H,
-            )
+            R = math.ceil(X + H) + 2
+            plain, g = (build_grid(F, R, square_weights=s) for s in (False, True))
+            assert g.kappa == 2 ** class_group_2_rank(F) / 2
+            centers = Sampler().centers(X)
+            counts, weights = box_sums(g, [g.prime_count, g.log_weight], centers, H)
+            (first_weights,) = box_sums(plain, [plain.log_weight], centers, H)
             rk = _residue(F)
-            kappa = 2 ** class_group_2_rank(F) / 2
-            first = np.mean(counts - weights / rk)
-            tilde = counts - (weights - kappa * sq) / rk
+            first = np.mean(counts - first_weights / rk)
+            tilde = counts - weights / rk
             assert abs(np.mean(tilde)) <= 0.5 * abs(first), D
             (row,) = variance_profile(F, X, [0.9], grid=g)
             assert row.V == pytest.approx(np.mean(tilde * tilde), rel=1e-12)
