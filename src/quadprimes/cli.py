@@ -42,6 +42,8 @@ from .statistics import Sampler, grid_extent, variance_profile, zbaseline_row
 _DELTA_BUDGET = 1000
 # Ramanujan-sum terms of one `diagnose condensation` run: 49 shifts x 2^k divisors
 _CONDENSATION_BUDGET = 2_000_000
+# ideals plus the lattice rows their counts walk, in one `diagnose smooth-count` run
+_SMOOTH_COUNT_BUDGET = 400_000
 
 
 def _fmt(v) -> str:
@@ -245,6 +247,18 @@ def cmd_variance_z(args) -> int:
     return 0
 
 
+def _walk_budget(args, budget: int, units: str, cost):
+    """A check for `enumerate_squarefree_ideals`: BudgetError once the sum of
+    cost(q) over the ideals, all positive, passes the budget."""
+    spent = [0]
+
+    def check(q):
+        spent[0] += cost(q)
+        if spent[0] > budget:
+            raise BudgetError(f"--Y {args.Y}: over {budget} {units}")
+    return check
+
+
 def cmd_diagnose(args) -> int:
     field = parse_field_spec(args.field)
     name = field.spec_string()
@@ -252,21 +266,16 @@ def cmd_diagnose(args) -> int:
         raise UsageError(f"--Y must be at least 1, got {args.Y}")
     if args.topic == "dual-count":
         radii = (0.2, 0.5, 1.0, 2.0)
-        walk = 0
 
-        def rows_within_budget(q):
-            # a sum of positive row counts, so the walk order does not matter
-            nonlocal walk
-            if q.factors:
-                lat = ideal_lattice(q)
-                # `dual_lattice_count` walks the rows v = 0 .. floor(r*det) // c
-                walk += sum(math.floor(r * lat.det) // lat.c + 1 for r in radii)
-            if walk > LATTICE_POINT_BUDGET:
-                raise BudgetError(f"--Y {args.Y}: over {LATTICE_POINT_BUDGET} lattice rows")
+        def rows_walked(q):
+            # `dual_lattice_count` walks the rows v = 0 .. floor(r*det) // c
+            lat = ideal_lattice(q)
+            return sum(math.floor(r * lat.det) // lat.c + 1 for r in radii) if q.factors else 0
 
+        check = _walk_budget(args, LATTICE_POINT_BUDGET, "lattice rows", rows_walked)
         rows = []
         # past the unit ideal
-        for q in enumerate_squarefree_ideals(field, args.Y, rows_within_budget)[1:]:
+        for q in enumerate_squarefree_ideals(field, args.Y, check)[1:]:
             lat = ideal_lattice(q)
             for r in radii:
                 cnt = dual_lattice_count(lat, r)
@@ -275,24 +284,27 @@ def cmd_diagnose(args) -> int:
         return 0
     if args.topic == "smooth-count":
         w = TestFunction(Kind.SQUARE_AUTOCORR)
+        if not 0 < args.H < math.inf:
+            raise UsageError(f"--H must be a positive finite number, got {args.H}")
+        if args.H * w.support_radius == math.inf:
+            raise BudgetError(f"--H {args.H}: the support reaches past every float")
+        radius = math.floor(args.H * w.support_radius + 1e-12)  # as in ideal_smoothed_count
+        # the ideal, and the rows v = 0 .. radius // c that its count walks
+        check = _walk_budget(args, _SMOOTH_COUNT_BUDGET, "ideals and lattice rows",
+                             lambda q: 2 + radius // ideal_lattice(q).c)
         rows = []
-        for q in enumerate_squarefree_ideals(field, args.Y):
+        for q in enumerate_squarefree_ideals(field, args.Y, check):
             cnt = ideal_smoothed_count(q, w, args.H)
             rows.append((name, q.norm, float(args.H), cnt, w.value_at_zero,
                          args.H**2 * w.fourier_at_zero / q.norm))
         _emit(args, ["field", "norm", "H", "count", "w0", "riemann_ref"], rows, {})
         return 0
     if args.topic == "condensation":
-        terms = 0
-
-        def terms_within_budget(c):
-            nonlocal terms
-            terms += 49 << len(c.factors)  # each shift sums c_d over the divisors d of c
-            if terms > _CONDENSATION_BUDGET:
-                raise BudgetError(f"--Y {args.Y}: over {_CONDENSATION_BUDGET} Ramanujan-sum terms")
-
+        # each of the 49 shifts sums c_d over the divisors d of c
+        check = _walk_budget(args, _CONDENSATION_BUDGET, "Ramanujan-sum terms",
+                             lambda c: 49 << len(c.factors))
         rows = []
-        for c in enumerate_squarefree_ideals(field, args.Y, terms_within_budget):
+        for c in enumerate_squarefree_ideals(field, args.Y, check):
             for k1 in range(-3, 4):
                 for k2 in range(-3, 4):
                     eta = field.element(k1, k2)

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetError, ExtentError, FieldSpecError, GridFileError, UsageError, brief
-from .fields import BasisKind, FieldSpec, QuadInt, class_group_2_rank, divide_exact
+from .fields import BasisKind, FieldSpec, QuadInt, class_group_2_rank
 from .ideals import _kronecker_primes, _prime_sieve, miller_rabin
 
 GRID_MAGIC = b"SINF"
@@ -59,10 +59,8 @@ def is_prime_element(alpha: QuadInt) -> bool:
     p = math.isqrt(m)
     if p * p != m or not miller_rabin(p):
         return False
-    if _kronecker_primes(alpha.field.discriminant, np.array([p], dtype=object))[0] != -1:
-        return False
-    quot = divide_exact(alpha, alpha.field.element(p, 0))
-    return quot is not None and quot.is_unit()
+    # (p) is the only ideal of norm p^2 when p is inert, so then (alpha) = (p)
+    return _kronecker_primes(alpha.field.discriminant, np.array([p], dtype=object))[0] == -1
 
 
 @dataclass(frozen=True)

@@ -1,29 +1,21 @@
 """Singular series over prime ideals, their rational counterpart, and the
 smoothed sums they control.
 
-Prime ideals come from `ideals.prime_ideal_table` and rational primes
-from the same sieve, both bounded by `ideals.PRIME_BUDGET`, as is the number
-of rational shifts.
-Truncated Euler products are evaluated with one fixed floating-point recipe:
-a base product over all prime ideals of norm >= 3, taken sequentially in the
-table's ascending (norm, p, root) order by `np.multiply.accumulate` and
-cached, then the norm-2 factors (0 or 2 exactly), then one correction ratio
-per prime ideal containing the shift, in the same order.  Pointwise
-evaluation tests every ideal's membership at once.  The box sieve applies
-the norm-2 factors and the ratios of the small ideals, a prefix of the
-ascending order, as strided slices of the box, ideal after ideal; it then
-lists the points of every larger ideal's coordinate lattice inside the box,
-in rows clipped to it, and applies their ratios with `np.multiply.at`, the
-points in ascending ideal order.  `ufunc.at` applies repeated indices in
-the order given, so each entry receives exactly the multiplication sequence
-of pointwise evaluation and sieved values are bit-identical to it; the
-rational sieve lists (multiple, ratio) pairs in ascending p alike.  Both
-lists are walked in chunks of bounded size by `ideals._ranges`.  A process
-keeps one sieved box alive: the largest asked for under the last (field,
-cutoff), until another (field, cutoff) is asked for.  Smaller boxes, and
-the boxes of every H of the smoothed sums, are its centre slices; every
-entry depends only on its lattice point, so a slice equals a fresh sieve
-bit for bit.  The
+Prime ideals come from `ideals.prime_ideal_table` and rational primes from
+the same sieve, both bounded by `ideals.PRIME_BUDGET`, as is the number of
+rational shifts.  Z and O_K share one record, `_EulerData`, and one recipe
+for a truncated Euler product: Z is the ring of shifts (h, 0) whose prime
+ideals are the (p) of root 0, with 2Z its one norm-2 ideal.  The recipe is
+a base product over the prime ideals of norm >= 3, taken sequentially in
+ascending (norm, p, root) order by `np.multiply.accumulate` and cached, then
+the norm-2 factors (0 or 2 exactly), then one correction ratio per prime
+ideal containing the shift, in the same order.  Pointwise evaluation
+(`_euler_value`) tests every ideal of norm up to |N(shift)| at once.  The
+sieves (`_sieve_box`, `sieved_singular_rational`) give each entry the same
+factors in the same order, by strided slices and an ordered
+`np.multiply.at`, so sieved values are bit-identical to pointwise ones.  A
+process keeps one sieved box alive (`_covering_box`); smaller boxes, and
+those of every H of the smoothed sums, are its centre slices.  The
 residue's character moments are summed exactly over half a period and
 reflected by chi(q - r) = chi(-1) chi(r).  The mu^2/phi partial sums take
 one walk over the squarefree ideals for all their cutoffs, built as arrays
@@ -51,6 +43,8 @@ DEFAULT_CUTOFF = 100_000
 # largest number of character-sum terms, (blocks + moments) * |d|, that
 # residue_rk evaluates
 RESIDUE_TERM_BUDGET = 20_000_000
+# largest number of entries in all the boxes, one per H, of singular_sums_smoothed
+SMOOTHED_ENTRY_BUDGET = 400_000_000
 
 
 # ---------------------------------------------------------------------------
@@ -242,11 +236,11 @@ class _EulerData:
     base: float                          # product of base factors, norm >= 3
     # the ideals of norm >= 3 in ascending (norm, p, root) order, as arrays:
     # the norm, the rational prime p, the root (-1 for inert), rows b1x, b1y,
-    # b2x, b2y of a reduced basis of each coordinate lattice, and the ratios
+    # b2x, b2y of reduced lattice bases (None for Z), and the ratios
     norm: np.ndarray                     # (n,) int64
     p: np.ndarray                        # (n,) int64
     root: np.ndarray                     # (n,) int64
-    bases: np.ndarray                    # (4, n) int64
+    bases: np.ndarray | None             # (4, n) int64
     ratio_array: np.ndarray              # (n,) float64
 
 
@@ -305,16 +299,24 @@ def singular_series(eta: QuadInt, cutoff: int = DEFAULT_CUTOFF) -> SingularValue
     """
     if eta.is_zero():
         raise UsageError("the singular series is undefined at eta = 0")
-    data = _euler_data(eta.field, cutoff)
+    value = _euler_value(_euler_data(eta.field, cutoff), eta.k1, eta.k2, abs(eta.norm()))
+    return SingularValue(value, cutoff, _tail_bound(cutoff))
+
+
+def _euler_value(data: _EulerData, k1: int, k2: int, norm_bound: int) -> float:
+    """The Euler product of `data` at the shift (k1, k2) != 0, of absolute
+    norm `norm_bound`: no ideal of larger norm (all are within PRIME_BUDGET)
+    contains it."""
     value = data.base
     for r in data.norm2_roots:
-        value *= 2.0 if (eta.k1 + r * eta.k2) % 2 == 0 else 0.0
+        value *= 2.0 if (k1 + r * k2) % 2 == 0 else 0.0
     if value != 0.0:
-        p, root = data.p, data.root
-        k1, k2 = _residues(eta.k1, p), _residues(eta.k2, p)
-        member = np.where(root < 0, (k1 == 0) & (k2 == 0), (k1 + root * k2) % p == 0)
-        value = math.prod(data.ratio_array[member].tolist(), start=value)
-    return SingularValue(value, cutoff, _tail_bound(cutoff))
+        n = int(np.searchsorted(data.norm, min(norm_bound, PRIME_BUDGET), "right"))
+        p, root = data.p[:n], data.root[:n]
+        r1, r2 = _residues(k1, p), _residues(k2, p)
+        member = np.where(root < 0, (r1 == 0) & (r2 == 0), (r1 + root * r2) % p == 0)
+        value = math.prod(data.ratio_array[:n][member].tolist(), start=value)
+    return value
 
 
 def _residues(k: int, p: np.ndarray) -> np.ndarray:
@@ -326,29 +328,23 @@ def _residues(k: int, p: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=8)
-def _rational_euler_data(cutoff: int) -> tuple[tuple[int, ...], float]:
-    """The primes 3..cutoff in ascending order and their base product."""
+def _rational_euler_data(cutoff: int) -> _EulerData:
+    """The Euler record of Z: 2Z and the (p), p = 3..cutoff, all of root 0."""
     if cutoff < 2:
         raise UsageError(f"cutoff must be at least 2, got {cutoff}")
     if cutoff > PRIME_BUDGET:
         raise BudgetError(f"cutoff {cutoff} exceeds the prime budget {PRIME_BUDGET}")
-    primes = np.flatnonzero(_prime_sieve(cutoff))[1:]
-    return tuple(primes.tolist()), _base_product(primes)
+    p = np.flatnonzero(_prime_sieve(cutoff))[1:].astype(np.int64)
+    root, ratio_array = np.zeros_like(p), _member_ratio(p)
+    p.flags.writeable = root.flags.writeable = ratio_array.flags.writeable = False
+    return _EulerData((0,), _base_product(p), p, p, root, None, ratio_array)
 
 
 def singular_series_rational(h: int, cutoff: int = DEFAULT_CUTOFF) -> SingularValue:
     """Truncated Hardy-Littlewood singular series for a nonzero integer shift."""
     if h == 0:
         raise ValueError("the singular series is undefined at h = 0")
-    primes, base = _rational_euler_data(cutoff)
-    value = base
-    value *= 2.0 if h % 2 == 0 else 0.0
-    if value != 0.0:
-        for p in primes:
-            if p > abs(h):
-                break
-            if h % p == 0:
-                value *= _member_ratio(p)
+    value = _euler_value(_rational_euler_data(cutoff), h, 0, abs(h))
     return SingularValue(value, cutoff, _tail_bound(cutoff))
 
 
@@ -526,20 +522,28 @@ def singular_sums_smoothed(
     sums it in place (`_weighted_sum`).  Every entry is the same product as
     over a full mirrored weight grid and the array is C-contiguous, so
     `np.sum` adds the same terms in the same pairwise order: the sums are
-    bit-identical to it.  The reported uncertainty is the conservative
-    per-term tail bound; membership and avoidance corrections beyond the
-    cutoff cancel on average, so the realized truncation error is far smaller.
+    bit-identical to it.  The boxes of all the H hold at most
+    `SMOOTHED_ENTRY_BUDGET` entries.  The reported uncertainty is the
+    conservative per-term tail bound; membership and avoidance corrections
+    beyond the cutoff cancel on average, so the realized truncation error is
+    far smaller.
     """
     for H in Hs:
         if not 2 <= H < math.inf:
             raise UsageError(f"H must be a finite number >= 2, got {H!r}")
     if not Hs:
         return []
-    box = _covering_box(field, math.floor(max(Hs) * w.support_radius), cutoff)
+    if max(Hs) * w.support_radius == math.inf:
+        raise BudgetError(f"the support at H = {max(Hs):g} reaches past every float")
+    radii = [math.floor(H * w.support_radius) for H in Hs]
+    entries = sum((2 * M + 1) ** 2 for M in radii)
+    if entries > SMOOTHED_ENTRY_BUDGET:
+        raise BudgetError(f"{len(Hs)} scales weigh {brief(entries)} box entries, over the "
+                          f"budget of {brief(SMOOTHED_ENTRY_BUDGET)}")
+    box = _covering_box(field, max(radii), cutoff)
     R = box.radius
     results = []
-    for H in Hs:
-        M = math.floor(H * w.support_radius)
+    for H, M in zip(Hs, radii):
         view = box.values[R - M : R + M + 1, R - M : R + M + 1]
         k = np.arange(M + 1)
         wq = np.asarray(w.eval(k[:, None] / H, k[None, :] / H), dtype=np.float64)
@@ -573,12 +577,12 @@ def sieved_singular_rational(hmax: int, cutoff: int = DEFAULT_CUTOFF) -> np.ndar
         raise ValueError("hmax must be at least 1")
     if hmax > PRIME_BUDGET:
         raise BudgetError(f"hmax {hmax} exceeds the prime budget {PRIME_BUDGET}")
-    primes, base = _rational_euler_data(cutoff)
-    vals = np.full(hmax + 1, base, dtype=np.float64)
+    data = _rational_euler_data(cutoff)
+    vals = np.full(hmax + 1, data.base, dtype=np.float64)
     vals[2::2] *= 2.0
     vals[1::2] *= 0.0
-    p = np.array(primes[: bisect.bisect_right(primes, hmax)], dtype=np.int64)
-    ratio = _member_ratio(p)
+    n = int(np.searchsorted(data.p, hmax, "right"))
+    p, ratio = data.p[:n], data.ratio_array[:n]
     for row, k in _ranges(hmax // p):
         np.multiply.at(vals, p[row] * (k + 1), ratio[row])
     vals[0] = np.nan

@@ -292,7 +292,19 @@ class TestHostileInputs:
         (["primes", "count", "--field", "D=-1", "--center", "1e308,0", "--H", "1e308"], 3),
         # the residue budget refuses before the grid's 1.5 GB norm sieve is built
         (["variance", "--field", "D=-150001", "--X", "60"], 3),
+        # the unit ideal's walk alone would list 6M rows
+        (["diagnose", "smooth-count", "--field", "D=-1", "--Y", "5", "--H", "3000000"], 3),
+        # about 1.04M squarefree ideals: the smooth-count budget ends the walk
+        (["diagnose", "smooth-count", "--field", "D=-1", "--Y", "2000000", "--H", "1"], 3),
+        # each box fits the box budget, the 100 together do not
+        (["sum-singular", "--field", "D=-1", "--H", ",".join(["1500"] * 100), "--cutoff", "1000"],
+         3),
+        # finite scales whose support H * 2 overflows to inf
+        (["diagnose", "smooth-count", "--Y", "2", "--H", "1e308"], 3),
+        (["sum-singular", "--field", "D=-1", "--H", "1e308", "--cutoff", "1000"], 3),
     ]
+    # Cases are only appended: both tests below take their ids from positions
+    # in HOSTILE, so an id keeps naming the same command.
 
     @pytest.mark.parametrize("argv, code", HOSTILE)
     def test_one_error_line(self, capsys, argv, code):
@@ -312,7 +324,8 @@ class TestHostileInputs:
         assert err.startswith("error:") and err.count("\n") == 1
 
     def test_smooth_count_walk_budget_fails_fast(self, capsys):
-        # the unit ideal's walk at H = 10^5 would visit 400001^2 points
+        # the walks of the unit ideal and 1 + i at H = 10^5 would list 200001
+        # rows each: the smooth-count budget refuses before either starts
         start = time.perf_counter()
         got, out, err = run(capsys, "diagnose", "smooth-count", "--Y", "2", "--H", "100000")
         assert time.perf_counter() - start < 1.0
@@ -327,6 +340,15 @@ class TestHostileInputs:
         assert time.perf_counter() - start < 3.0
         assert (got, out) == (3, "")
         assert err == "error: --Y 2000000: over 10000000 lattice rows\n"
+
+    def test_smooth_count_budget_ends_the_walk(self, capsys):
+        # each of about 1.04M squarefree ideals of norm <= 2*10^6 costs 4 units
+        # at H = 1: the budget trips after about 100k of them, before any sort
+        start = time.perf_counter()
+        got, out, err = run(capsys, "diagnose", "smooth-count", "--Y", "2000000", "--H", "1")
+        assert time.perf_counter() - start < 3.0
+        assert (got, out) == (3, "")
+        assert err == "error: --Y 2000000: over 400000 ideals and lattice rows\n"
 
     def test_dual_count_precount_equals_rows_walked(self, capsys, monkeypatch):
         # each walk's rows as its own row budget counts them: with budget 0
@@ -359,8 +381,7 @@ class TestHostileInputs:
         assert (got, out) == (3, "")
         assert err.startswith("error:") and err.count("\n") == 1
 
-    @pytest.mark.parametrize("argv", [argv for argv, code in HOSTILE if code == 3] + [
-        ["diagnose", "smooth-count", "--field", "D=-1", "--Y", "5", "--H", "3000000"]])
+    @pytest.mark.parametrize("argv", [argv for argv, code in HOSTILE if code == 3])
     def test_budget_exit_bounds_memory(self, argv):
         # each budget exit in a fresh process, which reports its own peak:
         # a budget must refuse before the work it bounds allocates

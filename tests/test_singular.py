@@ -367,7 +367,7 @@ class TestSingularSeries:
         base = 1.0
         for p in primerange(3, 10**6 + 1):
             base *= _base_factor(p)
-        assert _rational_euler_data(10**6)[1] == base
+        assert _rational_euler_data(10**6).base == base
 
     def test_base_factors_match_python_floats(self):
         # numpy squares by x*x and Python by pow(x, 2); they differ at some
@@ -431,9 +431,13 @@ class TestRational:
 
     @pytest.mark.parametrize("P", [2, 3, 100, 10**4])
     def test_euler_primes_from_sieve(self, P):
-        primes, _ = _rational_euler_data(P)
-        assert primes == tuple(primerange(3, P + 1))
-        assert all(type(p) is int for p in primes)
+        # Z's record: 2Z and the (p) of norm p, all of root 0, and no bases
+        data = _rational_euler_data(P)
+        assert data.p.tolist() == list(primerange(3, P + 1))
+        assert data.norm2_roots == (0,) and data.bases is None
+        assert np.array_equal(data.norm, data.p) and not data.root.any()
+        assert data.ratio_array.tolist() == [_member_ratio(p) for p in data.p.tolist()]
+        assert not any(a.flags.writeable for a in (data.p, data.root, data.ratio_array))
 
     def test_euler_data_bounds(self):
         with pytest.raises(UsageError):
@@ -449,6 +453,12 @@ class TestRational:
         for call in (sieved_singular_rational, montgomery_sum):
             with pytest.raises(BudgetError):
                 call(PRIME_BUDGET + 1)
+
+    @pytest.mark.parametrize("P", [3, 100, 10**4])
+    def test_beyond_int64_matches_reference(self, P):
+        # the member test reduces h modulo every p; these need Python ints
+        for h in (2**80 * 15, -(2**70 + 2)):
+            assert singular_series_rational(h, P).value == rational_reference(h, P), h
 
     @pytest.mark.parametrize("P", [3, 100, 10**4])
     def test_matches_factorization_reference(self, P):
@@ -677,6 +687,22 @@ class TestBoxCache:
         with pytest.raises(BudgetError):
             singular_sums_smoothed(Qi, w, [4.0, 10**5], 1000)
         assert singular_series_module._largest_box is kept
+        assert len(sieves) == 1
+
+    def test_scale_list_budget_raises_before_sieving(self, sieves, monkeypatch):
+        kept = sieved_singular_box(Qi, 20, 1000)
+        w = TestFunction(Kind.SQUARE_AUTOCORR)
+        # 100 boxes of radius 3000 each fit the box budget, not together
+        for Hs in ([1500.0] * 100, [1e308]):
+            with pytest.raises(BudgetError):
+                singular_sums_smoothed(Qi, w, Hs, 1000)
+        assert singular_series_module._largest_box is kept
+        # H = 4 and 8 weigh 17^2 + 33^2 entries: the budget is inclusive
+        monkeypatch.setattr(singular_series_module, "SMOOTHED_ENTRY_BUDGET", 17**2 + 33**2)
+        assert len(singular_sums_smoothed(Qi, w, [4.0, 8.0], 1000)) == 2
+        monkeypatch.setattr(singular_series_module, "SMOOTHED_ENTRY_BUDGET", 17**2 + 33**2 - 1)
+        with pytest.raises(BudgetError):
+            singular_sums_smoothed(Qi, w, [4.0, 8.0], 1000)
         assert len(sieves) == 1
 
     def test_bad_cutoff_raises_before_the_cache_is_dropped(self, sieves):
