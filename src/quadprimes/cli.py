@@ -113,7 +113,7 @@ def cmd_field_info(args) -> int:
     _emit(
         args,
         ["field", "D", "basis", "discriminant", "rk", "rk_error_bound"],
-        [(field.spec_string(), field.D, field.basis.value, field.discriminant,
+        [(field.spec_string(), field.D, "half" if field.half else "sqrt", field.discriminant,
           res.value, res.error_bound)],
         {"method": res.method},
     )
@@ -284,11 +284,7 @@ def cmd_diagnose(args) -> int:
         return 0
     if args.topic == "smooth-count":
         w = TestFunction(Kind.SQUARE_AUTOCORR)
-        if not 0 < args.H < math.inf:
-            raise UsageError(f"--H must be a positive finite number, got {args.H}")
-        if args.H * w.support_radius == math.inf:
-            raise BudgetError(f"--H {args.H}: the support reaches past every float")
-        radius = math.floor(args.H * w.support_radius + 1e-12)  # as in ideal_smoothed_count
+        radius = w.support_box(args.H)
         # the ideal, and the rows v = 0 .. radius // c that its count walks
         check = _walk_budget(args, _SMOOTH_COUNT_BUDGET, "ideals and lattice rows",
                              lambda q: 2 + radius // ideal_lattice(q).c)

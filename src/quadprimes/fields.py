@@ -1,18 +1,19 @@
 """Exact arithmetic in real and imaginary quadratic fields Q(sqrt(D)).
 
 Elements are stored in integral-basis coordinates (k1, k2), meaning
-k1 + k2*omega.  The basis is chosen once, in `FieldSpec`: omega = sqrt(D),
-or (1+sqrt(D))/2 when D = 1 (mod 4), so that the coordinates always span the
-full ring of integers.  Everything else follows from omega's minimal
-polynomial x^2 + b x + c (`FieldSpec.minpoly_omega`): the discriminant
-b^2 - 4c, the norm form, conjugation, products and, in `ideals`, the
-splitting of rational primes.  All arithmetic is exact (Python integers), so
-products, norms and exact divisions never overflow.
+k1 + k2*omega.  D alone names the field: the basis is derived from it, in
+`FieldSpec.half`, as omega = sqrt(D), or (1+sqrt(D))/2 exactly when
+D = 1 (mod 4), so that the coordinates always span the full ring of
+integers.  A field string may say ``,half`` only where D forces it.
+Everything else follows from omega's minimal polynomial x^2 + b x + c
+(`FieldSpec.minpoly_omega`): the discriminant b^2 - 4c, the norm form,
+conjugation, products and, in `ideals`, the splitting of rational primes.
+All arithmetic is exact (Python integers), so products, norms and exact
+divisions never overflow.
 """
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -23,11 +24,6 @@ from .errors import BudgetError, FieldSpecError
 # accepts: it bounds every Euler product cutoff and squarefree-ideal walk, and
 # the trial division that checks D
 PRIME_BUDGET = 2_000_000
-
-
-class BasisKind(enum.Enum):
-    SQRT_D = "sqrt"       # basis {1, sqrt(D)}
-    HALF = "half"         # basis {1, (1+sqrt(D))/2}, requires D = 1 (mod 4)
 
 
 def _prime_factors(n: int) -> list[int]:
@@ -53,16 +49,15 @@ def _is_squarefree(n: int) -> bool:
 
 @dataclass(frozen=True, slots=True)
 class FieldSpec:
-    """A quadratic field Q(sqrt(D)) with a fixed integral basis.
+    """The quadratic field Q(sqrt(D)), with the integral basis D fixes.
 
-    D must be squarefree and different from 0 and 1.  The basis is HALF
-    exactly when D = 1 (mod 4), so the coordinate lattice is always the full
-    ring of integers and the discriminant b^2 - 4c of omega's minimal
+    D must be squarefree and different from 0 and 1.  The basis is the half
+    one exactly when D = 1 (mod 4), so the coordinate lattice is always the
+    full ring of integers and the discriminant b^2 - 4c of omega's minimal
     polynomial is the field discriminant (D when D = 1 mod 4, else 4D).
     """
 
     D: int
-    basis: BasisKind
 
     def __post_init__(self):
         if math.isqrt(abs(self.D)) > PRIME_BUDGET:
@@ -70,11 +65,11 @@ class FieldSpec:
                               f" division past the prime budget {PRIME_BUDGET}")
         if self.D in (0, 1) or not _is_squarefree(self.D):
             raise FieldSpecError(f"D={self.D} must be squarefree and not 0 or 1")
-        if (self.basis is BasisKind.HALF) != (self.D % 4 == 1):
-            raise FieldSpecError(
-                f"D={self.D}: the half-integer basis is required exactly when "
-                "D = 1 (mod 4), so that coordinates span the ring of integers"
-            )
+
+    @property
+    def half(self) -> bool:
+        """Whether omega = (1+sqrt(D))/2 rather than sqrt(D)."""
+        return self.D % 4 == 1
 
     @property
     def discriminant(self) -> int:
@@ -83,7 +78,7 @@ class FieldSpec:
 
     def minpoly_omega(self) -> tuple[int, int]:
         """(b, c) with the non-trivial basis element a root of x^2 + b x + c."""
-        if self.basis is BasisKind.HALF:
+        if self.half:
             return (-1, (1 - self.D) // 4)
         return (0, -self.D)
 
@@ -125,9 +120,8 @@ def class_group_2_rank(field: FieldSpec) -> int:
     return rank
 
 
-def make_field(D: int) -> FieldSpec:
-    """Field for a squarefree D, choosing the maximal-order basis."""
-    return FieldSpec(D, BasisKind.HALF if D % 4 == 1 else BasisKind.SQRT_D)
+# the field for a squarefree D, with the basis of its ring of integers
+make_field = FieldSpec
 
 
 def parse_field_spec(text: str) -> FieldSpec:
@@ -139,11 +133,13 @@ def parse_field_spec(text: str) -> FieldSpec:
         D = int(parts[0][2:])
     except ValueError:
         raise FieldSpecError(f"bad integer in field spec: {text!r}") from None
-    if len(parts) == 1:
-        return make_field(D)
-    if len(parts) == 2 and parts[1] == "half":
-        return FieldSpec(D, BasisKind.HALF)
-    raise FieldSpecError(f"unrecognized field spec: {text!r}")
+    if parts[1:] not in ([], ["half"]):
+        raise FieldSpecError(f"unrecognized field spec: {text!r}")
+    field = FieldSpec(D)
+    if parts[1:] and not field.half:
+        raise FieldSpecError(f"D={D}: the half-integer basis is required exactly when D = 1"
+                             " (mod 4), so that coordinates span the ring of integers")
+    return field
 
 
 @dataclass(frozen=True, slots=True)

@@ -38,7 +38,7 @@ from typing import Callable, Iterable, NamedTuple, Optional
 
 import numpy as np
 
-from .errors import BudgetError, UsageError, brief
+from .errors import BudgetError, brief
 from .fields import PRIME_BUDGET, FieldSpec, QuadInt
 
 # largest number of lattice rows, and of points, that one lattice walk may list
@@ -494,9 +494,7 @@ def ideal_smoothed_count(q: SquarefreeIdeal, w, H: float) -> float:
     ascending rows k2, each by ascending k1, and `np.cumsum` adds them in
     turn.  For large ideal norms only eta = 0 survives and the sum is w(0).
     """
-    if not 0 < H < math.inf:
-        raise UsageError(f"H must be a positive finite number, got {H!r}")
-    lat, radius = ideal_lattice(q), math.floor(H * w.support_radius + 1e-12)
+    lat, radius = ideal_lattice(q), w.support_box(H)
     half = lattice_half_points([lat.a, 0, lat.b, lat.c], radius, LATTICE_POINT_BUDGET)
     t = np.concatenate([np.empty(0)] + [w.eval(k1 / H, k2 / H) for _, k1, k2 in half])
     terms = np.r_[t[::-1], w.eval(0.0, 0.0), t]

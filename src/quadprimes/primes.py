@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetError, ExtentError, FieldSpecError, GridFileError, UsageError, brief
-from .fields import BasisKind, FieldSpec, QuadInt, class_group_2_rank
+from .fields import FieldSpec, QuadInt, class_group_2_rank
 from .ideals import _kronecker_primes, _prime_sieve, miller_rabin
 
 GRID_MAGIC = b"SINF"
@@ -293,13 +293,12 @@ def log_weight_boxes(grid: PrefixGrid, centers: np.ndarray, H: float) -> np.ndar
 # ---------------------------------------------------------------------------
 # Binary persistence
 
-_BASIS_CODE = {BasisKind.SQRT_D: 0, BasisKind.HALF: 1}
 _HEADER = struct.Struct("<4sIqBI")
 
 
 def save_grid(grid: PrefixGrid, path: str) -> None:
-    """Little-endian binary dump of a first-order grid: header, u32 count
-    prefixes, f64 weights."""
+    """Little-endian binary dump of a first-order grid: header (its basis
+    byte is `FieldSpec.half`), u32 count prefixes, f64 weights."""
     if grid.kappa:
         raise UsageError(f"a grid file holds first-order weights; this grid has kappa {grid.kappa}")
     if grid.total_primes() >= 2**32:
@@ -310,7 +309,7 @@ def save_grid(grid: PrefixGrid, path: str) -> None:
                 GRID_MAGIC,
                 GRID_VERSION,
                 grid.field.D,
-                _BASIS_CODE[grid.field.basis],
+                grid.field.half,
                 grid.extent,
             )
         )
@@ -321,8 +320,9 @@ def save_grid(grid: PrefixGrid, path: str) -> None:
 def load_grid(path: str) -> PrefixGrid:
     """Read a file written by `save_grid`.
 
-    The header, the file's exact length and the field are checked before
-    the tables are read; a file that fails a check raises GridFileError.
+    The header, the file's exact length, the field and the basis byte its D
+    fixes are checked before the tables are read; a file that fails a check
+    raises GridFileError.
     """
     with open(path, "rb") as f:
         size = os.fstat(f.fileno()).st_size
@@ -337,12 +337,12 @@ def load_grid(path: str) -> PrefixGrid:
         if size != want:
             raise GridFileError(f"{path}: {size} bytes, but a grid of extent {R}"
                                 f" takes {want}")
-        if basis_code not in (0, 1):
-            raise GridFileError(f"{path}: unknown basis code {basis_code}")
         try:
-            field = FieldSpec(D, BasisKind.HALF if basis_code else BasisKind.SQRT_D)
+            field = FieldSpec(D)
         except (FieldSpecError, BudgetError) as exc:
             raise GridFileError(f"{path}: {exc}") from None
+        if basis_code != field.half:
+            raise GridFileError(f"{path}: basis code {basis_code}, but {field} takes {field.half:d}")
         counts = np.fromfile(f, dtype="<u4", count=W1 * W1).astype(np.int64)
         weights = np.fromfile(f, dtype="<f8", count=W1 * W1)
     return PrefixGrid(field, R, counts.reshape(W1, W1), weights.reshape(W1, W1))

@@ -271,11 +271,12 @@ def _euler_data(field: FieldSpec, cutoff: int) -> _EulerData:
     if cutoff < 2:
         raise UsageError(f"cutoff must be at least 2, got {cutoff}")
     table = prime_ideal_table(field, cutoff)
-    rest = table.norm >= 3
-    p, root, norm = table.p[rest], table.root[rest], table.norm[rest]
+    # the norm-2 ideals lead the (norm, p, root) order: the rest are views
+    k = int(np.searchsorted(table.norm, 3))
+    p, root, norm = table.p[k:], table.root[k:], table.norm[k:]
     bases, ratio_array = _reduced_bases(p, root), _member_ratio(norm)
     bases.flags.writeable = ratio_array.flags.writeable = False
-    return _EulerData(tuple(table.root[table.norm == 2].tolist()), _base_product(norm),
+    return _EulerData(tuple(table.root[:k].tolist()), _base_product(norm),
                       norm, p, root, bases, ratio_array)
 
 
@@ -533,9 +534,7 @@ def singular_sums_smoothed(
             raise UsageError(f"H must be a finite number >= 2, got {H!r}")
     if not Hs:
         return []
-    if max(Hs) * w.support_radius == math.inf:
-        raise BudgetError(f"the support at H = {max(Hs):g} reaches past every float")
-    radii = [math.floor(H * w.support_radius) for H in Hs]
+    radii = [w.support_box(H) for H in Hs]
     entries = sum((2 * M + 1) ** 2 for M in radii)
     if entries > SMOOTHED_ENTRY_BUDGET:
         raise BudgetError(f"{len(Hs)} scales weigh {brief(entries)} box entries, over the "

@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import BudgetError, UsageError
+
 
 class Kind(enum.Enum):
     SQUARE_AUTOCORR = "square"
@@ -36,6 +38,15 @@ class TestFunction:
     def support_radius(self) -> float:
         # sup-norm radius for the square, Euclidean radius for the disc
         return 2.0
+
+    def support_box(self, H: float) -> int:
+        """Sup-norm radius floor(H * support_radius) of the lattice box that
+        holds the support of w(./H), for a positive finite H."""
+        if not 0 < H < math.inf:
+            raise UsageError(f"H must be a positive finite number, got {H!r}")
+        if H * self.support_radius == math.inf:
+            raise BudgetError(f"H = {H:g}: the support reaches past every float")
+        return math.floor(H * self.support_radius)
 
     def eval(self, x1, x2) -> float:
         """Pointwise value; accepts numpy arrays and broadcasts."""

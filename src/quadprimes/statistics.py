@@ -220,8 +220,7 @@ def _rational_prefixes(limit: int):
 def expectation_rational(X: int, H: int) -> float:
     """E_N: average of #{p : k < p <= k+H} over k = 0..X-1."""
     pi, _, _ = _rational_prefixes(X + H)
-    k = np.arange(X)
-    return float(np.mean(pi[k + H] - pi[k]))
+    return float(np.mean(pi[H:X + H] - pi[:X]))
 
 
 def variance_rational_prime(X: int, H: int) -> float:
@@ -231,8 +230,7 @@ def variance_rational_prime(X: int, H: int) -> float:
     if H == 0:
         return 0.0
     pi, L, _ = _rational_prefixes(X + H)
-    k = np.arange(X)
-    tilde = (pi[k + H] - pi[k]).astype(np.float64) - (L[k + H] - L[k])
+    tilde = (pi[H:X + H] - pi[:X]).astype(np.float64) - (L[H:X + H] - L[:X])
     return float(np.mean(tilde * tilde))
 
 
@@ -243,8 +241,7 @@ def variance_rational_lambda(X: int, H: int) -> float:
     if H == 0:
         return 0.0
     _, _, psi = _rational_prefixes(X + H)
-    k = np.arange(X)
-    dev = psi[k + H] - psi[k] - float(H)
+    dev = psi[H:X + H] - psi[:X] - float(H)
     return float(np.mean(dev * dev))
 
 

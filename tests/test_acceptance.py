@@ -17,7 +17,7 @@ import random
 import numpy as np
 import pytest
 
-from quadprimes.fields import FieldSpec, BasisKind, make_field
+from quadprimes.fields import FieldSpec, make_field
 from quadprimes.ideals import (
     SplitType,
     condensation_sum,
@@ -57,7 +57,7 @@ def fit_slope(x, y) -> float:
 
 def test_criterion_1_exact_identities(capsys):
     fields = [make_field(-1), make_field(-3), make_field(2),
-              FieldSpec(5, BasisKind.HALF)]
+              FieldSpec(5)]
     bad = 0
     checked = 0
     for field in fields:

@@ -11,7 +11,6 @@ from quadprimes import ideals
 from quadprimes.errors import BudgetError, FieldSpecError
 from quadprimes.fields import (
     PRIME_BUDGET,
-    BasisKind,
     FieldSpec,
     QuadInt,
     class_group_2_rank,
@@ -30,9 +29,11 @@ def elements(field, lo=-50, hi=50):
 
 class TestFieldSpec:
     def test_maximal_order_basis_selection(self):
-        assert make_field(-1).basis is BasisKind.SQRT_D
-        assert make_field(5).basis is BasisKind.HALF
-        assert make_field(-3).basis is BasisKind.HALF
+        assert not make_field(-1).half
+        assert make_field(5).half
+        assert make_field(-3).half
+        assert make_field(5).minpoly_omega() == (-1, -1)
+        assert make_field(-1).minpoly_omega() == (0, 1)
 
     def test_discriminant(self):
         assert make_field(-1).discriminant == -4
@@ -55,20 +56,23 @@ class TestFieldSpec:
         assert ideals.PRIME_BUDGET is PRIME_BUDGET
 
     def test_half_basis_requires_1_mod_4(self):
-        with pytest.raises(FieldSpecError):
-            FieldSpec(2, BasisKind.HALF)
-        # D = 1 mod 4 must use the half basis
-        with pytest.raises(FieldSpecError):
-            FieldSpec(5, BasisKind.SQRT_D)
+        # ',half' is accepted only where D forces it
+        for text in ("D=3,half", "D=2,half", "D=-1,half"):
+            with pytest.raises(FieldSpecError, match=r"the half-integer basis is required exactly"
+                               r" when D = 1 \(mod 4\), so that coordinates span the ring"):
+                parse_field_spec(text)
 
     def test_parse_round_trip(self):
         for text in ("D=-1", "D=10"):
             assert parse_field_spec(text).spec_string() == text
-        # ',half' is accepted and canonicalized away (it is forced anyway)
+        # D alone names the field: ',half' is accepted where D forces it,
+        # and canonicalized away
+        assert FieldSpec(5) == make_field(5) == parse_field_spec("D=5,half")
         assert parse_field_spec("D=5,half") == parse_field_spec("D=5")
         assert parse_field_spec("D=5").spec_string() == "D=5"
 
-    @pytest.mark.parametrize("bad", ["", "5", "D=abc", "D=2,half", "D=5,foo"])
+    @pytest.mark.parametrize("bad", ["", "5", "D=abc", "D=2,half", "D=5,foo", "D=5,sqrt",
+                                     "D=5,half,half", "D=3,"])
     def test_parse_rejects(self, bad):
         with pytest.raises(FieldSpecError):
             parse_field_spec(bad)
@@ -168,11 +172,11 @@ class TestClassGroup2Rank:
 
 
 def test_basis_decided_in_fields_only():
-    # FieldSpec chooses the basis once; every other module works from omega's
-    # minimal polynomial.  Only the package exports, the grid file's basis
-    # byte and field-info's basis column may name the basis
-    allowed = {"primes.py": {"_BASIS_CODE", "save_grid", "load_grid"},
-               "cli.py": {"cmd_field_info"}}
+    # FieldSpec derives the basis from D once, in `half`; every other module
+    # works from omega's minimal polynomial.  Only the grid file's basis byte
+    # and field-info's basis column may read it, and no module but fields.py
+    # writes the rule D % 4 == 1
+    allowed = {"primes.py": {"save_grid", "load_grid"}, "cli.py": {"cmd_field_info"}}
     src = pathlib.Path(quadprimes.__file__).parent
     for path in sorted(src.glob("*.py")):
         if path.name in ("fields.py", "__init__.py"):
@@ -181,9 +185,8 @@ def test_basis_decided_in_fields_only():
         for node in ast.parse(text).body:
             names = {getattr(node, "name", None)}
             names |= {t.id for t in getattr(node, "targets", []) if isinstance(t, ast.Name)}
-            if names & allowed.get(path.name, set()):
-                continue
-            if path.name == "primes.py" and isinstance(node, ast.ImportFrom):
-                continue
-            found = re.findall(r"\bBasisKind\b|\.basis\b", ast.get_source_segment(text, node))
+            pattern = r"\bBasisKind\b|\.basis\b|%\s*4\s*==\s*1"
+            if not names & allowed.get(path.name, set()):
+                pattern += r"|\.half\b"
+            found = re.findall(pattern, ast.get_source_segment(text, node))
             assert not found, f"{path.name}, line {node.lineno}: {sorted(set(found))}"

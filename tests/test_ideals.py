@@ -17,7 +17,7 @@ from sympy.ntheory.residue_ntheory import quadratic_residues
 import quadprimes
 from quadprimes import ideals
 from quadprimes.errors import BudgetError
-from quadprimes.fields import BasisKind, _is_squarefree, _prime_factors, make_field
+from quadprimes.fields import _is_squarefree, _prime_factors, make_field
 from quadprimes.ideals import (
     PRIME_BUDGET,
     IdealLattice,
@@ -256,7 +256,7 @@ class TestPrimeIdealTable:
             field = make_field(D)
             want = brute_force_listing(field, bound)
             assert enumerate_prime_ideals(field, bound) == want
-            seen.add(field.basis)
+            seen.add(("half", field.half))
             for pi in want:
                 seen.add((pi.p == 2, pi.split_type))
             d = field.discriminant
@@ -265,7 +265,7 @@ class TestPrimeIdealTable:
                     seen.add(("inert", p * p <= bound))
 
         check()
-        assert {BasisKind.SQRT_D, BasisKind.HALF} <= seen
+        assert {("half", False), ("half", True)} <= seen
         assert {(True, kind) for kind in SplitType} <= seen
         assert (False, SplitType.RAMIFIED) in seen
         assert {("inert", True), ("inert", False)} <= seen
@@ -608,7 +608,8 @@ class TestSmoothedCounts:
     def test_bit_identical_to_scalar_walk(self, kind, D):
         w, field = TestFunction(kind), make_field(D)
         for q in enumerate_squarefree_ideals(field, 60):
-            for H in (2.0, 3.7, 12.5, 20.0):
+            # 2H = 5.999999999999999 lies just below an integer
+            for H in (2.0, 2.9999999999999996, 3.7, 12.5, 20.0):
                 assert ideal_smoothed_count(q, w, H) == scalar_smoothed_count(q, w, H)
 
     @pytest.mark.parametrize("lat, radius, bound", [
@@ -649,6 +650,9 @@ class TestSmoothedCounts:
             next(lattice_half_points([1, 0, 0, 1], 10**5, LATTICE_POINT_BUDGET))
         with pytest.raises(BudgetError):
             ideal_smoothed_count(unit, SQUARE, 1e5)
+        # a finite H whose support H * 2 overflows to inf
+        with pytest.raises(BudgetError):
+            ideal_smoothed_count(unit, SQUARE, 1e308)
         # both smoothed counts walk under the budget
         monkeypatch.setattr(ideals, "LATTICE_POINT_BUDGET", 100)
         with pytest.raises(BudgetError):

@@ -21,7 +21,7 @@ from quadprimes.errors import (
     UsageError,
 )
 from quadprimes import primes
-from quadprimes.fields import BasisKind, _is_squarefree, class_group_2_rank, make_field
+from quadprimes.fields import _is_squarefree, class_group_2_rank, make_field
 from quadprimes.ideals import _prime_sieve, miller_rabin
 from quadprimes.primes import (
     box_sums,
@@ -650,7 +650,8 @@ class TestPersistence:
             save_grid(g, path)
             g2 = load_grid(path)
             assert g2.field == g.field
-            assert g2.field.basis is (BasisKind.HALF if D % 4 == 1 else BasisKind.SQRT_D)
+            with open(path, "rb") as f:
+                assert f.read(17)[16] == (D % 4 == 1)  # the basis byte
             assert g2.extent == R
             assert np.array_equal(g2.prime_count, g.prime_count)
             assert np.array_equal(g2.log_weight, g.log_weight)
@@ -678,11 +679,22 @@ class TestPersistence:
     ], ids=["truncated", "short-header", "extra-byte", "basis-code", "bad-D", "wrong-R",
             "huge-D"])
     def test_corrupt_file(self, tmp_path, corrupt):
-        # D = -3 takes the half basis, so any nonzero basis code would pass
-        # the field check
+        # D = -3 takes the half basis: its basis byte is 1, and any other
+        # byte is refused
         path = tmp_path / "grid.bin"
         save_grid(build_grid(make_field(-3), 20), str(path))
         path.write_bytes(corrupt(path.read_bytes()))
         with pytest.raises(GridFileError) as exc:
             load_grid(str(path))
         assert isinstance(exc.value, QuadPrimesError) and exc.value.exit_code == 1
+
+    @pytest.mark.parametrize("D, byte", [(-1, 1), (-3, 0), (5, 0), (2, 1)])
+    def test_basis_byte_disagrees_with_D(self, tmp_path, D, byte):
+        # the byte is derived from D on save, and checked against D on load
+        path = tmp_path / "grid.bin"
+        save_grid(build_grid(make_field(D), 5), str(path))
+        data = path.read_bytes()
+        assert data[16] == 1 - byte
+        path.write_bytes(data[:16] + bytes([byte]) + data[17:])
+        with pytest.raises(GridFileError, match=f"basis code {byte}, but D={D} takes {1 - byte}"):
+            load_grid(str(path))

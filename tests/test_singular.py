@@ -800,13 +800,13 @@ class TestHeadlineSums:
         assert slope == pytest.approx(-0.5, abs=0.06)
 
     def test_smoothed_sum_zero_weight_is_zero(self):
-        class ZeroW:
-            support_radius = 2.0
+        class ZeroW(TestFunction):
+            __slots__ = ()
 
             def eval(self, x1, x2):
                 return np.zeros(np.broadcast(x1, x2).shape)
 
-        res = singular_sum_smoothed(Qi, ZeroW(), 16, 500)
+        res = singular_sum_smoothed(Qi, ZeroW(Kind.SQUARE_AUTOCORR), 16, 500)
         assert res.value == 0.0
 
     @pytest.mark.parametrize("kind", [Kind.SQUARE_AUTOCORR, Kind.DISC_AUTOCORR])

@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 from numpy.polynomial.legendre import leggauss
 from scipy.special import j0, j1
 
+from quadprimes.errors import BudgetError, UsageError
 from quadprimes.smoothing import Kind, TestFunction
 
 SQUARE = TestFunction(Kind.SQUARE_AUTOCORR)
@@ -164,3 +165,24 @@ class TestFourier:
         assert total == pytest.approx(SQUARE.fourier_at_zero, rel=1e-4)
         total = DISC.eval(g[:, None], g[None, :]).sum() * h * h
         assert total == pytest.approx(DISC.fourier_at_zero, rel=1e-3)
+
+
+class TestSupportBox:
+    @pytest.mark.parametrize("w", [SQUARE, DISC])
+    def test_floor_of_the_scaled_radius(self, w):
+        assert w.support_box(2.0) == 4
+        assert w.support_box(3.7) == 7
+        # 2H = 5.999999999999999 lies just below an integer
+        assert w.support_box(2.9999999999999996) == 5
+        assert w.support_box(0.1) == 0
+
+    @pytest.mark.parametrize("H", [0.0, -1.0, math.inf, -math.inf, math.nan])
+    def test_rejects_non_positive_or_non_finite(self, H):
+        with pytest.raises(UsageError):
+            SQUARE.support_box(H)
+
+    def test_overflowing_support_is_a_budget_error(self):
+        # a finite H whose support H * 2 overflows to inf
+        with pytest.raises(BudgetError):
+            SQUARE.support_box(1e308)
+        assert SQUARE.support_box(8e307) == math.floor(1.6e308)

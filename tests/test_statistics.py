@@ -451,6 +451,19 @@ class TestRationalBaselines:
         )
         assert variance_rational_prime(X, H) == pytest.approx(float(vp), rel=1e-12)
 
+    @pytest.mark.parametrize("X, H", [(2, 1), (30, 3), (1000, 31), (12345, 999),
+                                      (10**5, 316), (10**5, 33333)])
+    def test_bits_equal_gathered_windows(self, X, H):
+        # the windows (k, k+H] for k = 0..X-1, gathered by an index array:
+        # the same elements in the same order as the sliced ones
+        pi, L, psi = statistics._rational_prefixes(X + H)
+        k = np.arange(X)
+        tilde = (pi[k + H] - pi[k]).astype(np.float64) - (L[k + H] - L[k])
+        dev = psi[k + H] - psi[k] - float(H)
+        assert expectation_rational(X, H) == float(np.mean(pi[k + H] - pi[k]))
+        assert variance_rational_prime(X, H) == float(np.mean(tilde * tilde))
+        assert variance_rational_lambda(X, H) == float(np.mean(dev * dev))
+
     def test_desk_scale_bands(self):
         row = zbaseline_row(10**4, 0.5)
         assert 0.3 < row.ratio_prime < 2.0
