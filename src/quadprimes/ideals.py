@@ -21,9 +21,10 @@ Each squarefree ideal also induces a rank-2 sublattice of the coordinate
 lattice, kept in Hermite normal form and built directly by CRT over the
 rational primes below the ideal (`ideal_lattice`).  One enumerator,
 `lattice_half_points`, lists the points of such lattices in a box, one of
-each +-pair, in rows clipped to the box: the box sieve of the singular
-series, the smoothed counts and the dual counts all read it.  Its rows and
-points, and the rational sieve's pairs, are walked in chunks by `_ranges`.
+each +-pair, or in a quadrant, in rows clipped to the region: the box sieve
+of the singular series, the smoothed counts and the dual counts all read
+it.  Its rows and points, and the rational sieve's pairs, are walked in
+chunks by `_ranges`.
 """
 
 from __future__ import annotations
@@ -418,48 +419,71 @@ def _ranges(count: np.ndarray):
         yield row, np.arange(a, b) - starts[row]
 
 
-def lattice_half_points(bases, radius: int, budget: Optional[int] = None):
+def lattice_half_points(bases, radius: int, budget: Optional[int] = None, *,
+                        quadrant: bool = False):
     """Yield the points u*b1 + v*b2 of sup-norm <= radius of each lattice
     with integer basis b1, b2, one point of each +-pair (v > 0, or v = 0 and
-    u > 0), in ascending (basis, v, u) order.
+    u > 0), in ascending (basis, v, u) order; with `quadrant`, every nonzero
+    point of [0, radius]^2 instead, in the same order.
 
     `bases` holds rows x1, y1, x2, y2, one column per lattice.  Each chunk is
     a triple of int64 arrays (i, k1, k2): the basis index and the
-    coordinates.  Cramer's rule bounds v by radius*|b1|_1/det; each row's
-    u-range is the intersection of the exact integer slabs
-    |u*x1 + v*x2| <= radius and |u*y1 + v*y2| <= radius, so every listed
-    point lies in the box.  The rows, then each row chunk's points, are
-    walked by `_ranges`.  With a `budget`, BudgetError is raised when the
-    rows exceed it, or the points, summed a row chunk at a time, cross it:
-    at the first such chunk, before any array of that size is made.
+    coordinates.  By Cramer's rule v*det = s*(x1*k2 - y1*k1), with det > 0
+    and s = +-1, so the rows that meet the region lie between that form's
+    extremes at its corners: v = 0 .. radius*|b1|_1/det for the half box, no
+    more rows for the quadrant.  Each row's u-range is the intersection of
+    the exact integer slabs low <= u*x1 + v*x2 <= radius and
+    low <= u*y1 + v*y2 <= radius (low = -radius, or 0 for the quadrant), so
+    every listed point lies in the region.  The rows, then each row chunk's
+    points, are walked by `_ranges`.  With a `budget`, BudgetError is raised
+    when the half box's rows exceed it, or the points, summed a row chunk at
+    a time, cross it: at the first such chunk, before any array of that size
+    is made.
     """
     x1, y1, x2, y2 = np.asarray(bases, dtype=np.int64).reshape(4, -1)
-    det = np.abs(x1 * y2 - y1 * x2)
+    cross = x1 * y2 - y1 * x2
+    s, det = np.sign(cross), np.abs(cross)
     if budget is not None:
         rows = sum(radius * (abs(a) + abs(b)) // n + 1
                    for a, b, n in zip(x1.tolist(), y1.tolist(), det.tolist()))
         if rows > budget:
             raise BudgetError(f"a walk over {brief(rows)} lattice rows in the box of radius "
                               f"{brief(radius)} exceeds the budget {budget}")
-    n = radius * (np.abs(x1) + np.abs(y1)) // det + 1  # rows v = 0 .. n-1
+    low = 0 if quadrant else -radius
+    width = radius - low
 
-    def extent(i, v):
-        # each row's first u and its number of points, 0 when it has none;
-        # the slabs |u*c + v*d| <= radius, c = x1, y1: u*|c| + off in [-radius, radius]
-        c, d = np.stack([x1[i], y1[i]]), v * np.stack([x2[i], y2[i]])
-        m, off, big = np.abs(c), np.where(c < 0, -d, d), np.iinfo(np.int64).max
-        free = np.abs(off) <= radius  # where c = 0: every u, or none
-        lo = np.where(m > 0, -((radius + off) // np.maximum(m, 1)), np.where(free, -big, 1)).max(0)
-        hi = np.where(m > 0, (radius - off) // np.maximum(m, 1), np.where(free, big, 0)).min(0)
-        lo[v == 0] = np.maximum(lo[v == 0], 1)
-        return lo, np.maximum(hi - lo + 1, 0)
+    def top(c):  # the largest c*k over k in [low, radius]
+        return np.maximum(c * radius, c * low)
+
+    # rows v = first .. first + n - 1
+    first = -((top(-s * x1) + top(s * y1)) // det) if quadrant else np.zeros_like(det)
+    n = (top(s * x1) + top(-s * y1)) // det + 1 - first
+
+    def extent(i, k):
+        # row k of lattice i: its v, first u and number of points (0 when
+        # none), from the slabs low <= u*c + v*d <= radius, c = x1, y1,
+        # doubled and centred: |2u*c + off| <= width, off = 2v*d - (low +
+        # radius) (negated when c < 0, with |2c| for 2c), width = radius - low
+        v = first[i] + k
+        c, d = np.stack([x1[i], y1[i]]), 2 * v * np.stack([x2[i], y2[i]]) - (low + radius)
+        m, off, big = 2 * np.abs(c), np.where(c < 0, -d, d), np.iinfo(np.int64).max
+        free = np.abs(off) <= width  # where c = 0: every u, or none
+        lo = np.where(m > 0, -((width + off) // np.maximum(m, 1)), np.where(free, -big, 1)).max(0)
+        hi = np.where(m > 0, (width - off) // np.maximum(m, 1), np.where(free, big, 0)).min(0)
+        axis = v == 0  # the row through the origin, which is left out
+        if quadrant:  # the row's points all lie on one side of the origin
+            lo[axis] += lo[axis] == 0
+            hi[axis] -= hi[axis] == 0
+        else:
+            lo[axis] = np.maximum(lo[axis], 1)
+        return v, lo, np.maximum(hi - lo + 1, 0)
 
     if budget is not None and any(total > budget for total in itertools.accumulate(
-            int(extent(i, v)[1].sum()) for i, v in _ranges(n))):
+            int(extent(i, k)[2].sum()) for i, k in _ranges(n))):
         raise BudgetError(f"a walk over more than {budget} lattice points in the box of "
                           f"radius {brief(radius)} exceeds the budget")
-    for i, v in _ranges(n):
-        lo, count = extent(i, v)
+    for i, k in _ranges(n):
+        v, lo, count = extent(i, k)
         for row, k in _ranges(count):
             b, u, w = i[row], lo[row] + k, v[row]
             yield b, u * x1[b] + w * x2[b], u * y1[b] + w * y2[b]

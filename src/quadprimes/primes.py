@@ -7,13 +7,14 @@ primes with p^2 added for every inert p, tells prime elements by their norm
 alone.  Grids tabulate 2D prefix sums of the prime indicator and of the
 1/log|N| weight (over all elements of norm > 1), so any coordinate box is
 answered by four corner lookups, combined by the one inclusion-exclusion
-expression in `_corners`.  The scalar queries pass it int indices;
-`box_sums` gathers the corners for arbitrary centers by index arrays;
-`grid_box_sums` answers the boxes at fixed offsets around every integer
-point of [-M, M]^2 at once, or of a strip of its rows, each corner term one
-contiguous slice of the table.  All three give the same value for the same
-box, bit for bit.  The box of radius H around x spans the integers of the
-exact interval [x - H, x + H], not of its rounded ends.
+expression in `_corners`.  The scalar queries read the corners as Python
+scalars (`ndarray.item`); `box_sums` gathers the corners for arbitrary
+centers by index arrays; `grid_box_sums` answers the boxes at fixed
+offsets around every integer point of [-M, M]^2 at once, or of a strip of
+its rows, each corner term one contiguous slice of the table.  All three
+give the same value for the same box, bit for bit.  The box of radius H
+around x spans the integers of the exact interval [x - H, x + H], not of
+its rounded ends.
 
 `build_grid` walks the box in strips of `_STRIP_ROWS` rows, so only the
 tables themselves are box-sized: each strip's norm surface, its prime mask
@@ -149,10 +150,11 @@ def build_grid(field: FieldSpec, extent: int, square_weights: bool = False) -> P
     return PrefixGrid(field, R, *tables, kappa)
 
 
-def _corners(table: np.ndarray, a, b, c, d):
+def _corners(at, a, b, c, d):
     """Four-corner inclusion-exclusion: the sum over prefix-table rows a..b-1
-    and columns c..d-1.  The indices may be ints, index arrays or slices."""
-    return table[b, d] - table[a, d] - table[b, c] + table[a, c]
+    and columns c..d-1, read by at(i, j): a table's `item` for int indices
+    (Python scalars), or its indexing for index arrays or slices."""
+    return at(b, d) - at(a, d) - at(b, c) + at(a, c)
 
 
 def _two_sum(a, b):
@@ -214,12 +216,12 @@ def _box_bounds(grid: PrefixGrid, x1: float, x2: float, H: float):
 
 def count_primes_box(grid: PrefixGrid, x1: float, x2: float, H: float) -> int:
     """Number of prime elements with sup-norm distance <= H from (x1, x2)."""
-    return int(_corners(grid.prime_count, *_box_bounds(grid, x1, x2, H)))
+    return _corners(grid.prime_count.item, *_box_bounds(grid, x1, x2, H))
 
 
 def log_weight_box(grid: PrefixGrid, x1: float, x2: float, H: float) -> float:
     """Sum of 1/log|N| over elements of norm > 1 in the closed box."""
-    return float(_corners(grid.log_weight, *_box_bounds(grid, x1, x2, H)))
+    return _corners(grid.log_weight.item, *_box_bounds(grid, x1, x2, H))
 
 
 def box_sums(
@@ -241,7 +243,8 @@ def box_sums(
     lo, hi = lo.astype(np.int64), hi.astype(np.int64)
     a, b = lo + R, hi + R + 1
     np.copyto(b[:, 0], a[:, 0], where=b[:, 1] == a[:, 1])  # no columns: no rows (`_box_bounds`)
-    return [_corners(table, a[:, 0], b[:, 0], a[:, 1], b[:, 1]) for table in tables]
+    return [_corners(lambda i, j: table[i, j], a[:, 0], b[:, 0], a[:, 1], b[:, 1])
+            for table in tables]
 
 
 def check_box_extent(grid: PrefixGrid, M: int, rows: tuple[int, int],
@@ -277,7 +280,7 @@ def grid_box_sums(
     # k = r0 - M .. r1 - 1 - M and the center columns k = -M..M
     a, b = (slice(R - M + s + r0, R - M + s + r1) for s in (lo1, hi1 + 1))
     c, d = (slice(R - M + s, R + M + s + 1) for s in (lo2, hi2 + 1))
-    return [_corners(table, a, b, c, d).ravel() for table in tables]
+    return [_corners(lambda i, j: table[i, j], a, b, c, d).ravel() for table in tables]
 
 
 def count_primes_boxes(grid: PrefixGrid, centers: np.ndarray, H: float) -> np.ndarray:

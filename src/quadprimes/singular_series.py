@@ -14,8 +14,10 @@ ideal containing the shift, in the same order.  Pointwise evaluation
 sieves (`_sieve_box`, `sieved_singular_rational`) give each entry the same
 factors in the same order, by strided slices and an ordered
 `np.multiply.at`, so sieved values are bit-identical to pointwise ones.  A
-process keeps one sieved box alive (`_covering_box`); smaller boxes, and
-those of every H of the smoothed sums, are its centre slices.  The
+box is sieved only on a region that holds all its values by symmetry: the
+quadrant k1, k2 >= 0 for D = 2, 3 (mod 4), the rows k1 >= 0 otherwise.  A
+process keeps one sieved region alive (`_covering_box`); every box, of the
+smoothed sums' H or asked for, is unfolded from it (`_unfold`).  The
 residue's character moments are summed exactly over half a period and
 reflected by chi(q - r) = chi(-1) chi(r).  The mu^2/phi partial sums take
 one walk over the squarefree ideals for all their cutoffs, built as arrays
@@ -381,74 +383,104 @@ class SingularBox:
 _STRIDED_FRACTION = 8
 
 
-def _sieve_box(field: FieldSpec, radius: int, cutoff: int) -> SingularBox:
-    """Sieve the singular series over a full coordinate box.
+def _sieve_box(field: FieldSpec, radius: int, cutoff: int) -> np.ndarray:
+    """Sieve the singular series over the region of the box
+    sup|m(eta)| <= radius that `_unfold` builds the box from.
+
+    Every ideal is closed under negation, so S(-eta) = S(eta) factor by
+    factor.  Conjugation permutes the prime ideals and keeps their norms,
+    and a factor depends only on the norm and on membership, so S is also
+    invariant under conjugation, which maps k1 + k2*omega, omega a root of
+    x^2 + b x + c, to (k1 - b*k2) - k2*omega: for b = 0 (D = 2, 3 mod 4)
+    S(k1, -k2) = S(k1, k2), bit for bit.  So the rows k1 >= 0
+    hold every value of the box, and for b = 0 so does the quadrant
+    k1, k2 >= 0.  That region is sieved: for b = 0 an array of shape
+    (radius+1, radius+1) whose [i, j] holds the value at (i, j), otherwise
+    one of shape (radius+1, 2 radius+1) whose [i, j] holds the value at
+    (i, j - radius).  The origin is NaN.
 
     After the base fill and the norm-2 factors, every prime ideal of norm >= 3
     multiplies its ratio into the entries at the points of its coordinate
     lattice.  (p, omega - r) holds (k1, k2) exactly when k1 = -r*k2 (mod p)
     and an inert (p) when p divides both, so each residue class of columns
-    is one strided slice of rows.  The norm-2 factors (2 on the ideal, 0 off
-    it) and the ideals of norm <= W // `_STRIDED_FRACTION` (box width W), a
-    prefix of the ascending order, are applied so.  The larger ideals' points
-    in the box are listed by `ideals.lattice_half_points` from reduced bases,
-    row by row of the second coefficient, each row clipped to the box, in
-    ascending ideal order, and applied with `np.multiply.at` a chunk at a time.
-    `ufunc.at` applies repeated indices in order, so each entry is multiplied
-    by its ideals' ratios in ascending norm order, as in `singular_series`,
-    and entries agree bit-for-bit with pointwise evaluation.
-
-    Every ideal is closed under negation, and S(-eta) = S(eta) factor by
-    factor, so only one half of the box is sieved: the slices cover the rows
-    k1 >= 0, and only one point of each listed +-pair (v > 0, or v = 0 and
-    u > 0) is applied, to whichever of eta, -eta has the larger flat index.
-    That half of the box is then mirrored onto the other.
+    is one strided slice of rows from row 0.  The norm-2 factors (2 on the
+    ideal, 0 off it) and the ideals of norm <= W // `_STRIDED_FRACTION` (box
+    width W), a prefix of the ascending order, are applied so.  The larger
+    ideals' points in the region are listed by `ideals.lattice_half_points`
+    from reduced bases, row by row of the second coefficient, each row
+    clipped to the region, in ascending ideal order, and applied with
+    `np.multiply.at` a chunk at a time.  `ufunc.at` applies repeated indices
+    in order, so each entry is multiplied by its ideals' ratios in ascending
+    norm order, as in `singular_series`, and entries agree bit-for-bit with
+    pointwise evaluation.  On the rows k1 >= 0 the walk lists one point of
+    each +-pair, applied to whichever of eta, -eta lies in the rows k1 > 0,
+    or at k2 > 0 on the row k1 = 0, which is then mirrored onto its k2 < 0.
     """
-    W = 2 * radius + 1
+    R = radius
     data = _euler_data(field, cutoff)
-    M = radius
-    vals = np.full((W, W), data.base, dtype=np.float64)
-    # (k1, k2) = (i - M, j - M) lies in (p, omega - r) when i = M - r (j - M) mod p
+    C = R if field.minpoly_omega()[0] else 0  # the column of k2 = 0
+    vals = np.full((R + 1, R + 1 + C), data.base, dtype=np.float64)
+    # (k1, k2) = (i, j - C) lies in (p, omega - r) when i = r (C - j) mod p
     for r in data.norm2_roots:
         for j in range(2):
-            i = (M - r * (j - M)) % 2
+            i = r * (C - j) % 2
             vals[i::2, j::2] *= 2.0
             vals[1 - i :: 2, j::2] *= 0.0
-    n_small = int(np.searchsorted(data.norm, W // _STRIDED_FRACTION, "right"))
+    n_small = int(np.searchsorted(data.norm, (2 * R + 1) // _STRIDED_FRACTION, "right"))
     for p, r, ratio in zip(data.p[:n_small].tolist(), data.root[:n_small].tolist(),
                            data.ratio_array[:n_small].tolist()):
         if r < 0:
-            vals[M :: p, M % p :: p] *= ratio
+            vals[::p, C % p :: p] *= ratio
         else:
             for j in range(p):
-                i = (M - r * (j - M)) % p
-                vals[M + (i - M) % p :: p, j::p] *= ratio
-    flat, ratio = vals.reshape(-1), data.ratio_array[n_small:]
-    for i, k1, k2 in lattice_half_points(data.bases[:, n_small:], M):
-        idx = (k1 + M) * W + (k2 + M)
-        # eta and -eta sit at flat indices idx and W*W - 1 - idx
-        np.multiply.at(flat, np.maximum(idx, W * W - 1 - idx), ratio[i])
-    c = W * W // 2
-    flat[:c] = flat[:c:-1]
-    vals[M, M] = np.nan
-    return SingularBox(field, radius, cutoff, _tail_bound(cutoff), vals)
+                vals[r * (C - j) % p :: p, j::p] *= ratio
+    flat, ratio, width = vals.reshape(-1), data.ratio_array[n_small:], vals.shape[1]
+    for i, k1, k2 in lattice_half_points(data.bases[:, n_small:], R, quadrant=C == 0):
+        idx = k1 * width + (k2 + C)
+        # -eta sits at 2C - idx: below row 0, or left of k2 = 0 on it
+        np.multiply.at(flat, np.maximum(idx, 2 * C - idx), ratio[i])
+    vals[0, :C] = vals[0, 2 * C : C : -1]
+    vals[0, C] = np.nan
+    return vals
 
 
-# the largest box sieved under the last (field, cutoff) asked for, or None
-_largest_box: SingularBox | None = None
+def _unfold(region: np.ndarray, M: int, out: np.ndarray, ufunc=np.positive, *args) -> np.ndarray:
+    """Write ufunc(S, *args) over the box [-M, M]^2 into `out`, of shape
+    (2M+1, 2M+1) in C order, from the `_sieve_box` region `region` of a
+    radius >= M; `np.positive` copies.
+
+    The rows k1 >= 0 come from the region, its quadrant mirrored by k2 -> -k2
+    when it is one, and the rows k1 < 0 are the rows k1 > 0 mirrored by
+    eta -> -eta.  Every entry is the value at its own point, bit for bit.
+    """
+    R = region.shape[0] - 1
+    top = out[M:]
+    if region.shape[1] == R + 1:  # the quadrant
+        ufunc(region[: M + 1, : M + 1], *args, out=top[:, M:])
+        ufunc(region[: M + 1, M:0:-1], *args, out=top[:, :M])
+    else:
+        ufunc(region[: M + 1, R - M : R + M + 1], *args, out=top)
+    out[:M] = top[:0:-1, ::-1]
+    return out
 
 
-def _covering_box(field: FieldSpec, radius: int, cutoff: int) -> SingularBox:
-    """A sieved box of this field and cutoff with radius >= `radius`.
+# (field, cutoff, region): the region sieved for the largest box under the
+# last (field, cutoff) asked for, or None
+_largest_box: tuple[FieldSpec, int, np.ndarray] | None = None
+
+
+def _covering_box(field: FieldSpec, radius: int, cutoff: int) -> np.ndarray:
+    """A `_sieve_box` region of this field and cutoff, of radius >= `radius`.
 
     The radius must be at least 1 and the box within the memory budget; both
-    are checked before the cache is looked at.  The cache holds one box, with
-    read-only values: the largest sieved under the last (field, cutoff) asked
-    for.  It is returned when it covers `radius`; otherwise the cutoff is
-    validated, so a bad one raises with the cache kept, and the box is
-    dropped, freeing its memory before the new box is allocated, and a box
-    sieved at `radius` takes its place.  Two threads that miss at once each
-    sieve a box; both are correct, and the last one stored stays in the cache.
+    are checked before the cache is looked at.  The cache holds one region,
+    with read-only values: that of the largest box sieved under the last
+    (field, cutoff) asked for.  It is returned when it covers `radius`;
+    otherwise the cutoff is validated, so a bad one raises with the cache
+    kept, and the region is dropped, freeing its memory before the new one
+    is allocated, and a region sieved at `radius` takes its place.  Two
+    threads that miss at once each sieve a region; both are correct, and the
+    last one stored stays in the cache.
     """
     global _largest_box
     if radius < 1:
@@ -456,15 +488,16 @@ def _covering_box(field: FieldSpec, radius: int, cutoff: int) -> SingularBox:
     W = 2 * radius + 1
     if W * W > 40_000_000:
         raise BudgetError(f"box with {brief(W * W)} entries exceeds the memory budget")
-    box = _largest_box
-    if box is not None and (box.field, box.cutoff) == (field, cutoff) and box.radius >= radius:
-        return box
+    cached = _largest_box
+    # a region of radius R has the R + 1 rows k1 = 0..R
+    if cached is not None and cached[:2] == (field, cutoff) and len(cached[2]) > radius:
+        return cached[2]
     _euler_data(field, cutoff)
-    box = _largest_box = None  # free the old box before the new one is allocated
-    box = _sieve_box(field, radius, cutoff)
-    box.values.flags.writeable = False
-    _largest_box = box
-    return box
+    cached = _largest_box = None  # free the old region before the new one is allocated
+    region = _sieve_box(field, radius, cutoff)
+    region.flags.writeable = False
+    _largest_box = (field, cutoff, region)
+    return region
 
 
 def sieved_singular_box(
@@ -473,21 +506,17 @@ def sieved_singular_box(
     """Singular-series values over the coordinate box sup|m(eta)| <= radius,
     bit-identical to pointwise `singular_series`.
 
-    The box comes from `_covering_box`, which keeps the largest box sieved
-    under the last (field, cutoff) asked for alive until another (field,
-    cutoff) is asked for; `_sieve_box` describes the sieve.  At that box's
-    radius the cached box itself is returned.  A smaller box is the centre
-    slice of a larger one, since every entry depends only on its lattice
-    point, so a smaller radius gets a C-contiguous copy of that slice.  The
-    values are read-only either way.
+    The box is unfolded (`_unfold`) from the region that `_covering_box`
+    keeps alive, sieved for the largest box under the last (field, cutoff)
+    asked for, until another (field, cutoff) is asked for; `_sieve_box`
+    describes the sieve.  A smaller box is the centre of a larger one, since
+    every entry depends only on its lattice point.  The values are a new
+    C-contiguous array, read-only.
     """
-    box = _covering_box(field, radius, cutoff)
-    R = box.radius
-    if R == radius:
-        return box
-    values = box.values[R - radius : R + radius + 1, R - radius : R + radius + 1].copy()
+    W = 2 * radius + 1
+    values = _unfold(_covering_box(field, radius, cutoff), radius, np.empty((W, W)))
     values.flags.writeable = False
-    return SingularBox(field, radius, cutoff, box.tail_bound, values)
+    return SingularBox(field, radius, cutoff, _tail_bound(cutoff), values)
 
 
 @dataclass(frozen=True, slots=True)
@@ -515,15 +544,16 @@ def singular_sums_smoothed(
 ) -> list[SmoothedSumResult]:
     """Smoothed sums of (singular series - 1) over nonzero shifts, one per H.
 
-    Sums (S(eta) - 1) * w(m(eta)/H) over the scaled support box: the centre
-    slice, for each H, of `_covering_box` at the largest H (every entry
-    depends only on its lattice point).  w must be even in each coordinate,
-    as both `TestFunction` kinds are, so it is evaluated on one quadrant.
-    Each H fills one scratch array with S - 1, then with |S|, and weighs and
-    sums it in place (`_weighted_sum`).  Every entry is the same product as
-    over a full mirrored weight grid and the array is C-contiguous, so
-    `np.sum` adds the same terms in the same pairwise order: the sums are
-    bit-identical to it.  The boxes of all the H hold at most
+    Sums (S(eta) - 1) * w(m(eta)/H) over the scaled support box, for each H
+    unfolded from the region `_covering_box` keeps for the largest H (every
+    entry depends only on its lattice point).  w must be even in each
+    coordinate, as both `TestFunction` kinds are, so it is evaluated on one
+    quadrant.  Each H fills one scratch array of its box with S - 1, then
+    with |S|, by `_unfold`, and weighs and sums it in place
+    (`_weighted_sum`).  The array holds the values of the full box in C
+    order and every entry is the same product as over a full mirrored
+    weight grid, so `np.sum` adds the same terms in the same pairwise order:
+    the sums are bit-identical to it.  The boxes of all the H hold at most
     `SMOOTHED_ENTRY_BUDGET` entries.  The reported uncertainty is the
     conservative per-term tail bound; membership and avoidance corrections
     beyond the cutoff cancel on average, so the realized truncation error is
@@ -539,16 +569,14 @@ def singular_sums_smoothed(
     if entries > SMOOTHED_ENTRY_BUDGET:
         raise BudgetError(f"{len(Hs)} scales weigh {brief(entries)} box entries, over the "
                           f"budget of {brief(SMOOTHED_ENTRY_BUDGET)}")
-    box = _covering_box(field, max(radii), cutoff)
-    R = box.radius
+    region = _covering_box(field, max(radii), cutoff)
     results = []
     for H, M in zip(Hs, radii):
-        view = box.values[R - M : R + M + 1, R - M : R + M + 1]
         k = np.arange(M + 1)
         wq = np.asarray(w.eval(k[:, None] / H, k[None, :] / H), dtype=np.float64)
-        t = np.subtract(view, 1.0)
+        t = _unfold(region, M, np.empty((2 * M + 1, 2 * M + 1)), np.subtract, 1.0)
         total = _weighted_sum(t, wq, M)
-        uncertainty = box.tail_bound * _weighted_sum(np.abs(view, out=t), wq, M)
+        uncertainty = _tail_bound(cutoff) * _weighted_sum(_unfold(region, M, t, np.abs), wq, M)
         results.append(SmoothedSumResult(total, uncertainty, H, cutoff))
     return results
 

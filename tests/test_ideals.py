@@ -378,9 +378,10 @@ class TestRamanujan:
                     assert condensation_sum(c, eta) == want
 
 
-def half_listing(bases, radius, budget=None):
+def half_listing(bases, radius, budget=None, quadrant=False):
     """The concatenated (i, k1, k2) chunks of `lattice_half_points`."""
-    return [(i, k1, k2) for chunk in lattice_half_points(bases, radius, budget)
+    return [(i, k1, k2)
+            for chunk in lattice_half_points(bases, radius, budget, quadrant=quadrant)
             for i, k1, k2 in zip(*(c.tolist() for c in chunk))]
 
 
@@ -390,18 +391,21 @@ def box_points(lat, radius):
     return {(0, 0), *half, *((-k1, -k2) for k1, k2 in half)}
 
 
-def brute_half(bases, radius):
-    """One point of each +-pair of each lattice in the box, by testing every
-    box point's coefficients (Cramer's rule), in (basis, v, u) order."""
+def brute_half(bases, radius, quadrant=False):
+    """One point of each +-pair of each lattice in the box, or with
+    `quadrant` every nonzero point in [0, radius]^2, by testing every point's
+    coefficients (Cramer's rule), in (basis, v, u) order."""
     out = []
+    low = 0 if quadrant else -radius
     for i, (x1, y1, x2, y2) in enumerate(zip(*bases)):
         det = x1 * y2 - y1 * x2
         pts = []
-        for k1 in range(-radius, radius + 1):
-            for k2 in range(-radius, radius + 1):
+        for k1 in range(low, radius + 1):
+            for k2 in range(low, radius + 1):
                 u, ru = divmod(k1 * y2 - k2 * x2, det)
                 v, rv = divmod(x1 * k2 - y1 * k1, det)
-                if ru == rv == 0 and (v > 0 or (v == 0 and u > 0)):
+                if ru == rv == 0 and (v > 0 or (v == 0 and u > 0)
+                                      or quadrant and (u, v) != (0, 0)):
                     pts.append((v, u, k1, k2))
         out += [(i, k1, k2) for _, _, k1, k2 in sorted(pts)]
     return out
@@ -440,14 +444,41 @@ class TestLatticeHalfPoints:
     def test_matches_brute_force(self, bases, radius):
         assert half_listing(bases, radius) == brute_half(bases, radius)
 
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=150, deadline=None)
     @given(bases=lattice_bases(), radius=st.integers(0, 30))
-    def test_chunk_size_does_not_change_listing(self, bases, radius):
-        want = half_listing(bases, radius)
+    @example(bases=[[3], [0], [0], [3]], radius=12)
+    @example(bases=[[0], [5], [1], [-2]], radius=5)
+    @example(bases=[[-2], [-1], [1], [-3]], radius=9)  # b1 points out of the quadrant
+    def test_quadrant_matches_brute_force(self, bases, radius):
+        assert half_listing(bases, radius, quadrant=True) == brute_half(bases, radius, True)
+
+    @settings(max_examples=60, deadline=None)
+    @given(bases=lattice_bases(), radius=st.integers(0, 30))
+    def test_quadrant_walks_no_more_rows_than_the_half_box(self, bases, radius):
+        def rows(quadrant):
+            # a walk's first `_ranges` call is over its lattices' row counts
+            counts = []
+
+            def counted(count, ranges=ideals._ranges):
+                counts.append(count)
+                return ranges(count)
+
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(ideals, "_ranges", counted)
+                list(lattice_half_points(bases, radius, quadrant=quadrant))
+            return counts[0]
+
+        assert (rows(True) <= rows(False)).all()
+
+    @settings(max_examples=30, deadline=None)
+    @given(bases=lattice_bases(), radius=st.integers(0, 30),
+           quadrant=st.booleans())
+    def test_chunk_size_does_not_change_listing(self, bases, radius, quadrant):
+        want = half_listing(bases, radius, quadrant=quadrant)
         with pytest.MonkeyPatch.context() as mp:
             for chunk in (1, 7):
                 mp.setattr(ideals, "_CHUNK", chunk)
-                assert half_listing(bases, radius) == want
+                assert half_listing(bases, radius, quadrant=quadrant) == want
 
 
 class TestRanges:

@@ -360,8 +360,9 @@ class TestOneCornerExpression:
         for centers, H in cases:
             counts, weights = box_sums(g, [g.prime_count, g.log_weight], centers, H)
             for (x1, x2), want_c, want_w in zip(centers.tolist(), counts, weights):
-                assert count_primes_box(g, x1, x2, H) == want_c
-                assert log_weight_box(g, x1, x2, H) == want_w
+                c, w = count_primes_box(g, x1, x2, H), log_weight_box(g, x1, x2, H)
+                assert type(c) is int and type(w) is float  # Python scalars
+                assert c == want_c and w.hex() == float(want_w).hex()
             if H < 0.5 and centers is half:
                 assert not counts.any()
                 assert np.abs(weights).max() < 1e-12

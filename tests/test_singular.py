@@ -17,6 +17,7 @@ from quadprimes.fields import _is_squarefree, make_field
 from quadprimes.ideals import PRIME_BUDGET, SplitType, _prime_sieve, enumerate_prime_ideals
 from quadprimes.singular_series import (
     RESIDUE_TERM_BUDGET,
+    SingularBox,
     _base_factor,
     _character_table,
     _exact_sum,
@@ -25,6 +26,8 @@ from quadprimes.singular_series import (
     _moments,
     _rational_euler_data,
     _sieve_box,
+    _tail_bound,
+    _unfold,
     mobius_phi_profile,
     montgomery_sum,
     residue_rk,
@@ -468,7 +471,46 @@ class TestRational:
             assert singular_series_rational(h, P).value == rational_reference(h, P), h
 
 
+def fresh_box(field, radius: int, cutoff: int) -> SingularBox:
+    """The box unfolded from a region sieved for it, past the cache."""
+    W = 2 * radius + 1
+    values = _unfold(_sieve_box(field, radius, cutoff), radius, np.empty((W, W)))
+    return SingularBox(field, radius, cutoff, _tail_bound(cutoff), values)
+
+
+def assert_pointwise(box: SingularBox):
+    """Every entry of the box is `singular_series` at its point, bit for bit."""
+    F, r, P = box.field, box.radius, box.cutoff
+    for k1 in range(-r, r + 1):
+        for k2 in range(-r, r + 1):
+            if (k1, k2) != (0, 0):
+                assert box.value_at(k1, k2).value == singular_series(
+                    F.element(k1, k2), P).value, (k1, k2)
+    assert np.isnan(box.values[r, r]) and np.isnan(box.values).sum() == 1
+
+
 class TestSievedBox:
+    # the quadrant is sieved for D = 2, 3 (mod 4), the rows k1 >= 0 otherwise
+    @settings(max_examples=6, deadline=None)
+    @given(r=st.integers(3, 60))
+    @example(r=1)
+    @example(r=2)
+    @pytest.mark.parametrize("D", [-1, 2, 3, -5, 10, -3, -7, 5, 17])
+    def test_unfolded_region_matches_pointwise(self, D, r):
+        assert_pointwise(fresh_box(make_field(D), r, 3000))
+
+    @pytest.mark.parametrize("D", [-1, 10, -3])
+    @pytest.mark.parametrize("R", [1, 2, 37])
+    def test_cache_holds_the_region(self, D, R):
+        # for D = -1 a quadrant of 8 (R+1)^2 bytes; full boxes are unfolded
+        F = make_field(D)
+        singular_series_module._largest_box = None
+        box = sieved_singular_box(F, R, 1000)
+        values = singular_series_module._largest_box[2]
+        width = 2 * R + 1 if F.half else R + 1
+        assert values.shape == (R + 1, width) and values.nbytes == 8 * (R + 1) * width
+        assert box.values.shape == (2 * R + 1, 2 * R + 1)
+
     def test_matches_pointwise_exactly(self):
         box = sieved_singular_box(Qi, 10, 1000)
         for k1 in range(-10, 11):
@@ -533,10 +575,10 @@ class TestSievedBox:
         # 1: every ideal of norm <= W is sliced; 10**9: only norm 2 is.
         # Fresh sieves: a cached box would be compared with itself.
         F, r, P = make_field(D), 45, 5000
-        want = _sieve_box(F, r, P).values.tobytes()
+        want = _sieve_box(F, r, P).tobytes()
         for fraction in (1, 10**9):
             monkeypatch.setattr(singular_series_module, "_STRIDED_FRACTION", fraction)
-            assert _sieve_box(F, r, P).values.tobytes() == want
+            assert _sieve_box(F, r, P).tobytes() == want
 
     @pytest.mark.parametrize("D", [-7, 10, -5, 17])
     def test_array_pointwise_matches_objects_and_sieve(self, D):
@@ -567,9 +609,9 @@ class TestSievedBox:
         # fresh sieves of both radii: the cache serves the small box from
         # the big one exactly when this holds
         F, R, P = make_field(D), 50, 5000
-        big = _sieve_box(F, R, P).values
+        big = fresh_box(F, R, P).values
         for r in (1, 7, 40):
-            small = _sieve_box(F, r, P).values
+            small = fresh_box(F, r, P).values
             assert np.array_equal(big[R - r : R + r + 1, R - r : R + r + 1], small,
                                   equal_nan=True)
 
@@ -587,10 +629,10 @@ class TestSievedBox:
         # calls; the per-entry multiplication order must not change.
         # Fresh sieves: a cached box would be compared with itself.
         F, r, P = make_field(D), 20, 3000
-        want = _sieve_box(F, r, P).values
+        want = fresh_box(F, r, P).values
         for chunk in (13, 97, 4096):
             monkeypatch.setattr(ideals_module, "_CHUNK", chunk)
-            got = _sieve_box(F, r, P).values
+            got = fresh_box(F, r, P).values
             assert np.array_equal(got, want, equal_nan=True)
         assert singular_series(F.element(3, 5), P).value == want[r + 3, r + 5]
 
@@ -619,16 +661,17 @@ class TestBoxCache:
     @pytest.fixture
     def sieves(self, monkeypatch):
         """Start from an empty cache; count the sieves, and check at the start
-        of each that the cache is empty and every box sieved before is freed."""
+        of each that the cache is empty and every region sieved before is
+        freed."""
         monkeypatch.setattr(singular_series_module, "_largest_box", None)
         made = []
 
         def counted(field, radius, cutoff):
             assert singular_series_module._largest_box is None
             assert all(ref() is None for ref in made)
-            box = _sieve_box(field, radius, cutoff)
-            made.append(weakref.ref(box.values))
-            return box
+            region = _sieve_box(field, radius, cutoff)
+            made.append(weakref.ref(region))
+            return region
 
         monkeypatch.setattr(singular_series_module, "_sieve_box", counted)
         return made
@@ -639,12 +682,12 @@ class TestBoxCache:
         F = make_field(D)
         for r in (5, 20, 12, 20, 3, 40, 1):
             box = sieved_singular_box(F, r, P)
-            fresh = _sieve_box(F, r, P)
+            fresh = fresh_box(F, r, P)
             assert (box.field, box.radius, box.cutoff, box.tail_bound) == (
                 F, r, P, fresh.tail_bound)
             assert box.values.flags.c_contiguous
             assert box.values.tobytes() == fresh.values.tobytes()
-            del box, fresh  # the next miss must find the cached box freed
+            del box, fresh  # the next miss must find the cached region freed
         assert len(sieves) == 3  # radii 5, 20 and 40
 
     def test_another_key_evicts(self, sieves):
@@ -678,7 +721,8 @@ class TestBoxCache:
         assert cached == fresh
 
     def test_bad_radius_raises_before_sieving(self, sieves):
-        kept = sieved_singular_box(Qi, 10, 1000)
+        sieved_singular_box(Qi, 10, 1000)
+        kept = singular_series_module._largest_box
         w = TestFunction(Kind.SQUARE_AUTOCORR)
         with pytest.raises(ValueError):
             sieved_singular_box(Qi, 0, 1000)
@@ -690,7 +734,8 @@ class TestBoxCache:
         assert len(sieves) == 1
 
     def test_scale_list_budget_raises_before_sieving(self, sieves, monkeypatch):
-        kept = sieved_singular_box(Qi, 20, 1000)
+        sieved_singular_box(Qi, 20, 1000)
+        kept = singular_series_module._largest_box
         w = TestFunction(Kind.SQUARE_AUTOCORR)
         # 100 boxes of radius 3000 each fit the box budget, not together
         for Hs in ([1500.0] * 100, [1e308]):
@@ -706,7 +751,8 @@ class TestBoxCache:
         assert len(sieves) == 1
 
     def test_bad_cutoff_raises_before_the_cache_is_dropped(self, sieves):
-        kept = sieved_singular_box(Qi, 10, 1000)
+        sieved_singular_box(Qi, 10, 1000)
+        kept = singular_series_module._largest_box
         with pytest.raises(UsageError):
             sieved_singular_box(Qi, 5, 1)
         with pytest.raises(BudgetError):
@@ -760,7 +806,7 @@ class TestScratchSums:
     def test_bits_equal_full_grid_formula(self, D, kind):
         # compared by .hex(), so that a -0.0 or a NaN difference shows
         F, w, P = make_field(D), TestFunction(kind), 2000
-        want = full_grid_sums(_sieve_box(F, math.floor(max(self.HS) * 2.0), P), w, self.HS)
+        want = full_grid_sums(fresh_box(F, math.floor(max(self.HS) * 2.0), P), w, self.HS)
         want = [(v.hex(), u.hex()) for v, u in want]
         singular_series_module._largest_box = None
         batch = singular_sums_smoothed(F, w, self.HS, P)
@@ -774,19 +820,23 @@ class TestScratchSums:
 
     @pytest.mark.parametrize("kind", [Kind.SQUARE_AUTOCORR, Kind.DISC_AUTOCORR])
     def test_peak_memory_below_two_boxes(self, kind):
-        # no full weight grid, slice copy or product temporaries: one scratch
-        # array of the box's size, the quadrant weights and their transients
+        # no full weight grid, unfolded box or product temporaries: one
+        # scratch array of the box's size, the quadrant weights and their
+        # transients, against the cached region of the same radius
         singular_series_module._largest_box = None
-        box = sieved_singular_box(Qi, 256, 2000)
+        M = 256
+        sieved_singular_box(Qi, M, 2000)
+        region = singular_series_module._largest_box
         w = TestFunction(kind)
+        assert w.support_box(128.0) == M
         tracemalloc.start()
         try:
             singular_sums_smoothed(Qi, w, [128.0], 2000)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert singular_series_module._largest_box is box
-        assert peak < 2 * box.values.nbytes
+        assert singular_series_module._largest_box is region
+        assert peak < 2 * 8 * (2 * M + 1) ** 2  # two full boxes of float64
 
 
 class TestHeadlineSums:
