@@ -3,7 +3,7 @@
 __version__ = "0.1.0"
 
 from .errors import BudgetError, ExtentError, FieldSpecError, QuadPrimesError, UsageError
-from .fields import FieldSpec, QuadInt, divide_exact, make_field, parse_field_spec
+from .fields import FieldSpec, QuadInt, make_field, parse_field_spec
 from .ideals import (
     IdealLattice,
     PrimeIdeal,

@@ -8,15 +8,14 @@ integers.  A field string may say ``,half`` only where D forces it.
 Everything else follows from omega's minimal polynomial x^2 + b x + c
 (`FieldSpec.minpoly_omega`): the discriminant b^2 - 4c, the norm form,
 conjugation, products and, in `ideals`, the splitting of rational primes.
-All arithmetic is exact (Python integers), so products, norms and exact
-divisions never overflow.
+All arithmetic is exact (Python integers), so products and norms never
+overflow.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 from .errors import BudgetError, FieldSpecError
 
@@ -158,9 +157,6 @@ class QuadInt:
         b, _ = self.field.minpoly_omega()
         return QuadInt(self.field, self.k1 - b * self.k2, -self.k2)
 
-    def is_unit(self) -> bool:
-        return self.norm() in (1, -1)
-
     def is_zero(self) -> bool:
         return self.k1 == 0 and self.k2 == 0
 
@@ -186,17 +182,3 @@ class QuadInt:
         # omega^2 = -b omega - c
         return QuadInt(self.field, a1 * b1 - c * a2 * b2, a1 * b2 + a2 * b1 - b * a2 * b2)
 
-
-def divide_exact(beta: QuadInt, alpha: QuadInt) -> Optional[QuadInt]:
-    """beta/alpha when it is an algebraic integer, else None.
-
-    Uses beta * conj(alpha) / N(alpha); both coordinates must divide evenly.
-    """
-    if alpha.is_zero():
-        raise ZeroDivisionError("division by the zero element")
-    beta._check_same_field(alpha)
-    n = alpha.norm()
-    gamma = beta * alpha.conjugate()
-    if gamma.k1 % n or gamma.k2 % n:
-        return None
-    return QuadInt(beta.field, gamma.k1 // n, gamma.k2 // n)

@@ -39,7 +39,7 @@ from typing import Callable, Iterable, NamedTuple, Optional
 
 import numpy as np
 
-from .errors import BudgetError, brief
+from .errors import BudgetError, UsageError, brief
 from .fields import PRIME_BUDGET, FieldSpec, QuadInt
 
 # largest number of lattice rows, and of points, that one lattice walk may list
@@ -173,15 +173,10 @@ def _kronecker_primes(d: int, p: np.ndarray) -> np.ndarray:
     return np.where(p == 2, two, np.where(e == p - 1, -1, e))
 
 
-# SplitType by the `kind` code of a PrimeIdealTable, and the codes
-_KINDS = (SplitType.SPLIT, SplitType.INERT, SplitType.RAMIFIED)
-_SPLIT, _INERT, _RAMIFIED = range(3)
-
-
-def _split_primes(field: FieldSpec, p) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _split_primes(field: FieldSpec, p) -> tuple[np.ndarray, np.ndarray]:
     """The prime ideals above each rational prime p < 2^21, as int64 arrays
-    (p, root, kind): a split p twice, its roots ascending, a ramified p once
-    with its double root and an inert p once with root -1.
+    (p, root): a split p twice, its roots ascending, a ramified p once with
+    its double root and an inert p once with root -1.
 
     The roots are those of x^2 + b x + c mod p: p splits, ramifies or is
     inert as (d|p) (`_kronecker_primes`) is 1, 0 or -1.  A split p has the
@@ -199,8 +194,15 @@ def _split_primes(field: FieldSpec, p) -> tuple[np.ndarray, np.ndarray, np.ndarr
     root = np.concatenate([np.minimum(r1, r2), np.maximum(r1, r2),
                            np.where(rp == 2, c % 2, -b * ((rp + 1) // 2) % rp),
                            np.full(ip.size, -1)])
-    kind = np.repeat([_SPLIT, _RAMIFIED, _INERT], [2 * sp.size, rp.size, ip.size])
-    return np.concatenate([sp, sp, rp, ip]), root, kind
+    return np.concatenate([sp, sp, rp, ip]), root
+
+
+def _prime_ideals(field: FieldSpec, ps: list, roots: list[int]) -> list[PrimeIdeal]:
+    """The ideals (p, omega - root) of paired ps and roots: inert where root
+    < 0, ramified where p divides the discriminant, split otherwise."""
+    d, (split, inert, ramified) = field.discriminant, SplitType  # locals: faster to read
+    return [PrimeIdeal(field, p, inert, None) if r < 0 else
+            PrimeIdeal(field, p, ramified if d % p == 0 else split, r) for p, r in zip(ps, roots)]
 
 
 def split_prime(p: int, field: FieldSpec) -> list[PrimeIdeal]:
@@ -210,21 +212,19 @@ def split_prime(p: int, field: FieldSpec) -> list[PrimeIdeal]:
         raise ValueError(f"{p} is not a rational prime")
     if p > PRIME_BUDGET:
         raise BudgetError(f"prime {p} exceeds the prime budget {PRIME_BUDGET}")
-    _, root, kind = _split_primes(field, [p])
-    return [PrimeIdeal(field, p, _KINDS[k], None if r < 0 else r)
-            for r, k in zip(root.tolist(), kind.tolist())]
+    _, root = _split_primes(field, [p])
+    return _prime_ideals(field, [p] * root.size, root.tolist())
 
 
 @dataclass(frozen=True)
 class PrimeIdealTable:
     """All prime ideals of norm <= a bound as read-only int64 arrays, sorted
     by (norm, p, root): the rational prime `p`, the `root` of (p, omega -
-    root) or -1 when p is inert, the `kind` (an index into `_KINDS`) and the
-    `norm`."""
+    root) or -1 when p is inert, and the `norm`, p^2 when p is inert and p
+    otherwise."""
 
     p: np.ndarray
     root: np.ndarray
-    kind: np.ndarray
     norm: np.ndarray
 
 
@@ -234,24 +234,22 @@ def prime_ideal_table(field: FieldSpec, max_norm: int) -> PrimeIdealTable:
     once by `_split_primes`, and an inert p is kept when p^2 <= max_norm."""
     if max_norm > PRIME_BUDGET:
         raise BudgetError(f"norm bound {max_norm} exceeds the prime budget {PRIME_BUDGET}")
-    p, root, kind = _split_primes(field, np.flatnonzero(_prime_sieve(max(max_norm, 1))))
-    cols = np.stack([p, root, kind, np.where(kind == _INERT, p * p, p)])
-    cols = cols[:, cols[3] <= max_norm]
+    p, root = _split_primes(field, np.flatnonzero(_prime_sieve(max(max_norm, 1))))
+    cols = np.stack([p, root, np.where(root < 0, p * p, p)])
+    cols = cols[:, cols[2] <= max_norm]
     # norm, p and root + 1 are each below 2^21: one int64 key orders all three
-    cols = cols[:, np.argsort(cols[3] << 42 | cols[0] << 21 | (cols[1] + 1), kind="stable")]
+    cols = cols[:, np.argsort(cols[2] << 42 | cols[0] << 21 | (cols[1] + 1), kind="stable")]
     cols.flags.writeable = False  # the rows, views taken after this, too
     return PrimeIdealTable(*cols)
 
 
-@lru_cache(maxsize=32)
 def enumerate_prime_ideals(field: FieldSpec, max_norm: int) -> tuple[PrimeIdeal, ...]:
     """All prime ideals of norm <= max_norm, sorted by (norm, p, root).  The
     ideals above one p share one int p."""
     t = prime_ideal_table(field, max_norm)
     new = np.diff(t.p, prepend=0) != 0  # the ideals above one p are adjacent
     ps = t.p[new].astype(object)[np.cumsum(new) - 1].tolist()  # one int per p
-    return tuple([PrimeIdeal(field, p, _KINDS[k], None if r < 0 else r)
-                  for p, k, r in zip(ps, t.kind.tolist(), t.root.tolist())])
+    return tuple(_prime_ideals(field, ps, t.root.tolist()))
 
 
 @dataclass(frozen=True, slots=True)
@@ -499,8 +497,8 @@ def dual_lattice_count(lat: IdealLattice, r: float) -> int:
     disc test is then exact in integers.  `lattice_half_points` lists one
     point of each +-pair under LATTICE_POINT_BUDGET.
     """
-    if r <= 0:
-        raise ValueError("radius must be positive")
+    if not 0 < r < math.inf:
+        raise UsageError(f"radius must be a finite number > 0, got {r!r}")
     bound = math.floor(Fraction(r * lat.det) ** 2)
     count = 0
     for _, k1, k2 in lattice_half_points([0, lat.a, lat.c, -lat.b], math.isqrt(bound),
@@ -533,6 +531,8 @@ def ideal_smoothed_count_scaled(q: SquarefreeIdeal, H: int) -> int:
     with zero tolerance.  The terms are even: the origin's (2H)^2 plus twice
     the sum over one point of each +-pair, in Python ints.
     """
+    if not isinstance(H, (int, np.integer)) or H < 1:
+        raise UsageError(f"H must be an int >= 1, got {H!r}")
     lat, total = ideal_lattice(q), 0
     for _, k1, k2 in lattice_half_points([lat.a, 0, lat.b, lat.c], 2 * H, LATTICE_POINT_BUDGET):
         total += int(((2 * H - np.abs(k1)).astype(object) * (2 * H - np.abs(k2))).sum())

@@ -217,16 +217,21 @@ def _rational_prefixes(limit: int):
     return pi, L, psi
 
 
+def _check_rational(X: int, H: int):
+    if X < 2 or H < 0:
+        raise UsageError(f"need X >= 2 and H >= 0, got X={brief(X)}, H={brief(H)}")
+
+
 def expectation_rational(X: int, H: int) -> float:
     """E_N: average of #{p : k < p <= k+H} over k = 0..X-1."""
+    _check_rational(X, H)
     pi, _, _ = _rational_prefixes(X + H)
     return float(np.mean(pi[H:X + H] - pi[:X]))
 
 
 def variance_rational_prime(X: int, H: int) -> float:
     """V_N: mean square of the 1/log-corrected prime count in (k, k+H]."""
-    if H < 0 or X < 2:
-        raise ValueError("need H >= 0 and X >= 2")
+    _check_rational(X, H)
     if H == 0:
         return 0.0
     pi, L, _ = _rational_prefixes(X + H)
@@ -236,8 +241,7 @@ def variance_rational_prime(X: int, H: int) -> float:
 
 def variance_rational_lambda(X: int, H: int) -> float:
     """Mean square of psi(k+H) - psi(k) - H over k = 0..X-1."""
-    if H < 0 or X < 2:
-        raise ValueError("need H >= 0 and X >= 2")
+    _check_rational(X, H)
     if H == 0:
         return 0.0
     _, _, psi = _rational_prefixes(X + H)

@@ -14,7 +14,6 @@ from quadprimes.fields import (
     FieldSpec,
     QuadInt,
     class_group_2_rank,
-    divide_exact,
     make_field,
     parse_field_spec,
 )
@@ -130,33 +129,6 @@ class TestArithmetic:
     def test_mixed_field_operations_rejected(self):
         with pytest.raises(ValueError):
             make_field(-1).element(1, 0) + make_field(2).element(1, 0)
-
-
-class TestDivision:
-    @pytest.mark.parametrize("field", FIELDS)
-    @given(data=st.data())
-    def test_divide_exact_inverts_multiplication(self, field, data):
-        a = data.draw(elements(field, -30, 30))
-        b = data.draw(elements(field, -30, 30))
-        if a.is_zero():
-            return
-        assert divide_exact(a * b, a) == b
-
-    def test_non_divisible_returns_none(self):
-        Qi = make_field(-1)
-        assert divide_exact(Qi.element(1, 0), Qi.element(2, 0)) is None
-        assert divide_exact(Qi.element(3, 1), Qi.element(0, 2)) is None
-
-    def test_zero_divisor_raises(self):
-        Qi = make_field(-1)
-        with pytest.raises(ZeroDivisionError):
-            divide_exact(Qi.element(1, 0), Qi.zero())
-
-    def test_units(self):
-        assert make_field(-1).element(0, 1).is_unit()       # i
-        assert make_field(2).element(1, 1).is_unit()        # 1 + sqrt2
-        assert make_field(-3).element(0, 1).is_unit()       # sixth root of unity
-        assert not make_field(-1).element(1, 1).is_unit()
 
 
 class TestClassGroup2Rank:

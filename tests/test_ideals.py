@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import itertools
 import math
@@ -16,7 +17,7 @@ from sympy.ntheory.residue_ntheory import quadratic_residues
 
 import quadprimes
 from quadprimes import ideals
-from quadprimes.errors import BudgetError
+from quadprimes.errors import BudgetError, UsageError
 from quadprimes.fields import _is_squarefree, _prime_factors, make_field
 from quadprimes.ideals import (
     PRIME_BUDGET,
@@ -106,7 +107,6 @@ class TestKroneckerPrimes:
         # collector in whichever state it was in
         field = make_field(D)
         for enabled in (True, False):
-            enumerate_prime_ideals.cache_clear()
             (gc.enable if enabled else gc.disable)()
             try:
                 primes = enumerate_prime_ideals(field, 5000)
@@ -239,6 +239,9 @@ def brute_force_listing(field, bound):
 
 
 class TestPrimeIdealTable:
+    # the split type of p by (d|p)
+    KINDS = {1: SplitType.SPLIT, 0: SplitType.RAMIFIED, -1: SplitType.INERT}
+
     def test_matches_brute_force_roots(self):
         seen = set()
 
@@ -276,19 +279,20 @@ class TestPrimeIdealTable:
         d, (b, c) = Qi.discriminant, Qi.minpoly_omega()
         chi = {p: kronecker(d, p) for p in primerange(2, N + 1)}
         assert set(t.p.tolist()) == {p for p, k in chi.items() if k != -1 or p * p <= N}
-        kinds = {1: SplitType.SPLIT, 0: SplitType.RAMIFIED, -1: SplitType.INERT}
-        assert [ideals._KINDS[k] for k in t.kind.tolist()] == [kinds[chi[p]] for p in t.p.tolist()]
         has_root = t.root >= 0
-        assert np.array_equal(has_root, t.kind != ideals._INERT)
+        assert np.array_equal(has_root, [chi[p] != -1 for p in t.p.tolist()])
+        assert np.array_equal(t.norm, np.where(has_root, t.p, t.p * t.p))
         p, x = t.p[has_root], t.root[has_root]
         assert np.all((x * x + b * x + c) % p == 0)
-        split = t.kind == ideals._SPLIT
+        split = np.array([chi[p] == 1 for p in t.p.tolist()])
         pairs = t.root[split].reshape(-1, 2)  # sorted by (norm, p, root)
         assert np.array_equal(t.p[split][::2], t.p[split][1::2])
         assert np.all(pairs[:, 0] < pairs[:, 1])
-        assert enumerate_prime_ideals(Qi, N) == tuple(
-            PrimeIdeal(Qi, p, ideals._KINDS[k], None if r < 0 else r)
-            for p, k, r in zip(t.p.tolist(), t.kind.tolist(), t.root.tolist()))
+        # the objects carry the split type the Kronecker symbol gives
+        primes = enumerate_prime_ideals(Qi, N)
+        assert [pi.split_type for pi in primes] == [self.KINDS[chi[p]] for p in t.p.tolist()]
+        assert primes == tuple(PrimeIdeal(Qi, p, self.KINDS[chi[p]], None if r < 0 else r)
+                               for p, r in zip(t.p.tolist(), t.root.tolist()))
 
     @pytest.mark.parametrize("D", [-1, -3, 10, 17])
     def test_table_columns(self, D):
@@ -298,8 +302,11 @@ class TestPrimeIdealTable:
         assert table.p.tolist() == [pi.p for pi in ideals]
         assert table.norm.tolist() == [pi.norm for pi in ideals]
         assert table.root.tolist() == [-1 if pi.root is None else pi.root for pi in ideals]
-        for col in (table.p, table.root, table.kind, table.norm):
+        assert [f.name for f in dataclasses.fields(table)] == ["p", "root", "norm"]
+        for col in (table.p, table.root, table.norm):
             assert col.dtype == np.int64 and not col.flags.writeable
+        assert [pi.split_type for pi in ideals] == [
+            self.KINDS[kronecker(field.discriminant, p)] for p in table.p.tolist()]
 
     def test_budget_and_empty(self):
         assert prime_ideal_table(Qi, 1).p.size == 0
@@ -592,6 +599,11 @@ class TestDualLattice:
         with pytest.raises(BudgetError):
             dual_lattice_count(IdealLattice(1, 0, 1), 1e6)
 
+    @pytest.mark.parametrize("r", [0, 0.0, -1.0, -math.inf, math.inf, math.nan])
+    def test_radius_must_be_finite_and_positive(self, r):
+        with pytest.raises(UsageError, match="finite number > 0"):
+            dual_lattice_count(IdealLattice(1, 0, 1), r)
+
     def test_zero_for_small_radius(self):
         for q in enumerate_squarefree_ideals(Qi, 100):
             if q.norm == 1:
@@ -690,6 +702,15 @@ class TestSmoothedCounts:
             ideal_smoothed_count(unit, SQUARE, 50.0)
         with pytest.raises(BudgetError):
             ideal_smoothed_count_scaled(unit, 50)
+
+    @pytest.mark.parametrize("H", [0, -1, 2.0, 1.5, math.nan, "3"])
+    def test_scaled_count_takes_an_int_h(self, H):
+        unit = SquarefreeIdeal.unit(Qi)
+        with pytest.raises(UsageError, match="int >= 1"):
+            ideal_smoothed_count_scaled(unit, H)
+        # (2 - |k1|)+ (2 - |k2|)+ summed over the box: 4^2
+        assert ideal_smoothed_count_scaled(unit, 1) == 16
+        assert ideal_smoothed_count_scaled(unit, np.int64(1)) == 16
 
     def test_moebius_inversion_matches_direct(self):
         # H^2 S_q from inversion vs the definition as a double sum over the

@@ -46,6 +46,9 @@ Qi = make_field(-1)
 # the package namespace binds `singular_series` to the function
 singular_series_module = importlib.import_module("quadprimes.singular_series")
 ideals_module = importlib.import_module("quadprimes.ideals")
+# the oracles below ask for the same prime ideals many times, and the
+# package caches only their table, so the objects are kept here
+prime_ideals = functools.cache(enumerate_prime_ideals)
 
 
 def rational_reference(h: int, cutoff: int) -> float:
@@ -72,7 +75,7 @@ def ideal_reference(eta, cutoff: int) -> float:
     """S(eta) one PrimeIdeal object at a time, in the multiplication order of
     `singular_series`: the base product by a Python loop, the norm-2
     factors, then the ratio of every other ideal containing eta."""
-    ideals = enumerate_prime_ideals(eta.field, cutoff)
+    ideals = prime_ideals(eta.field, cutoff)
     value = python_base_product(eta.field, cutoff)
     for pi in ideals:
         if pi.norm == 2:
@@ -87,7 +90,7 @@ def ideal_reference(eta, cutoff: int) -> float:
 @functools.lru_cache(maxsize=None)
 def python_base_product(field, cutoff: int) -> float:
     base = 1.0
-    for pi in enumerate_prime_ideals(field, cutoff):
+    for pi in prime_ideals(field, cutoff):
         if pi.norm >= 3:
             base *= _base_factor(pi.norm)
     return base
@@ -356,7 +359,7 @@ class TestSingularSeries:
         F = make_field(-7)
         for k1, k2 in [(3 * 2**70, 6), (6, -3 * 2**70), (15 * 2**70, 2 * 3 * 5 * 7 * 11 * 13)]:
             eta = F.element(k1, k2)
-            assert any(pi.p > 2 for pi in containing(eta, enumerate_prime_ideals(F, 5000)))
+            assert any(pi.p > 2 for pi in containing(eta, prime_ideals(F, 5000)))
             got = singular_series(eta, 5000).value
             assert got > 0 and got == ideal_reference(eta, 5000)
 
@@ -364,7 +367,7 @@ class TestSingularSeries:
         # the sequential products and the ratios at 10^6, against loops over
         # the PrimeIdeal objects and the rational primes
         data = singular_series_module._euler_data(Qi, 10**6)
-        ideals = [pi for pi in enumerate_prime_ideals(Qi, 10**6) if pi.norm >= 3]
+        ideals = [pi for pi in prime_ideals(Qi, 10**6) if pi.norm >= 3]
         assert data.base == python_base_product(Qi, 10**6)
         assert data.ratio_array.tolist() == [_member_ratio(pi.norm) for pi in ideals]
         base = 1.0
@@ -540,7 +543,7 @@ class TestSievedBox:
         # ideals with p > 81 and inert ideals with p <= 81 < p^2.
         F, r, P = make_field(D), 40, 5000
         W = 2 * r + 1
-        ideals = enumerate_prime_ideals(F, P)
+        ideals = prime_ideals(F, P)
         assert any(pi.split_type is not SplitType.INERT and pi.p > W for pi in ideals)
         assert any(pi.split_type is SplitType.INERT and pi.p <= W < pi.p**2 for pi in ideals)
         box = sieved_singular_box(F, r, P)
@@ -585,7 +588,7 @@ class TestSievedBox:
         # the box holds shifts divisible by an inert p (both coordinates)
         # and by both ideals above a split p
         F, r, P = make_field(D), 30, 5000
-        ideals = enumerate_prime_ideals(F, P)
+        ideals = prime_ideals(F, P)
         box = sieved_singular_box(F, r, P)
         inert_hit = split_pair_hit = False
         for k1 in range(-r, r + 1):
@@ -904,7 +907,7 @@ class TestMobiusPhi:
         # a walk per cutoff, so the sums are equal, not just close
         ys = [1000, 10, 10, 1, 5000]
         for field in (Qi, make_field(-3), make_field(10)):
-            norms = [pi.norm for pi in enumerate_prime_ideals(field, max(ys))]
+            norms = [pi.norm for pi in prime_ideals(field, max(ys))]
             want = [phi_inverse_dfs([n for n in norms if n <= y], y) for y in ys]
             assert mobius_phi_profile(field, ys) == want
 
@@ -921,7 +924,7 @@ class TestMobiusPhi:
     def test_matches_dfs_random_fields(self, D, ys, chunk):
         # `_WALK_CHUNK` decides which subtrees are split into their children
         field = make_field(D)
-        norms = [pi.norm for pi in enumerate_prime_ideals(field, max(ys))]
+        norms = [pi.norm for pi in prime_ideals(field, max(ys))]
         want = [phi_inverse_dfs([n for n in norms if n <= y], y) for y in ys]
         with mock.patch.object(singular_series_module, "_WALK_CHUNK", chunk):
             assert mobius_phi_profile(field, ys) == want
@@ -929,7 +932,7 @@ class TestMobiusPhi:
     @pytest.mark.parametrize("D", [-1, 10, -7])
     def test_matches_dfs_at_1e5(self, D, monkeypatch):
         field, Y = make_field(D), 10**5
-        norms = [pi.norm for pi in enumerate_prime_ideals(field, Y)]
+        norms = [pi.norm for pi in prime_ideals(field, Y)]
         want = [phi_inverse_dfs(norms, Y)]
         assert mobius_phi_profile(field, [Y]) == want
         # small runs, and the products of norm below 50 split into their children

@@ -6,6 +6,7 @@ import re
 import threading
 import time
 import tracemalloc
+import warnings
 from itertools import product
 
 import numpy as np
@@ -440,6 +441,15 @@ class TestRationalBaselines:
     def test_h0_zero(self):
         assert variance_rational_prime(10, 0) == 0.0
         assert variance_rational_lambda(10, 0) == 0.0
+
+    @pytest.mark.parametrize("f", [expectation_rational, variance_rational_prime,
+                                   variance_rational_lambda])
+    @pytest.mark.parametrize("X, H", [(0, 3), (1, 0), (10, -3), (-5, -1)])
+    def test_domain_checked(self, f, X, H):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(UsageError, match="X >= 2 and H >= 0"):
+                f(X, H)
 
     def test_direct_small_case(self):
         X, H = 30, 3
