@@ -6,13 +6,16 @@ number is tested with `miller_rabin`.  A rational prime p splits as omega's
 minimal polynomial x^2 + b x + c factors mod p: each root r gives the prime
 ideal (p, omega - r), so two roots mean split, a double root ramified and no
 root inert.  One kernel, `_kronecker_primes`, gives (d|p) for an array of
-primes (Euler's criterion, p = 2 from d mod 8) to `_split_primes`, the
-residue's character table, `primes.is_prime_element` and the inert primes
-of `primes.build_grid`.  `_split_primes` splits an array of primes at once:
-for odd p the roots are (-b +- sqrt(d))/2, d = b^2 - 4c, by Tonelli-Shanks,
-one lane per prime (`_sqrt_mod_array`).  `prime_ideal_table` splits all
-sieved primes into one table of arrays per field and bound that every
-enumeration reads, and `split_prime` splits one prime.
+primes to `_split_primes`, the residue's character table
+(`_character_table`), `primes.is_prime_element` and the inert primes of
+`primes.build_grid`: for d = 0, 1 (mod 4) it reads that table at p mod |d|,
+the symbol's period, and otherwise takes Euler's criterion.  `_split_primes`
+splits an array of primes at once: for odd p the roots are
+(-b +- sqrt(d))/2, d = b^2 - 4c, by Tonelli-Shanks, one lane per prime
+(`_sqrt_mod_array`), each lane's non-residue its least one, a prime, read
+from the same kernel.  `prime_ideal_table` splits all sieved primes into one
+table of arrays per field and bound that every enumeration reads, and
+`split_prime` splits one prime.
 Squarefree ideals are products of distinct prime ideals and carry their
 Moebius value, totient and norm.  They are built as arrays, one level per
 number of prime factors, each product from its parent (`squarefree_levels`),
@@ -134,9 +137,11 @@ def _sqrt_mod_array(a: np.ndarray, p: np.ndarray) -> np.ndarray:
     """A square root of each quadratic residue a[i] modulo the prime p[i]
     (Tonelli-Shanks).
 
-    Each loop runs only over the lanes it has not finished: the search for
-    the least non-residue z, the rounds of the main loop and, within a
-    round, the search for the least i with t^(2^i) = 1.
+    Each lane's z is its least non-residue, which is prime: the candidates
+    z = 2, 3, 5, ... are read as (4z|p) = (z|p) from the period of (4z|.)
+    (`_kronecker_primes`).  Each loop runs only over the lanes it has not
+    finished: that search, the rounds of the main loop and, within a round,
+    the search for the least i with t^(2^i) = 1.
     """
     low = (p - 1) & (1 - p)  # largest power of 2 dividing p - 1
     q, m = (p - 1) // low, np.frexp(low.astype(np.float64))[1] - 1
@@ -144,10 +149,13 @@ def _sqrt_mod_array(a: np.ndarray, p: np.ndarray) -> np.ndarray:
     r, t = x * a % p, x * x % p * a % p  # a^((q+1)/2) and a^q
     lane = np.flatnonzero((t != 1) & (a != 0))  # the others have their root r
     p, q, m, t = p[lane], q[lane], m[lane], t[lane]
-    z, todo = np.full(lane.size, 2, np.int64), np.arange(lane.size)
-    while todo.size:
-        todo = todo[_pow_mod(z[todo], (p[todo] - 1) // 2, p[todo]) != p[todo] - 1]
-        z[todo] += 1
+    z, todo = np.zeros_like(p), np.arange(lane.size)
+    for cand in filter(miller_rabin, itertools.count(2)):
+        if not todo.size:
+            break
+        found = _kronecker_primes(4 * cand, p[todo]) == -1
+        z[todo[found]] = cand
+        todo = todo[~found]
     c = _pow_mod(z, q, p)
     while lane.size:
         # least i with t^(2^i) = 1; then i < m
@@ -164,10 +172,37 @@ def _sqrt_mod_array(a: np.ndarray, p: np.ndarray) -> np.ndarray:
     return r
 
 
+def _character_table(d: int) -> np.ndarray:
+    """The Kronecker symbols (d|r) for r in 0..|d|-1 (|d| > 1), sieved as a
+    completely multiplicative function from its values at the primes below
+    |d|."""
+    q = abs(d)
+    chi = np.ones(q, dtype=np.int64)
+    chi[0] = 0
+    primes = np.flatnonzero(_prime_sieve(q - 1))
+    for p, k in zip(primes.tolist(), _kronecker_primes(d, primes).tolist()):
+        if k == 0:
+            chi[p::p] = 0
+        elif k == -1:
+            pk = p
+            while pk < q:
+                chi[pk::pk] *= -1
+                pk *= p
+    return chi
+
+
 def _kronecker_primes(d: int, p: np.ndarray) -> np.ndarray:
     """The Kronecker symbols (d|p) for an int64 array of primes p < 2^21, or
-    an object array of any primes: Euler's criterion for odd p, and for
-    p = 2 0, 1 or -1 as d = 0 (mod 2), +-1 or +-3 (mod 8)."""
+    an object array of any primes.
+
+    For d = 0, 1 (mod 4), (d|.) has period |d|: an int64 array at least as
+    long as the period reads `_character_table(d)[p % |d|]`.  Otherwise
+    Euler's criterion gives odd p, and p = 2 gives 0, 1 or -1 as d = 0
+    (mod 2), +-1 or +-3 (mod 8).  The table asks only for the fewer than |d|
+    primes below |d|, so its own call takes Euler's criterion.
+    """
+    if p.dtype == np.int64 and d % 4 < 2 and 1 < abs(d) <= p.size:
+        return _character_table(d)[p % abs(d)]
     e = _pow_mod(d % p, (p - 1) // 2, p)
     two = 0 if d % 2 == 0 else 1 if d % 8 in (1, 7) else -1
     return np.where(p == 2, two, np.where(e == p - 1, -1, e))

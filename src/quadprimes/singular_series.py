@@ -18,7 +18,9 @@ box is sieved only on a region that holds all its values by symmetry: the
 quadrant k1, k2 >= 0 for D = 2, 3 (mod 4), the rows k1 >= 0 otherwise.  A
 process keeps one sieved region alive (`_covering_box`); every box, of the
 smoothed sums' H or asked for, is unfolded from it (`_unfold`).  The
-residue's character moments are summed exactly over half a period and
+residue's character table is `ideals._character_table`; its moments are
+summed exactly over half a period, the powers r^j held as base-2^32 limbs
+in int64 lanes and each limb summed by one dot product with chi, and
 reflected by chi(q - r) = chi(-1) chi(r).  The mu^2/phi partial sums take
 one walk over the squarefree ideals for all their cutoffs, built as arrays
 and added by `np.cumsum` in walk order, so each equals a recursive walk's
@@ -37,7 +39,7 @@ import numpy as np
 
 from .errors import BudgetError, UsageError, brief
 from .fields import FieldSpec, QuadInt
-from .ideals import (PRIME_BUDGET, _kronecker_primes, _prime_sieve, _ranges,
+from .ideals import (PRIME_BUDGET, _character_table, _prime_sieve, _ranges,
                      lattice_half_points, prime_ideal_table, squarefree_levels)
 
 DEFAULT_CUTOFF = 100_000
@@ -62,25 +64,6 @@ class ResidueValue:
 
 # character-sum terms (and moment rows) per numpy chunk of residue_rk
 _RESIDUE_CHUNK = 1 << 15
-
-
-def _character_table(d: int) -> np.ndarray:
-    """The Kronecker symbols (d|r) for r in 0..|d|-1 (|d| > 1), sieved as a
-    completely multiplicative function from its values at the primes below
-    |d|."""
-    q = abs(d)
-    chi = np.ones(q, dtype=np.int64)
-    chi[0] = 0
-    primes = np.flatnonzero(_prime_sieve(q - 1))
-    for p, k in zip(primes.tolist(), _kronecker_primes(d, primes).tolist()):
-        if k == 0:
-            chi[p::p] = 0
-        elif k == -1:
-            pk = p
-            while pk < q:
-                chi[pk::pk] *= -1
-                pk *= p
-    return chi
 
 
 def _exact_sum(chi: np.ndarray, stop: int) -> float:
@@ -122,16 +105,27 @@ def _moments(chi: np.ndarray, kmax: int) -> list[int]:
     """The character moments m_k = sum_{0<r<q} chi(r) r^k, k = 1..kmax, as
     exact ints, from the half moments M_j = sum_{0<r<q/2} chi(r) r^j: as
     chi(q - r) = chi(-1) chi(r) (and chi(q/2) = 0 for even q),
-    m_k = M_k + chi(-1) sum_{j<=k} C(k, j) q^(k-j) (-1)^j M_j."""
+    m_k = M_k + chi(-1) sum_{j<=k} C(k, j) q^(k-j) (-1)^j M_j.
+
+    Each r^j is held as base-2^32 limbs in int64 lanes, a limb added as its
+    bits grow; M_j is the sum of the limbs' dot products with chi, shifted
+    back together as Python ints.  Under the term budget q < 2^21, so
+    r < q/2 < 2^20, a limb times r plus the carry stays below 2^53, and a
+    dot over fewer than 2^20 lanes of limbs below 2^32 stays below 2^52.
+    """
     q, half = len(chi), [0] * (kmax + 1)
     for lo in range(1, (q + 1) // 2, _RESIDUE_CHUNK):
         r = np.arange(lo, min(lo + _RESIDUE_CHUNK, (q + 1) // 2))
-        power = chi[r].astype(object)
-        r = r.astype(object)
-        half[0] += int(power.sum())
+        c, limbs = chi[r], [np.ones_like(r)]
+        half[0] += int(c.sum())
         for j in range(1, kmax + 1):
-            np.multiply(power, r, out=power)
-            half[j] += int(power.sum())
+            carry = 0
+            for i, limb in enumerate(limbs):
+                x = limb * r + carry
+                limbs[i], carry = x & 0xFFFFFFFF, x >> 32
+            if carry.any():
+                limbs.append(carry)
+            half[j] += sum(int(np.dot(limb, c)) << 32 * i for i, limb in enumerate(limbs))
     sign = int(chi[q - 1])  # chi(-1)
     return [half[k] + sign * sum(math.comb(k, j) * q ** (k - j) * (-1) ** j * half[j]
                                  for j in range(k + 1)) for k in range(1, kmax + 1)]

@@ -218,6 +218,8 @@ def _rational_prefixes(limit: int):
 
 
 def _check_rational(X: int, H: int):
+    if not (isinstance(X, (int, np.integer)) and isinstance(H, (int, np.integer))):
+        raise UsageError(f"need int X >= 2 and H >= 0, got X={X!r}, H={H!r}")
     if X < 2 or H < 0:
         raise UsageError(f"need X >= 2 and H >= 0, got X={brief(X)}, H={brief(H)}")
 
@@ -263,8 +265,8 @@ class ZBaselineRow:
 
 def zbaseline_row(X: int, delta: float) -> ZBaselineRow:
     """The Conjecture-style rational-integer statistics at H = floor(X^delta)."""
-    if X < 2:
-        raise UsageError(f"X must be at least 2, got {X}")
+    if not isinstance(X, (int, np.integer)) or X < 2:
+        raise UsageError(f"X must be an int >= 2, got {X!r}")
     if not 0.0 < delta < 1.0:
         raise UsageError(f"delta must lie strictly between 0 and 1, got {delta}")
     H = math.floor(X**delta)

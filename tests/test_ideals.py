@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import hashlib
 import itertools
 import math
 import os
@@ -94,6 +95,31 @@ class TestKroneckerPrimes:
         got = ideals._kronecker_primes(d, p)
         assert got.dtype == np.int64
         assert got.tolist() == [kronecker(d, q) for q in p.tolist()]
+
+    @pytest.mark.parametrize("d", [-1, -4, -3, -7, -8, 5, 8, 12, 17, -20, 40, -100_003, 99_989,
+                                   -24, 28, 44, 45, -108])
+    def test_period_equals_euler(self, d, monkeypatch):
+        # the int64 period path and the object Euler path give the same
+        # symbols, with the period just inside, at and just beyond the array's
+        # length; d = 12, 28, 44, -24, -108 (0 mod 4) and 45 (1 mod 4) are not
+        # fundamental
+        tables = []
+        table = ideals._character_table
+
+        def spy(e):
+            tables.append(e)
+            return table(e)
+
+        monkeypatch.setattr(ideals, "_character_table", spy)
+        primes = np.flatnonzero(ideals._prime_sieve(1_400_000))
+        q = abs(d)
+        sizes = sorted({1, 2, 100, q - 1, q, q + 1, 2 * q} & set(range(1, primes.size + 1)))
+        euler = ideals._kronecker_primes(d, primes[:sizes[-1]].astype(object)).tolist()
+        for n in sizes:
+            tables.clear()
+            got = ideals._kronecker_primes(d, primes[:n])
+            assert got.dtype == np.int64 and got.tolist() == euler[:n], n
+            assert tables == ([d] if d % 4 in (0, 1) and 1 < q <= n else []), n
 
     @pytest.mark.parametrize("d", [-4, -3, 8, -7, 13, 2**70 + 1])
     def test_object_primes_of_any_size(self, d):
@@ -732,6 +758,27 @@ class TestSqrtMod:
         a, p = (np.array(col, dtype=np.int64) for col in zip(*pairs))
         r = _sqrt_mod_array(a, p)
         assert np.all((0 <= r) & (r < p)) and np.array_equal(r * r % p, a)
+
+    # the number of split primes up to 10^6 and the sha256 of their roots
+    # (int64, little-endian), recorded when z was found by Euler's criterion
+    # over z = 2, 3, 4, ...: the least non-residue is prime, so the roots
+    # are the same
+    PINNED_ROOTS = {
+        -4: (39175, "92c8a6ee0a72f060689e4ce34b92b9bd4e2276fa65922d708d1086916da3b6aa"),
+        -3: (39231, "b101b3af878e54862ea07239a608b7bdfa029c00bfde2f672263397f5b76e6de"),
+        40: (39223, "7c665a5280c5cc4be2947155743b9fae20921d5a0e327c15de86e0d859e913cd"),
+        -100_003: (39079, "03bdc51f77b96ef1579bd4460088f154f05121daab010eb18008ea7fe2f6bb03"),
+    }
+
+    @pytest.mark.parametrize("d", sorted(PINNED_ROOTS))
+    def test_roots_of_the_split_primes_pinned(self, d):
+        p = np.flatnonzero(ideals._prime_sieve(10**6))
+        p = p[ideals._kronecker_primes(d, p) == 1]
+        a = d % p
+        r = _sqrt_mod_array(a, p)
+        assert np.array_equal(r * r % p, a)
+        digest = hashlib.sha256(r.astype("<i8").tobytes()).hexdigest()
+        assert (p.size, digest) == self.PINNED_ROOTS[d]
 
 
 def test_one_prime_path():

@@ -298,6 +298,17 @@ class TestResidue:
         chi = _character_table(make_field(D).discriminant)
         assert _moments(chi, 18) == full_range_moments(chi, 18)
 
+    # the largest |d| the term budget admits at 128 blocks, 136986: odd and
+    # even q, for chi(-1) = +1 (d > 0) and chi(-1) = -1 (d < 0)
+    @pytest.mark.parametrize("D", [136_985, -136_983, 34_246, -34_246])
+    def test_limb_moments_at_the_largest_period(self, D):
+        d = make_field(D).discriminant
+        assert 136_983 <= abs(d) and (128 + 18) * abs(d) <= RESIDUE_TERM_BUDGET
+        assert (128 + 18) * 136_987 > RESIDUE_TERM_BUDGET
+        chi = _character_table(d)
+        assert chi[-1] == (1 if d > 0 else -1)
+        assert _moments(chi, 18) == full_range_moments(chi, 18)
+
     def test_character_table_matches_kronecker(self):
         for D in FIELDS_TO_3000:
             d = make_field(D).discriminant

@@ -444,12 +444,25 @@ class TestRationalBaselines:
 
     @pytest.mark.parametrize("f", [expectation_rational, variance_rational_prime,
                                    variance_rational_lambda])
-    @pytest.mark.parametrize("X, H", [(0, 3), (1, 0), (10, -3), (-5, -1)])
+    @pytest.mark.parametrize("X, H", [(0, 3), (1, 0), (10, -3), (-5, -1),
+                                      (2.5, 1), (10, 0.5), (10.0, 3), (10, "3")])
     def test_domain_checked(self, f, X, H):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(UsageError, match="X >= 2 and H >= 0"):
                 f(X, H)
+
+    @pytest.mark.parametrize("X", [2.5, 1000.0, "1000", 1])
+    def test_zbaseline_needs_an_int_x(self, X):
+        with pytest.raises(UsageError, match="X must be an int >= 2"):
+            zbaseline_row(X, 0.5)
+
+    def test_numpy_ints_accepted(self):
+        X, H = np.int64(1000), np.int32(31)
+        assert expectation_rational(X, H) == expectation_rational(1000, 31)
+        assert variance_rational_prime(X, H) == variance_rational_prime(1000, 31)
+        assert variance_rational_lambda(X, H) == variance_rational_lambda(1000, 31)
+        assert zbaseline_row(np.int64(10**4), 0.5) == zbaseline_row(10**4, 0.5)
 
     def test_direct_small_case(self):
         X, H = 30, 3
