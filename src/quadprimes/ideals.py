@@ -232,12 +232,19 @@ def _split_primes(field: FieldSpec, p) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate([sp, sp, rp, ip]), root
 
 
-def _prime_ideals(field: FieldSpec, ps: list, roots: list[int]) -> list[PrimeIdeal]:
-    """The ideals (p, omega - root) of paired ps and roots: inert where root
-    < 0, ramified where p divides the discriminant, split otherwise."""
-    d, (split, inert, ramified) = field.discriminant, SplitType  # locals: faster to read
-    return [PrimeIdeal(field, p, inert, None) if r < 0 else
-            PrimeIdeal(field, p, ramified if d % p == 0 else split, r) for p, r in zip(ps, roots)]
+def _prime_ideals(field: FieldSpec, p: np.ndarray, root: np.ndarray) -> tuple[PrimeIdeal, ...]:
+    """The ideals (p, omega - root) of paired int64 arrays p and root, the
+    ideals above one p adjacent: inert where root < 0, ramified where p
+    divides the discriminant, split otherwise.  The ideals above one p share
+    one int p.  Each tuple is made by `tuple.__new__` through `map`, so no
+    Python frame runs per ideal."""
+    split, inert, ramified = SplitType
+    kinds = np.where(root < 0, inert, np.where(field.discriminant % p == 0, ramified, split))
+    roots = np.where(root < 0, None, root.astype(object))
+    new = np.diff(p, prepend=0) != 0
+    ps = p[new].astype(object)[np.cumsum(new) - 1]  # one int per p
+    return tuple(map(tuple.__new__, itertools.repeat(PrimeIdeal),
+                     zip(itertools.repeat(field), ps.tolist(), kinds.tolist(), roots.tolist())))
 
 
 def split_prime(p: int, field: FieldSpec) -> list[PrimeIdeal]:
@@ -247,8 +254,7 @@ def split_prime(p: int, field: FieldSpec) -> list[PrimeIdeal]:
         raise ValueError(f"{p} is not a rational prime")
     if p > PRIME_BUDGET:
         raise BudgetError(f"prime {p} exceeds the prime budget {PRIME_BUDGET}")
-    _, root = _split_primes(field, [p])
-    return _prime_ideals(field, [p] * root.size, root.tolist())
+    return list(_prime_ideals(field, *_split_primes(field, [p])))
 
 
 @dataclass(frozen=True)
@@ -282,9 +288,7 @@ def enumerate_prime_ideals(field: FieldSpec, max_norm: int) -> tuple[PrimeIdeal,
     """All prime ideals of norm <= max_norm, sorted by (norm, p, root).  The
     ideals above one p share one int p."""
     t = prime_ideal_table(field, max_norm)
-    new = np.diff(t.p, prepend=0) != 0  # the ideals above one p are adjacent
-    ps = t.p[new].astype(object)[np.cumsum(new) - 1].tolist()  # one int per p
-    return tuple(_prime_ideals(field, ps, t.root.tolist()))
+    return _prime_ideals(field, t.p, t.root)
 
 
 @dataclass(frozen=True, slots=True)

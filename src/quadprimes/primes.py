@@ -16,13 +16,19 @@ give the same value for the same box, bit for bit.  The box of radius H
 around x spans the integers of the exact interval [x - H, x + H], not of
 its rounded ends.
 
-`build_grid` walks the box in strips of `_STRIP_ROWS` rows, so only the
-tables themselves are box-sized: each strip's norm surface, its prime mask
-(one lookup in the prime-norm table) and its weights are summed down the
-columns on top of a carried row of column sums (int64 for counts,
-longdouble for weights), then along the rows, and written into the tables.
-Each prefix entry sees the same additions in the same order as a cumsum over
-the whole box.
+`build_grid` evaluates each cell once per symmetry orbit, and only the
+tables are box-sized.  N(-k) = N(k), and N(k1, -k2) = N(k1, k2) when b = 0
+in omega's minimal polynomial, so the norm surface, its prime mask (one
+lookup in the prime-norm table) and its weights are computed in strips of
+`_STRIP_ROWS` rows for k1 >= 0 only (and k2 >= 0 only when b = 0, the
+columns k2 < 0 copied), staged in the tables' own rows.  With the sieve
+freed, the rows are summed from the top, a row k1 < 0 read as the staged
+row -k1 reversed in both axes: each is added to a carried row of column
+sums (int64 for counts, longdouble for weights), whose prefix sums along
+the row are the table's row.  So each prefix entry sees the same additions
+in the same order as a cumsum over the whole box, down the columns and then
+along the rows.  The scratch, a strip's norms and mask and two rows per
+table, is allocated once per build.
 
 The 1/log|N| weight divided by r_K is the first-order expected number of
 prime elements per lattice point.  Prime elements generate prime ideals only,
@@ -48,7 +54,7 @@ from .ideals import _kronecker_primes, _prime_sieve, miller_rabin
 GRID_MAGIC = b"SINF"
 GRID_VERSION = 1
 _GRID_CELL_BUDGET = 60_000_000
-_STRIP_ROWS = 64  # box rows per strip of build_grid and of variance_profile's box sums
+_STRIP_ROWS = 64  # rows per strip: build_grid, the grid file's count blocks, variance_profile
 
 def is_prime_element(alpha: QuadInt) -> bool:
     """Whether the principal ideal generated by alpha is prime."""
@@ -88,30 +94,15 @@ class PrefixGrid:
         return float(self.log_weight[-1, -1])
 
 
-def _accumulate(table: np.ndarray, carry: np.ndarray, values: np.ndarray, i0: int) -> None:
-    """Write the prefix sums of the strip `values`, box rows i0.., into `table`.
-
-    `carry` holds the column sums of the rows above the strip, in the
-    accumulation dtype, and is advanced past it.
-    """
-    acc = values.astype(carry.dtype)
-    acc[0] += carry
-    np.cumsum(acc, axis=0, out=acc)
-    carry[:] = acc[-1]
-    np.cumsum(acc, axis=1, out=acc)
-    table[i0 + 1 : i0 + 1 + len(acc), 1:] = acc
-
-
 def build_grid(field: FieldSpec, extent: int, square_weights: bool = False) -> PrefixGrid:
-    """Accumulate the prefix tables of the box [-R, R]^2, strip by strip.
+    """Accumulate the prefix tables of the box [-R, R]^2, each cell
+    evaluated once per symmetry orbit (see the module docstring).
 
     max|N| over the box sizes the prime-norm table: the sieve of rational
     primes with p^2 also marked for every inert p (an element of norm p^2
     with p inert is automatically an associate of p, since no ideal of norm
-    p exists).  Each strip's norm surface then gives its prime mask, one
-    lookup in that table, and its weights, added to the tables.  With
-    square_weights each weight 1/log|N| less kappa_K / (sqrt|N| log|N|),
-    kappa_K = |Cl_K[2]| / 2, before it is added.
+    p exists).  With square_weights each weight is 1/log|N| less
+    kappa_K / (sqrt|N| log|N|), kappa_K = |Cl_K[2]| / 2.
     """
     if extent < 0:
         raise UsageError(f"extent must be nonnegative, got {extent}")
@@ -135,19 +126,40 @@ def build_grid(field: FieldSpec, extent: int, square_weights: bool = False) -> P
     prime_norm[p[_kronecker_primes(field.discriminant, p) == -1] ** 2] = True
 
     kappa = 2.0 ** class_group_2_rank(field) / 2.0 if square_weights else 0.0
-    tables = [np.zeros((W + 1, W + 1), np.int64), np.zeros((W + 1, W + 1))]
-    # extended-precision column sums keep the 10^7-term weight sums tight
+    count, weight = np.zeros((W + 1, W + 1), np.int64), np.zeros((W + 1, W + 1))
+    c0 = R if field.minpoly_omega()[0] == 0 else 0  # the first evaluated column
+    shape = (min(_STRIP_ROWS, R + 1), W - c0)
+    norm, mask = np.empty(shape, np.int64), np.empty(shape, bool)
+    root = np.empty(shape) if square_weights else None
+    for i0 in range(R, W, _STRIP_ROWS):  # box rows i = k1 + R, table rows i + 1
+        i1 = min(i0 + _STRIP_ROWS, W)
+        rows, n = slice(i0 + 1, i1 + 1), i1 - i0
+        cnt, wts, N, M = count[rows, c0 + 1 :], weight[rows, c0 + 1 :], norm[:n], mask[:n]
+        for out, k1 in zip(N, k[i0:i1].tolist()):  # temporaries of one row only
+            np.abs(field.norm_form(k1, k[c0:]), out=out)
+        np.copyto(cnt, np.take(prime_norm, N, out=M, mode="clip"))  # N is in range
+        np.log(np.maximum(N, 2, out=wts), out=wts)
+        np.divide(1.0, wts, out=wts)
+        np.copyto(wts, 0.0, where=np.less_equal(N, 1, out=M))
+        if square_weights:  # kappa is a power of 2: kappa * (w / s) rounds as (kappa w) / s
+            s = np.sqrt(np.maximum(N, 2, out=root[:n]), out=root[:n])
+            wts -= np.multiply(np.divide(wts, s, out=s), kappa, out=s)
+        if c0:  # k2 < 0 mirrors k2 > 0
+            for table in (count, weight):
+                table[rows, 1 : R + 1] = table[rows, W : R + 1 : -1]
+    del prime_norm, norm, mask, root
+
+    # column sums through each row, then the row's prefix sums: int64 for
+    # counts, longdouble for weights, which keeps 10^7-term weight sums tight
     carries = [np.zeros(W, np.int64), np.zeros(W, np.longdouble)]
-    for i0 in range(0, W, _STRIP_ROWS):
-        abs_norm = np.abs(field.norm_form(k[i0 : i0 + _STRIP_ROWS, None], k[None, :]))
-        prime_mask = prime_norm[abs_norm]
-        with np.errstate(divide="ignore"):
-            wts = np.where(abs_norm > 1, 1.0 / np.log(np.maximum(abs_norm, 2)), 0.0)
-        if square_weights:  # wts / sqrt|N| is 1/(sqrt|N| log|N|), and 0 where wts is
-            wts -= kappa * wts / np.sqrt(np.maximum(abs_norm, 2))
-        for table, carry, values in zip(tables, carries, (prime_mask, wts)):
-            _accumulate(table, carry, values, i0)
-    return PrefixGrid(field, R, *tables, kappa)
+    sums = [np.empty(W, np.int64), np.empty(W, np.longdouble)]
+    for i in range(W):
+        # a row k1 < 0 reads the staged row -k1 reversed, table row 2R + 1 - i
+        src = (2 * R + 1 - i, slice(W, 0, -1)) if i < R else (i + 1, slice(1, None))
+        for table, carry, row in zip((count, weight), carries, sums):
+            np.add(carry, table[src], out=carry)
+            table[i + 1, 1:] = np.cumsum(carry, out=row)
+    return PrefixGrid(field, R, count, weight, kappa)
 
 
 def _corners(at, a, b, c, d):
@@ -301,7 +313,8 @@ _HEADER = struct.Struct("<4sIqBI")
 
 def save_grid(grid: PrefixGrid, path: str) -> None:
     """Little-endian binary dump of a first-order grid: header (its basis
-    byte is `FieldSpec.half`), u32 count prefixes, f64 weights."""
+    byte is `FieldSpec.half`), u32 count prefixes, f64 weights.  The counts
+    are converted and written `_STRIP_ROWS` rows at a time."""
     if grid.kappa:
         raise UsageError(f"a grid file holds first-order weights; this grid has kappa {grid.kappa}")
     if grid.total_primes() >= 2**32:
@@ -316,7 +329,9 @@ def save_grid(grid: PrefixGrid, path: str) -> None:
                 grid.extent,
             )
         )
-        grid.prime_count.astype("<u4").tofile(f)
+        # every prefix count is at most the total, so each fits in u32
+        for i0 in range(0, len(grid.prime_count), _STRIP_ROWS):
+            grid.prime_count[i0 : i0 + _STRIP_ROWS].astype("<u4").tofile(f)
         grid.log_weight.astype("<f8", copy=False).tofile(f)
 
 
@@ -325,7 +340,8 @@ def load_grid(path: str) -> PrefixGrid:
 
     The header, the file's exact length, the field and the basis byte its D
     fixes are checked before the tables are read; a file that fails a check
-    raises GridFileError.
+    raises GridFileError.  The u32 counts are read `_STRIP_ROWS` rows at a
+    time into the int64 table.
     """
     with open(path, "rb") as f:
         size = os.fstat(f.fileno()).st_size
@@ -346,6 +362,9 @@ def load_grid(path: str) -> PrefixGrid:
             raise GridFileError(f"{path}: {exc}") from None
         if basis_code != field.half:
             raise GridFileError(f"{path}: basis code {basis_code}, but {field} takes {field.half:d}")
-        counts = np.fromfile(f, dtype="<u4", count=W1 * W1).astype(np.int64)
+        counts = np.empty((W1, W1), np.int64)
+        for i0 in range(0, W1, _STRIP_ROWS):
+            rows = counts[i0 : i0 + _STRIP_ROWS]
+            rows[:] = np.fromfile(f, dtype="<u4", count=rows.size).reshape(rows.shape)
         weights = np.fromfile(f, dtype="<f8", count=W1 * W1)
-    return PrefixGrid(field, R, counts.reshape(W1, W1), weights.reshape(W1, W1))
+    return PrefixGrid(field, R, counts, weights.reshape(W1, W1))

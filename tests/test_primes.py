@@ -196,6 +196,20 @@ class TestStripBuild:
         monkeypatch.setattr(primes, "_STRIP_ROWS", strip)
         self.assert_matches_oracle(D, (W - 1) // 2, square_weights)
 
+    # Only the rows k1 >= 0 are evaluated, in strips from k1 = 0 down, and
+    # the rows k1 < 0 are read from them reversed.  Row k1 = 0 is box row R:
+    # the first, a middle or the last row of a strip counted from the top of
+    # the box, so the R + 1 evaluated rows fill their last strip with one
+    # row, about half a strip or a whole strip.
+    @pytest.mark.parametrize("where", [0, 1, 2], ids=["first", "middle", "last"])
+    @pytest.mark.parametrize("strip", [STRIP, 7], ids=["default-strip", "strip-7"])
+    @pytest.mark.parametrize("square_weights", [False, True])
+    @pytest.mark.parametrize("D", ORACLE_FIELDS)
+    def test_row_zero_across_the_strip(self, monkeypatch, D, square_weights, strip, where):
+        monkeypatch.setattr(primes, "_STRIP_ROWS", strip)
+        R = 2 * strip + (0, strip // 2, strip - 1)[where]
+        self.assert_matches_oracle(D, R, square_weights)
+
     @pytest.mark.parametrize("strip", [1, 7, 1000])
     @pytest.mark.parametrize("square_weights", [False, True])
     @pytest.mark.parametrize("D", ORACLE_FIELDS)
@@ -271,15 +285,19 @@ class TestStripBuild:
             build_grid(make_field(-700000000001), 3872)
 
     def test_traced_peak_near_table_bytes(self):
-        # the whole-box build peaked at 2.66x the tables' bytes
-        tracemalloc.start()
-        try:
-            g = build_grid(make_field(10), 400, square_weights=True)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        tables = g.prime_count.nbytes + g.log_weight.nbytes
-        assert peak <= 1.6 * tables
+        # the whole-box build peaked at 2.66x the tables' bytes, and the
+        # build with fresh temporaries per strip at 1.42x (D = 10) and 1.32x
+        # (D = -3); the sieve, freed before the rows are summed, is most of
+        # what remains
+        for D in (10, -3):
+            tracemalloc.start()
+            try:
+                g = build_grid(make_field(D), 400, square_weights=True)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            tables = g.prime_count.nbytes + g.log_weight.nbytes
+            assert peak <= 1.35 * tables, D
 
 
 class TestBoxQueries:
@@ -637,6 +655,33 @@ class TestPersistence:
             assert got.dtype == want.dtype and got.shape == want.shape
             assert got.flags.writeable and got.flags.c_contiguous
             assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("strip", [1, 7, STRIP])
+    def test_counts_streamed_in_row_blocks(self, tmp_path, monkeypatch, strip):
+        # the u32 counts are written and read a block of rows at a time:
+        # the same bytes for any block size, neither side holding a u32 copy
+        # of the whole table
+        g = build_grid(make_field(10), 300)
+        path = tmp_path / "grid.bin"
+        save_grid(g, str(path))
+        want = path.read_bytes()
+        monkeypatch.setattr(primes, "_STRIP_ROWS", strip)
+        tables = g.prime_count.nbytes + g.log_weight.nbytes
+        tracemalloc.start()
+        try:
+            save_grid(g, str(path))
+            saved = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            g2 = load_grid(str(path))
+            loaded = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert path.read_bytes() == want
+        assert np.array_equal(g2.prime_count, g.prime_count) and g2.prime_count.dtype == np.int64
+        assert np.array_equal(g2.log_weight, g.log_weight)
+        u32_table = g.prime_count.size * 4
+        assert saved < u32_table / 4
+        assert loaded < tables + u32_table / 4
 
     @settings(max_examples=40, deadline=None)
     @given(D=st.integers(-200, 200).filter(lambda D: D not in (0, 1) and _is_squarefree(D)),
