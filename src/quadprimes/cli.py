@@ -83,7 +83,7 @@ def _parse_deltas(text: str) -> list[float]:
         if ":" not in text:
             return [float(p) for p in text.split(",")]
         lo, hi, step = (float(p) for p in text.split(":"))
-        n = round((hi - lo) / step)
+        n = math.floor((hi - lo) / step + 1e-9)
     except (ValueError, ZeroDivisionError, OverflowError):
         raise UsageError(f"bad deltas {text!r}: expected lo:hi:step with step != 0,"
                          " or a comma list") from None

@@ -473,9 +473,9 @@ def lattice_half_points(bases, radius: int, budget: Optional[int] = None, *,
     low <= u*y1 + v*y2 <= radius (low = -radius, or 0 for the quadrant), so
     every listed point lies in the region.  The rows, then each row chunk's
     points, are walked by `_ranges`.  With a `budget`, BudgetError is raised
-    when the half box's rows exceed it, or the points, summed a row chunk at
-    a time, cross it: at the first such chunk, before any array of that size
-    is made.
+    when the half box's rows exceed it, or the points, counted a row chunk at
+    a time as they are walked, cross it: at the first such chunk, before its
+    points are listed, though earlier chunks' points may have been yielded.
     """
     x1, y1, x2, y2 = np.asarray(bases, dtype=np.int64).reshape(4, -1)
     cross = x1 * y2 - y1 * x2
@@ -496,7 +496,8 @@ def lattice_half_points(bases, radius: int, budget: Optional[int] = None, *,
     first = -((top(-s * x1) + top(s * y1)) // det) if quadrant else np.zeros_like(det)
     n = (top(s * x1) + top(-s * y1)) // det + 1 - first
 
-    def extent(i, k):
+    total = 0
+    for i, k in _ranges(n):
         # row k of lattice i: its v, first u and number of points (0 when
         # none), from the slabs low <= u*c + v*d <= radius, c = x1, y1,
         # doubled and centred: |2u*c + off| <= width, off = 2v*d - (low +
@@ -513,14 +514,11 @@ def lattice_half_points(bases, radius: int, budget: Optional[int] = None, *,
             hi[axis] -= hi[axis] == 0
         else:
             lo[axis] = np.maximum(lo[axis], 1)
-        return v, lo, np.maximum(hi - lo + 1, 0)
-
-    if budget is not None and any(total > budget for total in itertools.accumulate(
-            int(extent(i, k)[2].sum()) for i, k in _ranges(n))):
-        raise BudgetError(f"a walk over more than {budget} lattice points in the box of "
-                          f"radius {brief(radius)} exceeds the budget")
-    for i, k in _ranges(n):
-        v, lo, count = extent(i, k)
+        count = np.maximum(hi - lo + 1, 0)
+        del c, d, m, off, free, hi, axis  # not held while the chunk's points are listed
+        if budget is not None and (total := total + int(count.sum())) > budget:
+            raise BudgetError(f"a walk over more than {budget} lattice points in the box of "
+                              f"radius {brief(radius)} exceeds the budget")
         for row, k in _ranges(count):
             b, u, w = i[row], lo[row] + k, v[row]
             yield b, u * x1[b] + w * x2[b], u * y1[b] + w * y2[b]

@@ -90,6 +90,13 @@ class TestPrimes:
         assert code == 1 and out == ""
         assert err.startswith("error:") and err.count("\n") == 1
 
+    def test_grid_of_another_field_exit_code(self, capsys, tmp_path):
+        path = str(tmp_path / "g.bin")
+        run(capsys, "primes", "grid", "--field", "D=-3", "--extent", "5", "--out", path)
+        code, out, err = run(capsys, "primes", "count", "--field", "D=-1", "--grid", path)
+        assert (code, out) == (1, "")
+        assert err == "error: grid file was built for a different field\n"
+
     def test_extent_exit_code(self, capsys, tmp_path):
         path = str(tmp_path / "g.bin")
         run(capsys, "primes", "grid", "--field", "D=-1", "--extent", "5",
@@ -180,6 +187,21 @@ class TestVariance:
         assert open(fig).read() == open(by_hand).read()
         assert "density" not in json.loads(open(fig + ".meta.json").read())
 
+    @pytest.mark.parametrize("text, deltas", [
+        ("0.1:0.9:0.1", [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9]),
+        ("0.9:0.1:-0.1", [0.9, 0.8, 0.7, 0.6, 0.5, 0.4, 0.3, 0.2, 0.1]),
+        ("0.05:0.95:0.1", [0.05, 0.15, 0.25, 0.35, 0.45, 0.55, 0.65, 0.75, 0.85, 0.95]),
+        ("0.3:0.9:0.2", [0.3, 0.5, 0.7, 0.9]),
+        # hi is a row only when it lies on the grid lo + i*step
+        ("0.1:0.9:0.3", [0.1, 0.4, 0.7]),
+        ("0.1:0.86:0.1", [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8]),
+    ])
+    def test_delta_range_stops_at_hi(self, capsys, text, deltas):
+        assert cli._parse_deltas(text) == deltas
+        code, out, _ = run(capsys, "variance", "--field", "D=-1", "--X", "10", "--deltas", text)
+        assert code == 0
+        assert [float(row.split(",")[2]) for row in out.splitlines()[1:]] == deltas
+
     def test_variance_z(self, capsys):
         code, out, _ = run(capsys, "variance-z", "--X", "2000",
                            "--deltas", "0.5")
@@ -200,6 +222,21 @@ class TestConfigAndDiagnose:
         code, out, _ = run(capsys, "sstar", f"--config={cfg}", "--eta", "1,1")
         assert code == 0
         assert out.strip().splitlines()[1].split(",")[3] == "500"
+
+    def test_config_comments_and_blank_lines_skipped(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("# an sstar run\n\nfield = D=-1  # Q(i)\n   \ncutoff = 500\n")
+        code, out, _ = run(capsys, "sstar", "--config", str(cfg), "--eta", "1,1")
+        assert code == 0
+        cells = out.strip().splitlines()[1].split(",")
+        assert (cells[0], cells[3]) == ("D=-1", "500")
+
+    def test_config_line_without_equals_exit_code(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("field = D=-1\ncutoff 500\n")
+        code, out, err = run(capsys, "sstar", "--config", str(cfg), "--eta", "1,1")
+        assert (code, out) == (1, "")
+        assert err == "error: bad config line: 'cutoff 500'\n"
 
     def test_diagnose_condensation_all_ok(self, capsys):
         code, out, _ = run(capsys, "diagnose", "condensation", "--field",

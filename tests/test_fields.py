@@ -116,6 +116,7 @@ class TestArithmetic:
         assert (a * b) * c == a * (b * c)
         assert a * (b + c) == a * b + a * c
         assert a + (-a) == field.zero()
+        assert a - b == a + (-b)
         assert a * field.one() == a
 
     @pytest.mark.parametrize("field", FIELDS, ids=str)
@@ -129,6 +130,8 @@ class TestArithmetic:
     def test_mixed_field_operations_rejected(self):
         with pytest.raises(ValueError):
             make_field(-1).element(1, 0) + make_field(2).element(1, 0)
+        with pytest.raises(ValueError):
+            make_field(-1).element(1, 0) - make_field(2).element(1, 0)
 
 
 class TestClassGroup2Rank:

@@ -227,6 +227,11 @@ class TestSplitting:
                 assert gen.norm() % p == 0
                 assert not pi.contains(field.one())
 
+    def test_contains_rejects_another_fields_element(self):
+        [p5a, _] = split_prime(5, Qi)
+        with pytest.raises(ValueError, match="different field"):
+            p5a.contains(make_field(-3).element(1, 0))
+
     def test_enumerate_budget(self):
         assert enumerate_prime_ideals(Qi, 0) == ()
         with pytest.raises(BudgetError):
@@ -362,6 +367,10 @@ class TestSquarefree:
         # no ideal has norm below 1, not even the unit ideal
         assert enumerate_squarefree_ideals(Qi, 0) == []
         assert enumerate_squarefree_ideals(Qi, -5) == []
+
+    def test_empty_product_rejected(self):
+        with pytest.raises(ValueError, match="SquarefreeIdeal.unit"):
+            SquarefreeIdeal.product([])
 
     def test_mu_phi_norm(self):
         for q in enumerate_squarefree_ideals(Qi, 100):
@@ -712,6 +721,17 @@ class TestSmoothedCounts:
         with pytest.raises(BudgetError, match="more than 8 lattice points"):
             next(lattice_half_points([1, 0, 0, 2], 10, 8))
         assert chunks == [1]
+
+    def test_point_budget_lists_the_chunks_under_it(self, monkeypatch):
+        # basis (1, 0), (0, 2) at radius 10 in row chunks of two: rows v = 0, 1
+        # hold 10 + 21 points, under a budget of 40, and rows 2, 3 cross it,
+        # so the first chunk's points are listed before the walk raises
+        monkeypatch.setattr(ideals, "_CHUNK", 2)
+        listed = []
+        with pytest.raises(BudgetError, match="more than 40 lattice points"):
+            for _, k1, k2 in lattice_half_points([1, 0, 0, 2], 10, 40):
+                listed += zip(k1.tolist(), k2.tolist())
+        assert listed == [(u, 0) for u in range(1, 11)] + [(u, 2) for u in range(-10, 11)]
 
     def test_walk_budget(self, monkeypatch):
         unit = SquarefreeIdeal.unit(Qi)

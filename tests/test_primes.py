@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import math
 import random
@@ -346,6 +347,9 @@ class TestBoxQueries:
             count_primes_box(g, 0.0, 0.0, 11.0)
         with pytest.raises(ExtentError):
             log_weight_box(g, 8.0, 0.0, 3.0)
+        # one box of the batch past the edge refuses the batch
+        with pytest.raises(ExtentError):
+            box_sums(g, [g.prime_count], np.array([[0.0, 0.0], [8.0, 0.0]]), 3.0)
 
     def test_batch_matches_scalar(self):
         g = build_grid(Qi, 30)
@@ -642,6 +646,15 @@ class TestPersistence:
         assert not path.exists()
         save_grid(build_grid(make_field(D), 20), str(path))
         assert load_grid(str(path)).kappa == 0.0
+
+    def test_counts_past_u32_are_refused(self, tmp_path):
+        g = build_grid(Qi, 5)
+        count = g.prime_count.copy()
+        count[-1, -1] = 2**32
+        path = tmp_path / "grid.bin"
+        with pytest.raises(BudgetError, match="u32"):
+            save_grid(dataclasses.replace(g, prime_count=count), str(path))
+        assert not path.exists()
 
     def test_file_bytes_and_loaded_arrays(self, tmp_path):
         g = build_grid(make_field(-3), 30)

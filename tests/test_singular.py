@@ -445,6 +445,8 @@ class TestRational:
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
             singular_series_rational(0, 100)
+        with pytest.raises(ValueError, match="hmax must be at least 1"):
+            sieved_singular_rational(0, 100)
 
     @pytest.mark.parametrize("P", [2, 3, 100, 10**4])
     def test_euler_primes_from_sieve(self, P):
@@ -656,6 +658,12 @@ class TestSievedBox:
         with pytest.raises(ValueError):
             box.value_at(0, 0)
 
+    def test_point_outside_the_box_rejected(self):
+        box = sieved_singular_box(Qi, 3, 100)
+        for k1, k2 in ((4, 0), (0, -4), (-4, 4)):
+            with pytest.raises(ValueError, match="outside the sieved box"):
+                box.value_at(k1, k2)
+
     def test_norm2_support_pattern(self):
         # in Q(i) the nonzero entries are exactly the index-2 sublattice k1+k2 even
         box = sieved_singular_box(Qi, 6, 200)
@@ -856,6 +864,8 @@ class TestScratchSums:
 class TestHeadlineSums:
     def test_montgomery_h2_exact(self):
         assert montgomery_sum(2, 10**4) == -0.5
+        with pytest.raises(ValueError, match="H must be at least 2"):
+            montgomery_sum(1, 10**4)
 
     def test_montgomery_slope(self):
         hs = [2**k for k in range(10, 16)]

@@ -101,6 +101,10 @@ class TestEval:
             assert type(got) is type(want) and got.shape == want.shape
             assert got.tobytes() == want.tobytes()
 
+    def test_square_has_no_radial_profile(self):
+        with pytest.raises(ValueError, match="disc kind"):
+            SQUARE.eval_radial(1.0)
+
     def test_disc_radial_monotone(self):
         r = np.linspace(0, 2.2, 500)
         vals = DISC.eval_radial(r)
