@@ -10,9 +10,11 @@ prints one `error:` line to stderr.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import sys
+from dataclasses import astuple
 
 import numpy as np
 
@@ -27,6 +29,7 @@ from .ideals import (
     enumerate_squarefree_ideals,
     ideal_lattice,
     ideal_smoothed_count,
+    squarefree_ideal_levels,
 )
 from .primes import build_grid, count_primes_box, load_grid, save_grid
 from .singular_series import (
@@ -67,11 +70,7 @@ def _emit(args, header: list[str], rows: list[tuple], meta: dict, trailer: str =
 
 
 def _write_sidecar(args, meta: dict):
-    config = {
-        k: v
-        for k, v in vars(args).items()
-        if k not in ("func",) and not callable(v)
-    }
+    config = {k: v for k, v in vars(args).items() if not callable(v)}
     payload = {"version": __version__, "config": config, **meta}
     with open(args.out + ".meta.json", "w") as f:
         json.dump(payload, f, indent=2, default=str)
@@ -87,6 +86,8 @@ def _parse_deltas(text: str) -> list[float]:
     except (ValueError, ZeroDivisionError, OverflowError):
         raise UsageError(f"bad deltas {text!r}: expected lo:hi:step with step != 0,"
                          " or a comma list") from None
+    if n < 0:
+        raise UsageError(f"bad deltas {text!r}: the range is empty, as step points away from hi")
     if n + 1 > _DELTA_BUDGET:
         raise BudgetError(f"more than {_DELTA_BUDGET} deltas exceed the budget")
     return [round(lo + i * step, 12) for i in range(n + 1)]
@@ -228,8 +229,7 @@ def cmd_variance(args) -> int:
     _emit(
         args,
         ["field", "X", "delta", "H", "n_samples", "E", "V", "ratio", "target"],
-        [(r.field, r.X, r.delta, r.H, r.n_samples, r.E, r.V, r.ratio, r.target)
-         for r in rows],
+        [astuple(r) for r in rows],
         {"rk": res.value, "rk_error_bound": res.error_bound,
          "sampler": args.sampler, "grid_extent": grid_extent(args.X, deltas)},
     )
@@ -237,26 +237,20 @@ def cmd_variance(args) -> int:
 
 
 def cmd_variance_z(args) -> int:
-    rows = []
-    for delta in _parse_deltas(args.deltas):
-        r = zbaseline_row(args.X, delta)
-        rows.append((r.X, r.delta, r.H, r.E, r.V_prime, r.V_lambda,
-                     r.ratio_prime, r.ratio_lambda))
+    rows = [astuple(zbaseline_row(args.X, delta)) for delta in _parse_deltas(args.deltas)]
     _emit(args, ["X", "delta", "H", "E", "V_prime", "V_lambda",
                  "ratio_prime", "ratio_lambda"], rows, {})
     return 0
 
 
-def _walk_budget(args, budget: int, units: str, cost):
-    """A check for `enumerate_squarefree_ideals`: BudgetError once the sum of
-    cost(q) over the ideals, all positive, passes the budget."""
-    spent = [0]
-
-    def check(q):
-        spent[0] += cost(q)
-        if spent[0] > budget:
-            raise BudgetError(f"--Y {args.Y}: over {budget} {units}")
-    return check
+def _charge(args, field, budget: int, units: str, cost):
+    """BudgetError when the squarefree ideals of norm <= --Y cost more than
+    the budget, before any of them is built: cost(k, norm, c) is the cost of
+    the level of `squarefree_ideal_levels` of k prime factors."""
+    levels = squarefree_ideal_levels(field, args.Y)
+    spent = itertools.accumulate(cost(k, norm, c) for k, (_, _, norm, c) in enumerate(levels))
+    if any(total > budget for total in spent):
+        raise BudgetError(f"--Y {args.Y}: over {budget} {units}")
 
 
 def cmd_diagnose(args) -> int:
@@ -264,53 +258,45 @@ def cmd_diagnose(args) -> int:
     name = field.spec_string()
     if args.Y < 1:
         raise UsageError(f"--Y must be at least 1, got {args.Y}")
+    rows = []
     if args.topic == "dual-count":
         radii = (0.2, 0.5, 1.0, 2.0)
-
-        def rows_walked(q):
-            # `dual_lattice_count` walks the rows v = 0 .. floor(r*det) // c
-            lat = ideal_lattice(q)
-            return sum(math.floor(r * lat.det) // lat.c + 1 for r in radii) if q.factors else 0
-
-        check = _walk_budget(args, LATTICE_POINT_BUDGET, "lattice rows", rows_walked)
-        rows = []
-        # past the unit ideal
-        for q in enumerate_squarefree_ideals(field, args.Y, check)[1:]:
+        # `dual_lattice_count` walks the rows v = 0 .. floor(r*det) // c, det the norm,
+        # of every ideal past the unit ideal
+        _charge(args, field, LATTICE_POINT_BUDGET, "lattice rows", lambda k, norm, c: sum(
+            int((np.floor(r * norm).astype(np.int64) // c + 1).sum()) for r in radii) if k else 0)
+        for q in enumerate_squarefree_ideals(field, args.Y)[1:]:
             lat = ideal_lattice(q)
             for r in radii:
                 cnt = dual_lattice_count(lat, r)
                 rows.append((name, q.norm, r, cnt, cnt / (q.norm * r * r)))
-        _emit(args, ["field", "norm", "r", "count", "normalized"], rows, {})
-        return 0
-    if args.topic == "smooth-count":
+        header = ["field", "norm", "r", "count", "normalized"]
+    elif args.topic == "smooth-count":
         w = TestFunction(Kind.SQUARE_AUTOCORR)
-        radius = w.support_box(args.H)
-        # the ideal, and the rows v = 0 .. radius // c that its count walks
-        check = _walk_budget(args, _SMOOTH_COUNT_BUDGET, "ideals and lattice rows",
-                             lambda q: 2 + radius // ideal_lattice(q).c)
-        rows = []
-        for q in enumerate_squarefree_ideals(field, args.Y, check):
+        # the ideal, and the rows v = 0 .. radius // c that its count walks; a
+        # radius over the budget trips on the unit ideal, so it is clipped to fit int64
+        radius = min(w.support_box(args.H), _SMOOTH_COUNT_BUDGET)
+        _charge(args, field, _SMOOTH_COUNT_BUDGET, "ideals and lattice rows",
+                lambda k, norm, c: int((2 + radius // c).sum()))
+        for q in enumerate_squarefree_ideals(field, args.Y):
             cnt = ideal_smoothed_count(q, w, args.H)
             rows.append((name, q.norm, float(args.H), cnt, w.value_at_zero,
                          args.H**2 * w.fourier_at_zero / q.norm))
-        _emit(args, ["field", "norm", "H", "count", "w0", "riemann_ref"], rows, {})
-        return 0
-    if args.topic == "condensation":
-        # each of the 49 shifts sums c_d over the divisors d of c
-        check = _walk_budget(args, _CONDENSATION_BUDGET, "Ramanujan-sum terms",
-                             lambda c: 49 << len(c.factors))
-        rows = []
-        for c in enumerate_squarefree_ideals(field, args.Y, check):
+        header = ["field", "norm", "H", "count", "w0", "riemann_ref"]
+    else:  # condensation, the parser's last choice
+        # each of the 49 shifts sums c_d over the 2^k divisors d of c
+        _charge(args, field, _CONDENSATION_BUDGET, "Ramanujan-sum terms",
+                lambda k, norm, c: (49 << k) * norm.size)
+        for c in enumerate_squarefree_ideals(field, args.Y):
             for k1 in range(-3, 4):
                 for k2 in range(-3, 4):
                     eta = field.element(k1, k2)
                     got = condensation_sum(c, eta)
                     want = c.norm if c.contains(eta) else 0
                     rows.append((name, c.norm, k1, k2, got, want, int(got == want)))
-        _emit(args, ["field", "norm", "eta1", "eta2", "sum", "expected", "ok"],
-              rows, {})
-        return 0
-    raise QuadPrimesError(f"unknown diagnostic {args.topic!r}")
+        header = ["field", "norm", "eta1", "eta2", "sum", "expected", "ok"]
+    _emit(args, header, rows, {})
+    return 0
 
 
 # ---------------------------------------------------------------------------

@@ -18,8 +18,10 @@ table of arrays per field and bound that every enumeration reads, and
 `split_prime` splits one prime.
 Squarefree ideals are products of distinct prime ideals and carry their
 Moebius value, totient and norm.  They are built as arrays, one level per
-number of prime factors, each product from its parent (`squarefree_levels`),
-for both the enumeration and the mu^2/phi sums.
+number of prime factors, each product and its lattice's c from its parent's
+(`squarefree_levels`, `squarefree_ideal_levels`), in the walk order of
+`_walk_positions`, for the enumeration, the mu^2/phi sums and the
+diagnostics' budgets.
 Each squarefree ideal also induces a rank-2 sublattice of the coordinate
 lattice, kept in Hermite normal form and built directly by CRT over the
 rational primes below the ideal (`ideal_lattice`).  One enumerator,
@@ -38,7 +40,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Iterable, NamedTuple, Optional
+from typing import Iterable, NamedTuple, Optional
 
 import numpy as np
 
@@ -355,28 +357,40 @@ def squarefree_levels(norms: np.ndarray, max_norm: int, last: np.ndarray, norm: 
         norm = norm[parent] * norms[last]
 
 
-def enumerate_squarefree_ideals(
-    field: FieldSpec, max_norm: int, check: Optional[Callable[[SquarefreeIdeal], None]] = None
-) -> list[SquarefreeIdeal]:
+def _walk_positions(levels: list) -> list[np.ndarray]:
+    """The walk-order position of every product on the `squarefree_levels`
+    `levels`, from 0.  Subtree sizes come bottom up by a `bincount` over the
+    parents; a child's position is its parent's, plus one, plus the subtrees
+    of its earlier siblings."""
+    sizes = [np.ones(levels[-1][0].size, np.int64)]
+    for k in range(len(levels) - 1, 0, -1):
+        below = np.bincount(levels[k][0], sizes[0], levels[k - 1][0].size)
+        sizes.insert(0, 1 + below.astype(np.int64))
+    positions = [np.cumsum(sizes[0]) - sizes[0]]
+    for (parent, *_), size in zip(levels[1:], sizes[1:]):
+        before = np.cumsum(size) - size
+        first = np.searchsorted(parent, parent)  # the first child of the same parent
+        positions.append(positions[-1][parent] + 1 + before - before[first])
+    return positions
+
+
+def enumerate_squarefree_ideals(field: FieldSpec, max_norm: int) -> list[SquarefreeIdeal]:
     """All squarefree ideals of norm <= max_norm, the unit ideal included
-    when max_norm >= 1.  `check`, when given, sees each ideal as its level
-    of `squarefree_levels` is built, before the sort, and may raise to end
-    the enumeration."""
+    when max_norm >= 1, sorted by (norm, the factors' sort keys): each
+    ideal's factors extend its parent's (`squarefree_ideal_levels`), and a
+    stable sort by norm of the walk order (`_walk_positions`), lexicographic
+    in the prime indices, which ascend with the sort keys, is that order."""
     if max_norm < 1:
         return []
-    primes, norms = enumerate_prime_ideals(field, max_norm), prime_ideal_table(field, max_norm).norm
-    check = check or (lambda q: None)
-    out = [SquarefreeIdeal.unit(field)]
-    check(out[0])
-    level = [()] * norms.size  # the parents of the single primes
-    for parent, last, _ in squarefree_levels(norms, max_norm, np.arange(norms.size), norms):
-        prev, level = level, []
-        for k, i in zip(parent.tolist(), last.tolist()):
-            level.append(prev[k] + (primes[i],))
-            out.append(SquarefreeIdeal(field, level[-1]))
-            check(out[-1])
-    out.sort(key=lambda q: (q.norm, tuple(f.sort_key() for f in q.factors)))
-    return out
+    levels = list(squarefree_ideal_levels(field, max_norm))
+    primes, factors = enumerate_prime_ideals(field, max_norm), [[()]]
+    for parent, last, _, _ in levels[1:]:
+        factors.append([factors[-1][k] + (primes[i],)
+                        for k, i in zip(parent.tolist(), last.tolist())])
+    factors = list(itertools.chain.from_iterable(factors))
+    order = np.lexsort((np.concatenate(_walk_positions(levels)),
+                        np.concatenate([norm for _, _, norm, _ in levels])))
+    return [SquarefreeIdeal(field, factors[i]) for i in order.tolist()]
 
 
 def ramanujan_sum(q: SquarefreeIdeal, eta: QuadInt) -> int:
@@ -440,6 +454,25 @@ def ideal_lattice(q: SquarefreeIdeal) -> IdealLattice:
             m = a // p
             b += -rs[0] * c * m * pow(m, -1, p)
     return IdealLattice(a, b % a, c)
+
+
+def squarefree_ideal_levels(field: FieldSpec, max_norm: int):
+    """The levels of `squarefree_levels` over `prime_ideal_table(field,
+    max_norm >= 1)` from the unit ideal's, its largest prime -1, each with a
+    fourth array: the c of each `ideal_lattice`.  A child's c is its
+    parent's times p when the child then contains all of pO_K: p is inert,
+    or the child adds the second ideal above a split p and the first,
+    adjacent in the table, is the parent's largest prime.  Only the level
+    before the one built is kept."""
+    t, unit = prime_ideal_table(field, max_norm), np.ones(1, np.int64)
+    last, c = -unit, unit
+    for parent, child, norm in squarefree_levels(t.norm, max_norm, -unit, unit):
+        if child[0] >= 0:  # past the unit ideal
+            prev, p = last[parent], t.p[child]
+            whole = (t.root[child] < 0) | ((prev >= 0) & (prev == child - 1) & (t.p[prev] == p))
+            c = c[parent] * np.where(whole, p, 1)
+        last = child
+        yield parent, last, norm, c
 
 
 def _ranges(count: np.ndarray):
@@ -579,11 +612,6 @@ def ideal_smoothed_count_scaled(q: SquarefreeIdeal, H: int) -> int:
 def ramanujan_smoothed_sum_scaled(q: SquarefreeIdeal, H: int) -> int:
     """Integer-exact H^2-scaled S_q(H) for the square autocorrelation, by
     Moebius inversion: the sum over a*b = q of mu(a) * N(b) * (scaled
-    smoothed count over b), which avoids evaluating c_q pointwise."""
-    total = 0
-    all_factors = set(q.factors)
-    for b in q.divisors():
-        rest = all_factors - set(b.factors)
-        mu_a = -1 if len(rest) % 2 else 1
-        total += mu_a * b.norm * ideal_smoothed_count_scaled(b, H)
-    return total
+    smoothed count over b), which avoids evaluating c_q pointwise; mu(a) =
+    mu(q) mu(b)."""
+    return sum(q.mu * b.mu * b.norm * ideal_smoothed_count_scaled(b, H) for b in q.divisors())

@@ -23,8 +23,9 @@ summed exactly over half a period, the powers r^j held as base-2^32 limbs
 in int64 lanes and each limb summed by one dot product with chi, and
 reflected by chi(q - r) = chi(-1) chi(r).  The mu^2/phi partial sums take
 one walk over the squarefree ideals for all their cutoffs, built as arrays
-and added by `np.cumsum` in walk order, so each equals a recursive walk's
-sum bit for bit.
+and added by `np.cumsum` in the walk order that also orders
+`ideals.enumerate_squarefree_ideals` (`ideals._walk_positions`), so each
+equals a recursive walk's sum bit for bit.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ import numpy as np
 
 from .errors import BudgetError, UsageError, brief
 from .fields import FieldSpec, QuadInt
-from .ideals import (PRIME_BUDGET, _character_table, _prime_sieve, _ranges,
+from .ideals import (PRIME_BUDGET, _character_table, _prime_sieve, _ranges, _walk_positions,
                      lattice_half_points, prime_ideal_table, squarefree_levels)
 
 DEFAULT_CUTOFF = 100_000
@@ -626,23 +627,6 @@ def montgomery_sum(H: int, cutoff: int = DEFAULT_CUTOFF) -> float:
 # estimated squarefree ideals (Y // N for each first product) per array pass
 # of mobius_phi_profile
 _WALK_CHUNK = 1 << 16
-
-
-def _walk_positions(levels: list) -> list[np.ndarray]:
-    """The walk-order position of every product on the `squarefree_levels`
-    `levels`, from 0.  Subtree sizes come bottom up by a `bincount` over the
-    parents; a child's position is its parent's, plus one, plus the subtrees
-    of its earlier siblings."""
-    sizes = [np.ones(levels[-1][0].size, np.int64)]
-    for k in range(len(levels) - 1, 0, -1):
-        below = np.bincount(levels[k][0], sizes[0], levels[k - 1][0].size)
-        sizes.insert(0, 1 + below.astype(np.int64))
-    positions = [np.cumsum(sizes[0]) - sizes[0]]
-    for (parent, _, _), size in zip(levels[1:], sizes[1:]):
-        before = np.cumsum(size) - size
-        first = np.searchsorted(parent, parent)  # the first child of the same parent
-        positions.append(positions[-1][parent] + 1 + before - before[first])
-    return positions
 
 
 def mobius_phi_profile(field: FieldSpec, cutoffs: list[int]) -> list[float]:

@@ -139,7 +139,9 @@ def variance_profile(
     """
     if not math.isfinite(X) or X < 0:
         raise UsageError(f"X must be a finite number >= 0, got {X!r}")
-    if not deltas or not all(0.0 < d < 1.0 for d in deltas):
+    if not deltas:
+        raise UsageError("deltas must not be empty")
+    if not all(0.0 < d < 1.0 for d in deltas):
         raise UsageError("deltas must lie strictly between 0 and 1")
     M = sampler.radius(X)  # fail on the sample budget before building a grid
     rk = residue_rk(field, 1e-8).value  # and on the residue budget

@@ -1,5 +1,7 @@
+import hashlib
 import importlib.util
 import json
+import math
 import os
 import pathlib
 import re
@@ -11,8 +13,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from quadprimes import cli, ideals
-from quadprimes.errors import BudgetError
+from quadprimes.errors import BudgetError, UsageError
 from quadprimes.cli import main
+from quadprimes.fields import make_field
+from quadprimes.ideals import enumerate_squarefree_ideals, ideal_lattice, squarefree_ideal_levels
+from quadprimes.smoothing import Kind, TestFunction
 from quadprimes.statistics import grid_extent
 
 
@@ -43,6 +48,22 @@ D=-1,26,50,1538.464,4,1538.46153846
 D=-1,29,50,1379.3152,4,1379.31034483
 D=-1,29,50,1379.3152,4,1379.31034483
 """
+
+# sha256 of the stdout of `quadprimes diagnose ARGS`: the lattice walks and the
+# Ramanujan sums behind the identity checks, byte for byte (CI's runtime job
+# pins the same digests)
+DIAGNOSE_SHA256 = [
+    ("smooth-count --field D=-1 --Y 2000 --H 50",
+     "29345489afed8659ab78130fc0dfe488e9bd8a700683a349de87db64471aa94d"),
+    ("smooth-count --field D=-3 --Y 1000 --H 7.5",
+     "5842115f1f61514282d0cc91475ed3894466c2fbb5af888bdb2cc3a5d418de2c"),
+    ("dual-count --field D=-1 --Y 300",
+     "70eaa75a6f22942c25f138d727123713f5a1c08e4ebdfc443dc3c17617c2704c"),
+    ("dual-count --field D=10 --Y 200",
+     "36d55b3bf05ce14e9aaf69409e2bc1168cb8c44e108073392de45cc5f4c63fa5"),
+    ("condensation --field D=5 --Y 200",
+     "790020ef1f3085987f0f5ebb0ec049a17928fe7dd514ec047d88004be232c49f"),
+]
 
 
 class TestFieldInfo:
@@ -202,6 +223,11 @@ class TestVariance:
         assert code == 0
         assert [float(row.split(",")[2]) for row in out.splitlines()[1:]] == deltas
 
+    @pytest.mark.parametrize("text", ["0.9:0.1:0.1", "0.1:0.9:-0.1"])
+    def test_empty_delta_range_named(self, text):
+        with pytest.raises(UsageError, match=r"^bad deltas '.*': the range is empty"):
+            cli._parse_deltas(text)
+
     def test_variance_z(self, capsys):
         code, out, _ = run(capsys, "variance-z", "--X", "2000",
                            "--deltas", "0.5")
@@ -250,6 +276,12 @@ class TestConfigAndDiagnose:
                            "--Y", "30", "--H", "50")
         assert code == 0
         assert out == SMOOTH_COUNT_D1_Y30_H50
+
+    @pytest.mark.parametrize("argv, digest", DIAGNOSE_SHA256, ids=[a for a, _ in DIAGNOSE_SHA256])
+    def test_diagnose_output_pinned(self, capsys, argv, digest):
+        code, out, _ = run(capsys, "diagnose", *argv.split())
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_diagnose_dual_count_conjugates_agree(self, capsys):
         # the two ideals of norm 5 have mirror-image dual lattices, and each
@@ -339,6 +371,9 @@ class TestHostileInputs:
         # finite scales whose support H * 2 overflows to inf
         (["diagnose", "smooth-count", "--Y", "2", "--H", "1e308"], 3),
         (["sum-singular", "--field", "D=-1", "--H", "1e308", "--cutoff", "1000"], 3),
+        # a range whose step points away from hi holds no delta
+        (VARIANCE + ["--deltas", "0.9:0.1:0.1"], 2),
+        (["variance-z", "--X", "1000", "--deltas", "0.9:0.1:0.1"], 2),
     ]
     # Cases are only appended: both tests below take their ids from positions
     # in HOSTILE, so an id keeps naming the same command.
@@ -371,7 +406,7 @@ class TestHostileInputs:
 
     def test_dual_count_budget_ends_the_walk(self, capsys):
         # about 1.04M squarefree ideals have norm <= 2*10^6; the lattice-row
-        # budget trips after a few of them, before any sort
+        # budget trips on the first level of their arrays, before any ideal is built
         start = time.perf_counter()
         got, out, err = run(capsys, "diagnose", "dual-count", "--Y", "2000000")
         assert time.perf_counter() - start < 3.0
@@ -380,7 +415,7 @@ class TestHostileInputs:
 
     def test_smooth_count_budget_ends_the_walk(self, capsys):
         # each of about 1.04M squarefree ideals of norm <= 2*10^6 costs 4 units
-        # at H = 1: the budget trips after about 100k of them, before any sort
+        # at H = 1: the budget trips on their arrays, before any ideal is built
         start = time.perf_counter()
         got, out, err = run(capsys, "diagnose", "smooth-count", "--Y", "2000000", "--H", "1")
         assert time.perf_counter() - start < 3.0
@@ -409,6 +444,38 @@ class TestHostileInputs:
         assert run(capsys, *argv)[0] == 0
         monkeypatch.setattr(cli, "LATTICE_POINT_BUDGET", rows - 1)
         assert run(capsys, *argv)[:2] == (3, "")
+
+    @staticmethod
+    def ideal_cost(topic, q, radius):
+        # one ideal's cost, from its object and its lattice
+        lat = ideal_lattice(q)
+        if topic == "dual-count":
+            rows = sum(math.floor(r * lat.det) // lat.c + 1 for r in (0.2, 0.5, 1.0, 2.0))
+            return rows if q.factors else 0
+        if topic == "smooth-count":
+            return 2 + radius // lat.c
+        return 49 << len(q.factors)
+
+    @pytest.mark.parametrize("D", [-1, -3, 2, 3, 5, 10, -7, 17, -100003])
+    def test_array_charge_equals_per_ideal_costs(self, capsys, monkeypatch, D):
+        # each topic's charge, summed level by level over the arrays, against
+        # the sum of its per-ideal costs; the charge then stops the command
+        charged = []
+
+        def spy(args, field, budget, units, cost):
+            levels = squarefree_ideal_levels(field, args.Y)
+            charged.append(sum(cost(k, norm, c) for k, (_, _, norm, c) in enumerate(levels)))
+            raise BudgetError("charged")
+
+        monkeypatch.setattr(cli, "_charge", spy)
+        field, Y = make_field(D), 5000
+        qs = enumerate_squarefree_ideals(field, Y)
+        for topic, H in [("dual-count", 50), ("smooth-count", 1), ("smooth-count", 7.5),
+                         ("condensation", 50)]:
+            argv = ["diagnose", topic, "--field", f"D={D}", "--Y", str(Y), "--H", str(H)]
+            assert run(capsys, *argv)[0] == 3
+            radius = TestFunction(Kind.SQUARE_AUTOCORR).support_box(H)
+            assert charged.pop() == sum(self.ideal_cost(topic, q, radius) for q in qs)
 
     def test_huge_field_budget_fails_fast(self, capsys):
         # the squarefree check would trial-divide up to sqrt|D| = 10^9

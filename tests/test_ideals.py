@@ -37,6 +37,7 @@ from quadprimes.ideals import (
     lattice_half_points,
     ramanujan_smoothed_sum_scaled,
     ramanujan_sum,
+    squarefree_ideal_levels,
     _sqrt_mod_array,
     prime_ideal_table,
     split_prime,
@@ -359,6 +360,23 @@ class TestSquarefree:
                     want.append(SquarefreeIdeal(field, combo))
         want.sort(key=lambda q: (q.norm, tuple(f.sort_key() for f in q.factors)))
         assert enumerate_squarefree_ideals(field, N) == want
+
+    @pytest.mark.parametrize("D", [-1, -3, 2, 3, 5, 10, -7, 17, -100003])
+    @pytest.mark.parametrize("Y", [1, 2, 3, 30, 5000])
+    def test_levels_match_objects_and_lattices(self, D, Y):
+        # each array row, named by the factors along its parent chain, has the
+        # norm and factor count of the enumeration's object and its lattice's c
+        field = make_field(D)
+        primes, rows, factors = enumerate_prime_ideals(field, Y), {}, [()]
+        for k, (parent, last, norm, c) in enumerate(squarefree_ideal_levels(field, Y)):
+            if k:
+                factors = [factors[j] + (primes[i],)
+                           for j, i in zip(parent.tolist(), last.tolist())]
+            rows.update(zip(factors, zip(norm.tolist(), itertools.repeat(k), c.tolist())))
+        qs = enumerate_squarefree_ideals(field, Y)
+        assert len(rows) == len(qs)
+        for q in qs:
+            assert rows[q.factors] == (q.norm, len(q.factors), ideal_lattice(q).c)
 
     def test_enumeration_counts(self):
         assert len(enumerate_squarefree_ideals(Qi, 4)) == 2

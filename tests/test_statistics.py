@@ -148,6 +148,10 @@ class TestFieldStatistics:
         with pytest.raises(ValueError):
             variance_profile(Qi, 40.0, [0.0, 0.5])
 
+    def test_empty_deltas_named(self):
+        with pytest.raises(UsageError, match="deltas must not be empty"):
+            variance_profile(Qi, 40.0, [])
+
     @pytest.mark.parametrize("X", [-5.0, math.nan, math.inf])
     def test_bad_X(self, X):
         with pytest.raises(UsageError):
