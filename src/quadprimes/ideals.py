@@ -50,7 +50,7 @@ from .fields import PRIME_BUDGET, FieldSpec, QuadInt
 # largest number of lattice rows, and of points, that one lattice walk may list
 LATTICE_POINT_BUDGET = 10_000_000
 # (row, k) pairs per chunk of `_ranges`
-_CHUNK = 1 << 18
+_CHUNK = 1 << 16
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 

@@ -54,7 +54,7 @@ from .ideals import _kronecker_primes, _prime_sieve, miller_rabin
 GRID_MAGIC = b"SINF"
 GRID_VERSION = 1
 _GRID_CELL_BUDGET = 60_000_000
-_STRIP_ROWS = 64  # rows per strip: build_grid, the grid file's count blocks, variance_profile
+_STRIP_ROWS = 64  # rows per strip: build_grid and the grid file's count blocks
 
 def is_prime_element(alpha: QuadInt) -> bool:
     """Whether the principal ideal generated by alpha is prime."""

@@ -102,6 +102,29 @@ def _exact_sum(chi: np.ndarray, stop: int) -> float:
     return total / (1 << S)
 
 
+# the largest node of numpy's pairwise tree that one np.add.reduce sums; at least 128
+_PAIRWISE_LEAF = 1 << 16
+
+
+def _pairwise_leaves(n: int, lo: int = 0) -> list[tuple[int, int]]:
+    """The nodes (lo, hi) of at most `_PAIRWISE_LEAF` terms, in order, of the
+    tree in which `np.add.reduce` sums n terms of a C-contiguous float64
+    array: above 128 terms a node of n terms splits at n//2 - (n//2) % 8."""
+    if n <= _PAIRWISE_LEAF:
+        return [(lo, lo + n)]
+    n2 = n // 2 - n // 2 % 8
+    return _pairwise_leaves(n2, lo) + _pairwise_leaves(n - n2, lo + n2)
+
+
+def _pairwise(n: int, sums) -> float:
+    """`np.add.reduce` of n terms, bit for bit, from the iterator `sums` of the
+    np.add.reduce of each node of `_pairwise_leaves(n)`, added up its tree."""
+    if n <= _PAIRWISE_LEAF:
+        return float(next(sums))
+    n2 = n // 2 - n // 2 % 8
+    return _pairwise(n2, sums) + _pairwise(n - n2, sums)
+
+
 def _moments(chi: np.ndarray, kmax: int) -> list[int]:
     """The character moments m_k = sum_{0<r<q} chi(r) r^k, k = 1..kmax, as
     exact ints, from the half moments M_j = sum_{0<r<q/2} chi(r) r^j: as
@@ -410,10 +433,13 @@ def _sieve_box(field: FieldSpec, radius: int, cutoff: int) -> np.ndarray:
     pointwise evaluation.  On the rows k1 >= 0 the walk lists one point of
     each +-pair, applied to whichever of eta, -eta lies in the rows k1 > 0,
     or at k2 > 0 on the row k1 = 0, which is then mirrored onto its k2 < 0.
+    An ideal of norm N holds no eta != 0 with |N(eta)| < N, so the walk stops
+    past the norm (1 + |b| + |c|) R^2, which bounds |N| on the box.
     """
     R = radius
     data = _euler_data(field, cutoff)
-    C = R if field.minpoly_omega()[0] else 0  # the column of k2 = 0
+    b, c = field.minpoly_omega()
+    C = R if b else 0  # the column of k2 = 0
     vals = np.full((R + 1, R + 1 + C), data.base, dtype=np.float64)
     # (k1, k2) = (i, j - C) lies in (p, omega - r) when i = r (C - j) mod p
     for r in data.norm2_roots:
@@ -429,8 +455,9 @@ def _sieve_box(field: FieldSpec, radius: int, cutoff: int) -> np.ndarray:
         else:
             for j in range(p):
                 vals[r * (C - j) % p :: p, j::p] *= ratio
+    n_big = int(np.searchsorted(data.norm, (1 + abs(b) + abs(c)) * R * R, "right"))
     flat, ratio, width = vals.reshape(-1), data.ratio_array[n_small:], vals.shape[1]
-    for i, k1, k2 in lattice_half_points(data.bases[:, n_small:], R, quadrant=C == 0):
+    for i, k1, k2 in lattice_half_points(data.bases[:, n_small:n_big], R, quadrant=C == 0):
         idx = k1 * width + (k2 + C)
         # -eta sits at 2C - idx: below row 0, or left of k2 = 0 on it
         np.multiply.at(flat, np.maximum(idx, 2 * C - idx), ratio[i])
@@ -439,23 +466,28 @@ def _sieve_box(field: FieldSpec, radius: int, cutoff: int) -> np.ndarray:
     return vals
 
 
-def _unfold(region: np.ndarray, M: int, out: np.ndarray, ufunc=np.positive, *args) -> np.ndarray:
-    """Write ufunc(S, *args) over the box [-M, M]^2 into `out`, of shape
-    (2M+1, 2M+1) in C order, from the `_sieve_box` region `region` of a
+def _unfold(region: np.ndarray, M: int, out: np.ndarray, ufunc=np.positive, *args,
+            rows: tuple[int, int] | None = None) -> np.ndarray:
+    """Write ufunc(S, *args) over the rows r0..r1-1 of the box [-M, M]^2
+    (k1 = r0 - M .. r1 - 1 - M; by default all 2M+1) into `out`, of shape
+    (r1 - r0, 2M+1) in C order, from the `_sieve_box` region `region` of a
     radius >= M; `np.positive` copies.
 
     The rows k1 >= 0 come from the region, its quadrant mirrored by k2 -> -k2
-    when it is one, and the rows k1 < 0 are the rows k1 > 0 mirrored by
+    when it is one, and a row k1 < 0 is the row -k1 mirrored by
     eta -> -eta.  Every entry is the value at its own point, bit for bit.
     """
     R = region.shape[0] - 1
-    top = out[M:]
-    if region.shape[1] == R + 1:  # the quadrant
-        ufunc(region[: M + 1, : M + 1], *args, out=top[:, M:])
-        ufunc(region[: M + 1, M:0:-1], *args, out=top[:, :M])
-    else:
-        ufunc(region[: M + 1, R - M : R + M + 1], *args, out=top)
-    out[:M] = top[:0:-1, ::-1]
+    r0, r1 = rows or (0, 2 * M + 1)
+    mid = min(max(M, r0), r1)  # the first of the rows k1 >= 0
+    for dst, src, flip in ((out[: mid - r0], region[M - r0 : M - mid : -1], True),
+                           (out[mid - r0 :], region[mid - M : r1 - M], False)):
+        if region.shape[1] == R + 1:  # the quadrant
+            ufunc(src[:, : M + 1], *args, out=dst[:, M:])
+            ufunc(src[:, M:0:-1], *args, out=dst[:, :M])
+        else:
+            cols = src[:, R - M : R + M + 1]
+            ufunc(cols[:, ::-1] if flip else cols, *args, out=dst)
     return out
 
 
@@ -522,16 +554,25 @@ class SmoothedSumResult:
     cutoff: int
 
 
-def _weighted_sum(t: np.ndarray, wq: np.ndarray, M: int) -> float:
-    """Multiply t, over the box [-M, M]^2, in place by the weights wq given on
-    the quadrant k1, k2 >= 0 and mirrored onto the other three, zero the
-    origin, and sum."""
-    t[M:, M:] *= wq
-    t[M:, :M] *= wq[:, :0:-1]
-    t[:M, M:] *= wq[:0:-1, :]
-    t[:M, :M] *= wq[:0:-1, :0:-1]
-    t[M, M] = 0.0  # origin excluded; its NaN must not reach the sum
-    return float(t.sum())
+def _box_sums(region: np.ndarray, wq: np.ndarray, M: int) -> tuple[float, float]:
+    """`np.sum` of (S - 1) w and of |S| w over the box [-M, M]^2, origin zeroed,
+    bit for bit, for S unfolded from `region` and w from its quadrant `wq`.
+    Each node of `_pairwise_leaves` unfolds the box rows it meets, weighs them
+    by the rows `_unfold` makes of `wq` (a quadrant) and sums its own range."""
+    W = 2 * M + 1
+    leaves = _pairwise_leaves(W * W)
+    height = min(W, max(hi - lo for lo, hi in leaves) // W + 2)
+    weights, t, sums = np.empty((height, W)), np.empty((height, W)), []
+    for lo, hi in leaves:
+        r0, r1 = lo // W, (hi - 1) // W + 1
+        w = _unfold(wq, M, weights[: r1 - r0], rows=(r0, r1))
+        for ufunc, *args in ((np.subtract, 1.0), (np.abs,)):
+            x = _unfold(region, M, t[: r1 - r0], ufunc, *args, rows=(r0, r1))
+            x *= w
+            if r0 <= M < r1:
+                x[M - r0, M] = 0.0  # origin excluded; its NaN must not reach the sum
+            sums.append(np.add.reduce(x.reshape(-1)[lo - r0 * W : hi - r0 * W]))
+    return _pairwise(W * W, iter(sums[::2])), _pairwise(W * W, iter(sums[1::2]))
 
 
 def singular_sums_smoothed(
@@ -543,12 +584,10 @@ def singular_sums_smoothed(
     unfolded from the region `_covering_box` keeps for the largest H (every
     entry depends only on its lattice point).  w must be even in each
     coordinate, as both `TestFunction` kinds are, so it is evaluated on one
-    quadrant.  Each H fills one scratch array of its box with S - 1, then
-    with |S|, by `_unfold`, and weighs and sums it in place
-    (`_weighted_sum`).  The array holds the values of the full box in C
-    order and every entry is the same product as over a full mirrored
-    weight grid, so `np.sum` adds the same terms in the same pairwise order:
-    the sums are bit-identical to it.  The boxes of all the H hold at most
+    quadrant.  `_box_sums` weighs and sums a few box rows at a time and adds
+    the partial sums up the pairwise tree of `np.sum` over a full mirrored
+    weight grid's products, so the sums are bit-identical to that `np.sum`
+    with no array of the box.  The boxes of all the H hold at most
     `SMOOTHED_ENTRY_BUDGET` entries.  The reported uncertainty is the
     conservative per-term tail bound; membership and avoidance corrections
     beyond the cutoff cancel on average, so the realized truncation error is
@@ -569,10 +608,8 @@ def singular_sums_smoothed(
     for H, M in zip(Hs, radii):
         k = np.arange(M + 1)
         wq = np.asarray(w.eval(k[:, None] / H, k[None, :] / H), dtype=np.float64)
-        t = _unfold(region, M, np.empty((2 * M + 1, 2 * M + 1)), np.subtract, 1.0)
-        total = _weighted_sum(t, wq, M)
-        uncertainty = _tail_bound(cutoff) * _weighted_sum(_unfold(region, M, t, np.abs), wq, M)
-        results.append(SmoothedSumResult(total, uncertainty, H, cutoff))
+        total, size = _box_sums(region, wq, M)
+        results.append(SmoothedSumResult(total, _tail_bound(cutoff) * size, H, cutoff))
     return results
 
 

@@ -9,11 +9,10 @@ prime-ideal squares hold no prime element, over r_K.  Both samplers average
 exactly, over integer centers or over centers uniform in their cells: a
 box's bounds are constant on at most three pieces of the in-cell offset per
 axis (`Sampler.offsets`), so every average is a weighted sum of prefix-table
-slices (`grid_box_sums`).  Those sums run in strips of center rows, one
-strip per task on a thread pool with one worker per CPU the process may
-use.  The rows do not depend on the order in which the strips finish: their
-counts add up as integers, and V is one mean over one buffer that the
-strips fill.
+slices (`grid_box_sums`).  Those sums run a node of numpy's pairwise tree
+of centers per task on a thread pool with one worker per CPU the process may
+use.  The rows do not depend on the order in which the nodes finish: their
+counts add up as integers, and their sums of squares up that tree.
 
 The rational baselines are exact by the argument of the samplers: for
 integer interval length the window counts are piecewise constant in the
@@ -36,7 +35,7 @@ from .errors import BudgetError, UsageError, brief
 from .fields import FieldSpec
 from .ideals import PRIME_BUDGET, _prime_sieve
 from .primes import PrefixGrid, build_grid, grid_box_sums
-from .singular_series import residue_rk
+from .singular_series import _pairwise, _pairwise_leaves, residue_rk
 
 _SAMPLE_BUDGET = 30_000_000
 
@@ -127,15 +126,16 @@ def variance_profile(
     E and V sum the means over pairs of the sampler's per-axis pieces, times
     the pieces' weights.  Every box sum is a slice of a prefix table, so the
     centers are never materialized; the sample budget still applies.  Each
-    pair is answered in strips of `primes._STRIP_ROWS` center rows, which run
-    on a thread pool with one worker per CPU the process may use, at most one
-    per strip.  Every box of every pair is checked against the grid's extent
-    before any strip runs.  The strips' counts add up to an exact integer
-    total, in any order, and their squared deviations fill disjoint slices of
-    one (2M+1)^2 buffer, shared by all pairs, whose single mean, taken once
-    the pair's strips are done, keeps V's summation order that of one
-    whole-box array.  So the rows are bit for bit the same for any worker
-    count and finishing order.
+    pair is answered in the nodes of at most `singular_series._PAIRWISE_LEAF`
+    centers of the pairwise tree of `np.mean` over the (2M+1)^2 centers
+    (`_pairwise_leaves`), which run on a thread pool with one worker per CPU
+    the process may use, at most one per node.  Every box of every pair is
+    checked against the grid's extent before any node runs.  Each node
+    answers the center rows it meets and returns its centers' integer count
+    and sum of squared deviations.  The counts add up to an exact integer
+    total, in any order, and `_pairwise` adds the sums up the tree, so V is
+    the mean of one whole-box array of squares, bit for bit, with no such
+    array, and the rows are the same for any worker count and finishing order.
     """
     if not math.isfinite(X) or X < 0:
         raise UsageError(f"X must be a finite number >= 0, got {X!r}")
@@ -154,31 +154,32 @@ def variance_profile(
     pairs = [list(product([(w, (lo, hi)) for w, lo, hi in sampler.offsets(X**delta) if lo <= hi],
                           repeat=2)) for delta in deltas]
     for (_, span1), (_, span2) in (pair for ps in pairs for pair in ps):
-        primes.check_box_extent(grid, M, span1, span2)  # before any strip runs
+        primes.check_box_extent(grid, M, span1, span2)  # before any node runs
     n = 2 * M + 1
-    sq = np.empty(n * n)  # one buffer for every pair: a second would be alive while rebinding
-    strips = [(r0, min(r0 + primes._STRIP_ROWS, n)) for r0 in range(0, n, primes._STRIP_ROWS)]
+    leaves = _pairwise_leaves(n * n)
 
-    def strip_total(span1, span2, strip):
-        """Fill the strip's rows of sq; return the strip's integer count."""
-        counts, expected = grid_box_sums(grid, tables, M, span1, span2, strip)
-        expected /= rk
-        np.subtract(counts, expected, out=expected)
-        np.multiply(expected, expected, out=sq[strip[0] * n : strip[1] * n])
-        return int(counts.sum())
+    def leaf_sums(span1, span2, leaf):
+        """The node's integer count and np.add.reduce of squared deviations."""
+        (lo, hi), r0 = leaf, leaf[0] // n
+        strip = grid_box_sums(grid, tables, M, span1, span2, (r0, (hi - 1) // n + 1))
+        counts, dev = (a[lo - r0 * n : hi - r0 * n] for a in strip)
+        dev /= rk
+        np.subtract(counts, dev, out=dev)
+        return int(counts.sum()), np.add.reduce(np.multiply(dev, dev, out=dev))
 
     from concurrent.futures import ThreadPoolExecutor  # lazily: it takes ~7 ms to import
 
     rows = []
-    with ThreadPoolExecutor(min(_cpu_count(), len(strips))) as pool:
+    with ThreadPoolExecutor(min(_cpu_count(), len(leaves))) as pool:
         for delta, delta_pairs in zip(deltas, pairs):
             E = V = 0.0
             for (w1, span1), (w2, span2) in delta_pairs:
-                total = sum(pool.map(partial(strip_total, span1, span2), strips))
+                sums = list(pool.map(partial(leaf_sums, span1, span2), leaves))
                 # integer counts below 2^53 sum exactly in float64, so this is the mean
-                # of the float counts bit for bit; V stays one mean over the whole buffer
+                # of the float counts bit for bit; V is the mean of one whole-box array
+                total = sum(count for count, _ in sums)
                 E += w1 * w2 * float(np.float64(total) / n**2)
-                V += w1 * w2 * float(sq.mean())
+                V += w1 * w2 * (_pairwise(n * n, (sq for _, sq in sums)) / n**2)
             rows.append(VarianceRow(field.spec_string(), X, delta, X**delta, n * n, E, V,
                                     V / E if E else math.nan, 1.0 - delta))
     return rows

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import importlib
 import math
@@ -596,6 +597,38 @@ class TestSievedBox:
             monkeypatch.setattr(singular_series_module, "_STRIDED_FRACTION", fraction)
             assert _sieve_box(F, r, P).tobytes() == want
 
+    @pytest.mark.parametrize("D", [-1, -3, 10, 5, -7])
+    @pytest.mark.parametrize("r", [16, 64])
+    def test_bounded_walk_equals_unbounded(self, D, r, monkeypatch):
+        # the walk stops at the ideals of norm above the box's norm bound; walked
+        # to the end of the table instead (every norm past the strided ideals
+        # flattened to the first, so that no bound cuts the table), it lists
+        # more ideals and sieves the same bytes
+        F, P = make_field(D), 100_000
+        walked = []
+
+        def counted(bases, radius, budget=None, *, quadrant=False):
+            walked.append(bases.shape[1])
+            return walk(bases, radius, budget, quadrant=quadrant)
+
+        walk = singular_series_module.lattice_half_points
+        monkeypatch.setattr(singular_series_module, "lattice_half_points", counted)
+        want = _sieve_box(F, r, P).tobytes()
+        euler_data = singular_series_module._euler_data
+
+        def unbounded(field, cutoff):
+            data = euler_data(field, cutoff)
+            k = int(np.searchsorted(data.norm, (2 * r + 1) // 8, "right"))
+            norm = data.norm.copy()
+            norm[k:] = norm[k]
+            return dataclasses.replace(data, norm=norm)
+
+        monkeypatch.setattr(singular_series_module, "_euler_data", unbounded)
+        assert _sieve_box(F, r, P).tobytes() == want
+        data = euler_data(F, P)
+        assert walked[0] < walked[1] == len(data.norm) - np.searchsorted(
+            data.norm, (2 * r + 1) // 8, "right")
+
     @pytest.mark.parametrize("D", [-7, 10, -5, 17])
     def test_array_pointwise_matches_objects_and_sieve(self, D):
         # the box holds shifts divisible by an inert p (both coordinates)
@@ -788,19 +821,79 @@ class TestBoxCache:
 class TestWeightGrid:
     @pytest.mark.parametrize("kind", [Kind.SQUARE_AUTOCORR, Kind.DISC_AUTOCORR])
     @pytest.mark.parametrize("H", [2.0, 2.5, 37.3, 512.0])
-    def test_mirror_equals_full_box_eval(self, kind, H):
-        # the quadrant weights, mirrored by `_weighted_sum` onto a box of ones, are
-        # the weights evaluated over the full box, zero at the origin
+    def test_mirror_equals_full_box_eval(self, kind, H, monkeypatch):
+        # the leaf path's sums, a few box rows of values at a time times the quadrant
+        # weights mirrored onto them, equal np.sum over the full box of the values
+        # times the weights evaluated over the full box, zero at the origin; for a
+        # quadrant region and a half-box one, with leaves that split box rows
         w = TestFunction(kind)
         M = math.floor(H * w.support_radius)
+        W = 2 * M + 1
         k = np.arange(-M, M + 1)
-        want = np.asarray(w.eval(k[:, None] / H, k[None, :] / H), dtype=np.float64)
-        want[M, M] = 0.0
-        got = np.ones((2 * M + 1, 2 * M + 1))
+        wgrid = np.asarray(w.eval(k[:, None] / H, k[None, :] / H), dtype=np.float64)
         q = k[M:]
-        singular_series_module._weighted_sum(got, w.eval(q[:, None] / H, q[None, :] / H), M)
-        assert got.dtype == want.dtype and got.shape == want.shape
-        assert got.tobytes() == want.tobytes()
+        wq = np.asarray(w.eval(q[:, None] / H, q[None, :] / H), dtype=np.float64)
+        rng = np.random.default_rng(M)
+        for width in (M + 1, 2 * M + 1):
+            region = rng.uniform(-1.0, 3.0, (M + 1, width))
+            region[0, width - M - 1] = np.nan  # the origin
+            values = _unfold(region, M, np.empty((W, W)))
+            want = []
+            for t in (values - 1.0, np.abs(values)):
+                t *= wgrid
+                t[M, M] = 0.0
+                want.append(float(np.sum(t)).hex())
+            for leaf in (max(128, W * W // 300), 1 << 16):
+                monkeypatch.setattr(singular_series_module, "_PAIRWISE_LEAF", leaf)
+                got = singular_series_module._box_sums(region, wq, M)
+                assert [x.hex() for x in got] == want, (width, leaf)
+
+    @pytest.mark.parametrize("width", ["quadrant", "half"])
+    def test_row_ranges_equal_the_whole_box(self, width):
+        M = 9
+        region = np.arange((M + 1) * (M + 1 if width == "quadrant" else 2 * M + 1), dtype=float)
+        region = region.reshape(M + 1, -1)
+        whole = _unfold(region, M, np.empty((2 * M + 1, 2 * M + 1)), np.subtract, 1.0)
+        for r0 in range(2 * M + 1):
+            for r1 in range(r0 + 1, 2 * M + 2):
+                out = np.empty((r1 - r0, 2 * M + 1))
+                got = _unfold(region, M, out, np.subtract, 1.0, rows=(r0, r1))
+                assert got is out and np.array_equal(got, whole[r0:r1]), (r0, r1)
+
+
+class TestPairwise:
+    """`_pairwise` is numpy's float64 summation, bit for bit: a numpy release that sums
+    in another order fails here first."""
+
+    @pytest.mark.parametrize("n", [0, 1, 5, 7, 8, 9, 127, 128, 129, 1001, 65_537,
+                                   2001**2, 2049**2, 4001**2])
+    def test_equals_add_reduce_and_mean(self, n, monkeypatch):
+        rng = np.random.default_rng(n)
+        x = rng.standard_normal(n) * 10.0 ** rng.integers(-8, 9, n)
+        for leaf in (128, 1000, 1 << 16):
+            monkeypatch.setattr(singular_series_module, "_PAIRWISE_LEAF", leaf)
+            leaves = singular_series_module._pairwise_leaves(n)
+            assert [lo for lo, _ in leaves[1:]] == [hi for _, hi in leaves[:-1]]
+            assert leaves[0][0] == 0 and leaves[-1][1] == n
+            got = singular_series_module._pairwise(
+                n, (np.add.reduce(x[lo:hi]) for lo, hi in leaves))
+            assert got.hex() == float(np.add.reduce(x)).hex(), leaf
+            if n:
+                assert (got / n).hex() == float(x.mean()).hex(), leaf
+            m = math.isqrt(n)
+            if m * m == n:
+                assert got.hex() == float(x.reshape(m, m).sum()).hex(), leaf
+
+    @pytest.mark.parametrize("n", [3, 200, 70_000])
+    def test_signed_zeros(self, n, monkeypatch):
+        monkeypatch.setattr(singular_series_module, "_PAIRWISE_LEAF", 128)
+        rng = np.random.default_rng(n)
+        leaves = singular_series_module._pairwise_leaves(n)
+        for x in (np.full(n, -0.0), np.where(rng.random(n) < 0.5, -0.0, 0.0)):
+            got = singular_series_module._pairwise(
+                n, (np.add.reduce(x[lo:hi]) for lo, hi in leaves))
+            assert got.hex() == float(np.add.reduce(x)).hex()
+            assert (got / n).hex() == float(x.mean()).hex()
 
 
 def full_grid_sums(box, w, Hs):
@@ -842,9 +935,9 @@ class TestScratchSums:
 
     @pytest.mark.parametrize("kind", [Kind.SQUARE_AUTOCORR, Kind.DISC_AUTOCORR])
     def test_peak_memory_below_two_boxes(self, kind):
-        # no full weight grid, unfolded box or product temporaries: one
-        # scratch array of the box's size, the quadrant weights and their
-        # transients, against the cached region of the same radius
+        # no full weight grid, unfolded box, scratch array of the box or product
+        # temporaries: the quadrant weights and their transients and a few box rows,
+        # against the cached region of the same radius
         singular_series_module._largest_box = None
         M = 256
         sieved_singular_box(Qi, M, 2000)
@@ -858,7 +951,7 @@ class TestScratchSums:
         finally:
             tracemalloc.stop()
         assert singular_series_module._largest_box is region
-        assert peak < 2 * 8 * (2 * M + 1) ** 2  # two full boxes of float64
+        assert peak < 8 * (2 * M + 1) ** 2  # one full box of float64
 
 
 class TestHeadlineSums:

@@ -101,6 +101,28 @@ class TestEval:
             assert type(got) is type(want) and got.shape == want.shape
             assert got.tobytes() == want.tobytes()
 
+    def test_disc_eval_equals_where_formula_of_hypot(self):
+        # eval reuses its own hypot array as scratch; the bits must be those of the
+        # np.where expression, on (r = 2 exactly) and past the support edge too
+        k = np.arange(0, 41) / 16.0  # 0 .. 2.5, with (2, 0), (0, 2) and (1.25, 1.5625)
+        edge = (np.array([1.2, 2.0, 0.0, 1.6]), np.array([1.6, 0.0, 2.0, np.nextafter(1.2, 2)]))
+        for x1, x2 in ((k[:, None], k[None, :]), edge, (k, 0.5), (0.0, 0.0), (1.2, 1.6),
+                       (3.0, 0.0), (np.nan, 0.0), (np.float32(1.5), np.float32(0.5))):
+            r = np.asarray(np.hypot(x1, x2), dtype=float)
+            rc = np.minimum(r, 2.0)
+            val = 2.0 * np.arccos(rc / 2.0) - (rc / 2.0) * np.sqrt(4.0 - rc * rc)
+            want = np.where(r < 2.0, val, 0.0)
+            got = DISC.eval(x1, x2)
+            assert type(got) is type(want) and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+        assert DISC.eval(1.2, 1.6) == 0.0 and DISC.eval(2.0, 0.0) == 0.0
+
+    def test_disc_radial_leaves_its_argument_alone(self):
+        r = np.array([0.0, 1.0, 2.0, 3.0, np.nan])
+        before = r.tobytes()
+        DISC.eval_radial(r)
+        assert r.tobytes() == before
+
     def test_square_has_no_radial_profile(self):
         with pytest.raises(ValueError, match="disc kind"):
             SQUARE.eval_radial(1.0)

@@ -14,13 +14,12 @@ import pytest
 from hypothesis import assume, given, strategies as st
 
 import quadprimes
-import quadprimes.primes as primes
 import quadprimes.statistics as statistics
 from quadprimes.cli import main
 from quadprimes.errors import BudgetError, ExtentError, UsageError
 from quadprimes.fields import class_group_2_rank, make_field
 from quadprimes.ideals import PRIME_BUDGET
-from quadprimes.primes import box_sums, build_grid
+from quadprimes.primes import box_sums, build_grid, grid_box_sums
 from quadprimes.singular_series import residue_rk
 from quadprimes.statistics import (
     Sampler,
@@ -202,8 +201,9 @@ class TestSlicePath:
 
     def test_sampler_picks_the_path(self, monkeypatch):
         # both samplers slice, no centers: each nonempty pair of pieces in
-        # turn, its strips covering the center rows 0..2M once; the strips of
-        # one pair run on worker threads, so they may arrive in any order
+        # turn, its strips of center rows covering the rows 0..2M, one strip
+        # per pairwise leaf (a row that two leaves share is answered twice);
+        # the strips of one pair run on worker threads, in any order
         calls = []
         grid_box_sums = statistics.grid_box_sums
 
@@ -214,13 +214,15 @@ class TestSlicePath:
         def pairs_covering(n):
             covered = {}  # insertion order: the pairs in order of first appearance
             for rows, cols, (r0, r1) in calls:
-                covered.setdefault((rows, cols), []).extend(range(r0, r1))
-            assert all(sorted(got) == list(range(n)) for got in covered.values())
+                covered.setdefault((rows, cols), []).append((r0, r1))
+            leaves = singular_series._pairwise_leaves(n * n)
+            want = sorted((lo // n, (hi - 1) // n + 1) for lo, hi in leaves)
+            assert len(leaves) > 1 and all(sorted(got) == want for got in covered.values())
             return list(covered)
 
         monkeypatch.setattr(statistics, "grid_box_sums", wrapped)
         monkeypatch.setattr(Sampler, "centers", lambda self, X: pytest.fail("centers built"))
-        monkeypatch.setattr(primes, "_STRIP_ROWS", 7)
+        monkeypatch.setattr(singular_series, "_PAIRWISE_LEAF", 300)
         variance_profile(Qi, 20.0, [0.3, 0.6])
         assert pairs_covering(41) == [((-2, 2), (-2, 2)), ((-6, 6), (-6, 6))]
         calls.clear()
@@ -232,7 +234,8 @@ class TestSlicePath:
 
 
 class TestStrips:
-    """`variance_profile` answers each pair of pieces in strips of center rows."""
+    """`variance_profile` answers each pair of pieces in strips of center rows,
+    one strip for each leaf of the pairwise tree, which may split rows."""
 
     @pytest.mark.parametrize("D", [-1, -3, 10])
     @pytest.mark.parametrize("square_weights", [False, True], ids=ORDER)
@@ -245,8 +248,8 @@ class TestStrips:
             n = 2 * math.floor(X) + 1
             for kind in ("grid", "jitter"):
                 want = variance_profile(F, X, deltas, Sampler(kind), g)
-                for strip in (1, 7, n, n + 5):
-                    monkeypatch.setattr(primes, "_STRIP_ROWS", strip)
+                for leaf in (128, 7 * n + 3, n * n):
+                    monkeypatch.setattr(singular_series, "_PAIRWISE_LEAF", max(128, leaf))
                     assert variance_profile(F, X, deltas, Sampler(kind), g) == want
                 monkeypatch.undo()
         assert any(lo > hi for _, lo, hi in Sampler("jitter").offsets(0.2**0.5))
@@ -261,10 +264,36 @@ class TestStrips:
             monkeypatch.setattr(statistics, "_cpu_count", lambda: 1)
             want = variance_profile(F, X, deltas, Sampler(kind), g)
             monkeypatch.setattr(statistics, "_cpu_count", lambda: workers)
-            for strip in (1, 7, n):
-                monkeypatch.setattr(primes, "_STRIP_ROWS", strip)
+            for leaf in (128, 7 * n + 3, n * n):
+                monkeypatch.setattr(singular_series, "_PAIRWISE_LEAF", leaf)
                 assert variance_profile(F, X, deltas, Sampler(kind), g) == want
             monkeypatch.undo()
+
+    @pytest.mark.parametrize("kind", ["grid", "jitter"])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_leaves_that_split_rows_equal_whole_buffer(self, workers, kind, monkeypatch):
+        # leaves of 128 and 200 centers split the 81 center rows; the rows equal
+        # E and V of one whole-box array of counts and squared deviations per pair
+        F, X, deltas = make_field(-3), 40.0, [0.3, 0.5, 0.9]
+        g = build_grid(F, grid_extent(X, deltas), square_weights=True)
+        n, rk, sampler = 81, _residue(F), Sampler(kind)
+        want = []
+        for delta in deltas:
+            E = V = 0.0
+            pieces = [(w, (lo, hi)) for w, lo, hi in sampler.offsets(X**delta) if lo <= hi]
+            for (w1, span1), (w2, span2) in product(pieces, repeat=2):
+                counts, expected = grid_box_sums(g, [g.prime_count, g.log_weight], 40,
+                                                 span1, span2)
+                dev = counts - expected / rk
+                E += w1 * w2 * float(np.float64(int(counts.sum())) / n**2)
+                V += w1 * w2 * float(np.mean(dev * dev))
+            want.append((E.hex(), V.hex()))
+        monkeypatch.setattr(statistics, "_cpu_count", lambda: workers)
+        for leaf in (128, 200):
+            monkeypatch.setattr(singular_series, "_PAIRWISE_LEAF", leaf)
+            assert len(singular_series._pairwise_leaves(n * n)) > 32
+            rows = variance_profile(F, X, deltas, sampler, g)
+            assert [(r.E.hex(), r.V.hex()) for r in rows] == want
 
     def test_finishing_order_does_not_change_rows(self, monkeypatch):
         # the first strip of every pair finishes last; the workers are joined
@@ -280,7 +309,7 @@ class TestStrips:
 
         monkeypatch.setattr(statistics, "grid_box_sums", late_first)
         monkeypatch.setattr(statistics, "_cpu_count", lambda: 3)
-        monkeypatch.setattr(primes, "_STRIP_ROWS", 7)
+        monkeypatch.setattr(singular_series, "_PAIRWISE_LEAF", 7 * 81)
         threads = threading.active_count()
         assert variance_profile(F, X, deltas, grid=g) == want
         assert threading.active_count() == threads
@@ -307,8 +336,8 @@ class TestStrips:
 
     @pytest.mark.parametrize("square_weights", [False, True], ids=ORDER)
     def test_peak_is_one_buffer(self, square_weights, monkeypatch):
-        # past the prebuilt tables, a call holds one (2M+1)^2 float64 buffer
-        # and, per worker, a few strip-sized temporaries, not whole-box box sums
+        # past the prebuilt tables, a call holds, per worker, a few temporaries
+        # of one leaf's center rows: no (2M+1)^2 buffer and no whole-box box sums
         F, X, deltas = make_field(10), 300.0, [0.3, 0.9]
         n = 2 * 300 + 1
         g = build_grid(F, grid_extent(X, deltas), square_weights=square_weights)
@@ -321,7 +350,9 @@ class TestStrips:
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
-            assert peak <= 8 * n * n + workers * 6 * 8 * primes._STRIP_ROWS * n, workers
+            rows = singular_series._PAIRWISE_LEAF // n + 2
+            assert peak <= workers * 6 * 8 * rows * n, workers
+            assert peak < 8 * n * n, workers
 
 
 class TestJitterIsExact:
