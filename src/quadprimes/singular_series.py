@@ -466,12 +466,11 @@ def _sieve_box(field: FieldSpec, radius: int, cutoff: int) -> np.ndarray:
     return vals
 
 
-def _unfold(region: np.ndarray, M: int, out: np.ndarray, ufunc=np.positive, *args,
+def _unfold(region: np.ndarray, M: int, out: np.ndarray,
             rows: tuple[int, int] | None = None) -> np.ndarray:
-    """Write ufunc(S, *args) over the rows r0..r1-1 of the box [-M, M]^2
-    (k1 = r0 - M .. r1 - 1 - M; by default all 2M+1) into `out`, of shape
-    (r1 - r0, 2M+1) in C order, from the `_sieve_box` region `region` of a
-    radius >= M; `np.positive` copies.
+    """Copy S over the rows r0..r1-1 of the box [-M, M]^2 (k1 = r0 - M ..
+    r1 - 1 - M; by default all 2M+1) into `out`, of shape (r1 - r0, 2M+1) in
+    C order, from the `_sieve_box` region `region` of a radius >= M.
 
     The rows k1 >= 0 come from the region, its quadrant mirrored by k2 -> -k2
     when it is one, and a row k1 < 0 is the row -k1 mirrored by
@@ -483,11 +482,11 @@ def _unfold(region: np.ndarray, M: int, out: np.ndarray, ufunc=np.positive, *arg
     for dst, src, flip in ((out[: mid - r0], region[M - r0 : M - mid : -1], True),
                            (out[mid - r0 :], region[mid - M : r1 - M], False)):
         if region.shape[1] == R + 1:  # the quadrant
-            ufunc(src[:, : M + 1], *args, out=dst[:, M:])
-            ufunc(src[:, M:0:-1], *args, out=dst[:, :M])
+            dst[:, M:] = src[:, : M + 1]
+            dst[:, :M] = src[:, M:0:-1]
         else:
             cols = src[:, R - M : R + M + 1]
-            ufunc(cols[:, ::-1] if flip else cols, *args, out=dst)
+            dst[...] = cols[:, ::-1] if flip else cols
     return out
 
 
@@ -557,17 +556,20 @@ class SmoothedSumResult:
 def _box_sums(region: np.ndarray, wq: np.ndarray, M: int) -> tuple[float, float]:
     """`np.sum` of (S - 1) w and of |S| w over the box [-M, M]^2, origin zeroed,
     bit for bit, for S unfolded from `region` and w from its quadrant `wq`.
-    Each node of `_pairwise_leaves` unfolds the box rows it meets, weighs them
-    by the rows `_unfold` makes of `wq` (a quadrant) and sums its own range."""
+    Each node of `_pairwise_leaves` unfolds the box rows it meets, once for S
+    and once for the rows `_unfold` makes of `wq` (a quadrant), weighs S - 1
+    and |S| on those contiguous rows and sums its own range."""
     W = 2 * M + 1
     leaves = _pairwise_leaves(W * W)
     height = min(W, max(hi - lo for lo, hi in leaves) // W + 2)
-    weights, t, sums = np.empty((height, W)), np.empty((height, W)), []
+    weights, s, t = (np.empty((height, W)) for _ in range(3))
+    sums = []
     for lo, hi in leaves:
         r0, r1 = lo // W, (hi - 1) // W + 1
         w = _unfold(wq, M, weights[: r1 - r0], rows=(r0, r1))
+        S = _unfold(region, M, s[: r1 - r0], rows=(r0, r1))
         for ufunc, *args in ((np.subtract, 1.0), (np.abs,)):
-            x = _unfold(region, M, t[: r1 - r0], ufunc, *args, rows=(r0, r1))
+            x = ufunc(S, *args, out=t[: r1 - r0])
             x *= w
             if r0 <= M < r1:
                 x[M - r0, M] = 0.0  # origin excluded; its NaN must not reach the sum

@@ -1,14 +1,13 @@
-import hashlib
+import argparse
 import importlib.util
 import json
 import math
 import os
-import pathlib
 import re
-import subprocess
-import sys
 import time
+from concurrent.futures import ThreadPoolExecutor
 
+import cli_pins
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -49,21 +48,15 @@ D=-1,29,50,1379.3152,4,1379.31034483
 D=-1,29,50,1379.3152,4,1379.31034483
 """
 
-# sha256 of the stdout of `quadprimes diagnose ARGS`: the lattice walks and the
-# Ramanujan sums behind the identity checks, byte for byte (CI's runtime job
-# pins the same digests)
-DIAGNOSE_SHA256 = [
-    ("smooth-count --field D=-1 --Y 2000 --H 50",
-     "29345489afed8659ab78130fc0dfe488e9bd8a700683a349de87db64471aa94d"),
-    ("smooth-count --field D=-3 --Y 1000 --H 7.5",
-     "5842115f1f61514282d0cc91475ed3894466c2fbb5af888bdb2cc3a5d418de2c"),
-    ("dual-count --field D=-1 --Y 300",
-     "70eaa75a6f22942c25f138d727123713f5a1c08e4ebdfc443dc3c17617c2704c"),
-    ("dual-count --field D=10 --Y 200",
-     "36d55b3bf05ce14e9aaf69409e2bc1168cb8c44e108073392de45cc5f4c63fa5"),
-    ("condensation --field D=5 --Y 200",
-     "790020ef1f3085987f0f5ebb0ec049a17928fe7dd514ec047d88004be232c49f"),
-]
+# the pin table's rows for the lattice walks and the Ramanujan sums behind the
+# identity checks, by their argv after `diagnose`
+DIAGNOSE_SHA256 = [(argv, cli_pins.ROW[f"diagnose {argv}"]) for argv in [
+    "smooth-count --field D=-1 --Y 2000 --H 50",
+    "smooth-count --field D=-3 --Y 1000 --H 7.5",
+    "dual-count --field D=-1 --Y 300",
+    "dual-count --field D=10 --Y 200",
+    "condensation --field D=5 --Y 200",
+]]
 
 
 class TestFieldInfo:
@@ -277,11 +270,9 @@ class TestConfigAndDiagnose:
         assert code == 0
         assert out == SMOOTH_COUNT_D1_Y30_H50
 
-    @pytest.mark.parametrize("argv, digest", DIAGNOSE_SHA256, ids=[a for a, _ in DIAGNOSE_SHA256])
-    def test_diagnose_output_pinned(self, capsys, argv, digest):
-        code, out, _ = run(capsys, "diagnose", *argv.split())
-        assert code == 0
-        assert hashlib.sha256(out.encode()).hexdigest() == digest
+    @pytest.mark.parametrize("argv, row", DIAGNOSE_SHA256, ids=[a for a, _ in DIAGNOSE_SHA256])
+    def test_diagnose_output_pinned(self, argv, row):
+        assert cli_pins.failures(row) == []
 
     def test_diagnose_dual_count_conjugates_agree(self, capsys):
         # the two ideals of norm 5 have mirror-image dual lattices, and each
@@ -291,11 +282,10 @@ class TestConfigAndDiagnose:
         assert out.splitlines().count("D=-1,5,1,20,4") == 2
 
 
-# a child that runs one command line and prints its exit code and its own
-# peak RSS in KiB: VmHWM, the high-water mark of its process image since
-# exec (ru_maxrss carries the spawning process's peak across exec on Linux)
-PEAK_CHILD = ("import sys, quadprimes.cli; code = quadprimes.cli.main(sys.argv[1:]); "
-              "print(code, *[s.split()[1] for s in open('/proc/self/status') if s[:6] == 'VmHWM:'])")
+def budget_exit_row(argv):
+    """A budget exit in a fresh process: exit 3 with one error line, and a peak
+    RSS (VmHWM) under 150 MiB."""
+    return cli_pins.Row(" ".join(argv), code=3, peak_kib=150 * 1024)
 
 
 class TestHostileInputs:
@@ -487,15 +477,9 @@ class TestHostileInputs:
 
     @pytest.mark.parametrize("argv", [argv for argv, code in HOSTILE if code == 3])
     def test_budget_exit_bounds_memory(self, argv):
-        # each budget exit in a fresh process, which reports its own peak:
+        # each budget exit in a fresh process, which reports its own peak (VmHWM):
         # a budget must refuse before the work it bounds allocates
-        src = str(pathlib.Path(cli.__file__).parent.parent)
-        child = subprocess.run([sys.executable, "-c", PEAK_CHILD, *argv], capture_output=True,
-                               text=True, env=dict(os.environ, PYTHONPATH=src))
-        assert child.stderr.startswith("error:") and child.stderr.count("\n") == 1
-        code, peak_kib = map(int, child.stdout.split())
-        assert code == 3
-        assert peak_kib < 150 * 1024
+        assert cli_pins.failures(budget_exit_row(argv)) == []
 
     def test_montgomery_hmax_checked_before_any_row(self, capsys, monkeypatch):
         def summed(H, cutoff):
@@ -508,6 +492,64 @@ class TestHostileInputs:
         # the largest row of 2^21 - 1 is 2^20, inside the prime budget
         monkeypatch.setattr(cli, "montgomery_sum", lambda H, cutoff: 0.0)
         assert run(capsys, "montgomery", "--Hmax", str(2**21 - 1))[0] == 0
+
+
+def command(line):
+    """A command line as the parser reads it, so that two spellings of one command
+    (`--field D=-1` or its default) compare equal; a usage error stays its text."""
+    try:
+        return vars(cli.build_parser().parse_args(line.split()))
+    except UsageError:
+        return line
+
+
+def checks(row):
+    """What a pin-table row checks: all of it but its id, its lines as parsed."""
+    return {**vars(row), "id": None, "lines": [command(line) for line in row.lines]}
+
+
+# the rows that a test above runs already, checking the same: the diagnose digests,
+# and the budget exits that test_budget_exit_bounds_memory bounds
+CHECKED_ABOVE = [checks(row) for _, row in DIAGNOSE_SHA256] + [
+    checks(budget_exit_row(argv)) for argv, code in TestHostileInputs.HOSTILE if code == 3]
+PINNED = [row for row in cli_pins.ROWS if checks(row) not in CHECKED_ABOVE]
+
+
+class TestPinnedOutputs:
+    """The pin table's rows through `cli.main`: the outputs that CI's runtime job
+    checks through the installed entry point."""
+
+    @pytest.fixture(scope="class")
+    def children(self, request):
+        # the selected rows that run in a child process, started together, two at a
+        # time and the largest peak bound first, so that they run while the other rows
+        # run here: row id -> future
+        rows = [item.callspec.params["row"] for item in request.session.items
+                if item.cls is TestPinnedOutputs and item.originalname == "test_row"]
+        rows.sort(key=lambda row: -(row.peak_kib or 0))
+        with ThreadPoolExecutor(2) as pool:
+            yield {row.id: pool.submit(cli_pins.failures, row) for row in rows
+                   if cli_pins.in_child(row) and not cli_pins.skip_reason(row)}
+
+    @pytest.mark.parametrize("row", PINNED, ids=[row.id for row in PINNED])
+    def test_row(self, children, row):
+        if cli_pins.skip_reason(row):
+            pytest.skip(cli_pins.skip_reason(row))
+        found = children[row.id].result() if row.id in children else cli_pins.failures(row)
+        assert found == []
+
+    def test_every_command_has_a_row(self):
+        # each subcommand, or each choice of its positional argument (a `primes`
+        # action, a `diagnose` topic), begins a command line of some row
+        sub = next(a for a in cli.build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        commands = []
+        for name, parser in sub.choices.items():
+            choices = [a.choices for a in parser._actions if not a.option_strings and a.choices]
+            commands += [f"{name} {c}" for c in choices[0]] if choices else [name]
+        lines = [line + " " for row in cli_pins.ROWS for line in row.lines]
+        assert [c for c in commands if not any(s.startswith(c + " ") for s in lines)] == []
+        assert len(cli_pins.ROW) == len(cli_pins.ROWS)  # ids are unique
 
 
 # malformed values for the CLI fuzz, by the kind of option they are given to

@@ -853,11 +853,11 @@ class TestWeightGrid:
         M = 9
         region = np.arange((M + 1) * (M + 1 if width == "quadrant" else 2 * M + 1), dtype=float)
         region = region.reshape(M + 1, -1)
-        whole = _unfold(region, M, np.empty((2 * M + 1, 2 * M + 1)), np.subtract, 1.0)
+        whole = _unfold(region, M, np.empty((2 * M + 1, 2 * M + 1)))
         for r0 in range(2 * M + 1):
             for r1 in range(r0 + 1, 2 * M + 2):
                 out = np.empty((r1 - r0, 2 * M + 1))
-                got = _unfold(region, M, out, np.subtract, 1.0, rows=(r0, r1))
+                got = _unfold(region, M, out, rows=(r0, r1))
                 assert got is out and np.array_equal(got, whole[r0:r1]), (r0, r1)
 
 
