@@ -10,7 +10,6 @@ prints one `error:` line to stderr.
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import math
 import sys
@@ -24,12 +23,13 @@ from .fields import parse_field_spec
 from .ideals import (
     LATTICE_POINT_BUDGET,
     PRIME_BUDGET,
+    IdealLattice,
     condensation_sum,
     dual_lattice_count,
     enumerate_squarefree_ideals,
-    ideal_lattice,
-    ideal_smoothed_count,
+    smoothed_counts,
     squarefree_ideal_levels,
+    squarefree_order,
 )
 from .primes import build_grid, count_primes_box, load_grid, save_grid
 from .singular_series import (
@@ -243,14 +243,16 @@ def cmd_variance_z(args) -> int:
     return 0
 
 
-def _charge(args, field, budget: int, units: str, cost):
-    """BudgetError when the squarefree ideals of norm <= --Y cost more than
-    the budget, before any of them is built: cost(k, norm, c) is the cost of
-    the level of `squarefree_ideal_levels` of k prime factors."""
-    levels = squarefree_ideal_levels(field, args.Y)
-    spent = itertools.accumulate(cost(k, norm, c) for k, (_, _, norm, c) in enumerate(levels))
-    if any(total > budget for total in spent):
-        raise BudgetError(f"--Y {args.Y}: over {budget} {units}")
+def _charge(args, field, budget: int, units: str, cost) -> np.ndarray:
+    """Rows norm, a, b, c (each `ideal_lattice`'s basis) of the squarefree
+    ideals of norm <= --Y, in `enumerate_squarefree_ideals`' order; BudgetError
+    before a level past the budget is built, level k costing cost(k, norm, c)."""
+    levels, spent = [], 0
+    for k, level in enumerate(squarefree_ideal_levels(field, args.Y)):
+        if (spent := spent + cost(k, level[2], level[5])) > budget:
+            raise BudgetError(f"--Y {args.Y}: over {budget} {units}")
+        levels.append(level)
+    return np.concatenate([np.stack(level[2:]) for level in levels], 1)[:, squarefree_order(levels)]
 
 
 def cmd_diagnose(args) -> int:
@@ -263,25 +265,23 @@ def cmd_diagnose(args) -> int:
         radii = (0.2, 0.5, 1.0, 2.0)
         # `dual_lattice_count` walks the rows v = 0 .. floor(r*det) // c, det the norm,
         # of every ideal past the unit ideal
-        _charge(args, field, LATTICE_POINT_BUDGET, "lattice rows", lambda k, norm, c: sum(
+        ideals = _charge(args, field, LATTICE_POINT_BUDGET, "lattice rows", lambda k, norm, c: sum(
             int((np.floor(r * norm).astype(np.int64) // c + 1).sum()) for r in radii) if k else 0)
-        for q in enumerate_squarefree_ideals(field, args.Y)[1:]:
-            lat = ideal_lattice(q)
+        for norm, a, b, c in ideals[:, 1:].T.tolist():
             for r in radii:
-                cnt = dual_lattice_count(lat, r)
-                rows.append((name, q.norm, r, cnt, cnt / (q.norm * r * r)))
+                cnt = dual_lattice_count(IdealLattice(a, b, c), r)
+                rows.append((name, norm, r, cnt, cnt / (norm * r * r)))
         header = ["field", "norm", "r", "count", "normalized"]
     elif args.topic == "smooth-count":
         w = TestFunction(Kind.SQUARE_AUTOCORR)
         # the ideal, and the rows v = 0 .. radius // c that its count walks; a
         # radius over the budget trips on the unit ideal, so it is clipped to fit int64
         radius = min(w.support_box(args.H), _SMOOTH_COUNT_BUDGET)
-        _charge(args, field, _SMOOTH_COUNT_BUDGET, "ideals and lattice rows",
-                lambda k, norm, c: int((2 + radius // c).sum()))
-        for q in enumerate_squarefree_ideals(field, args.Y):
-            cnt = ideal_smoothed_count(q, w, args.H)
-            rows.append((name, q.norm, float(args.H), cnt, w.value_at_zero,
-                         args.H**2 * w.fourier_at_zero / q.norm))
+        norms, a, b, c = _charge(args, field, _SMOOTH_COUNT_BUDGET, "ideals and lattice rows",
+                                 lambda k, norm, c: int((2 + radius // c).sum()))
+        for n, cnt in zip(norms.tolist(), smoothed_counts(np.stack([a, 0 * a, b, c]), w, args.H)):
+            rows.append((name, n, float(args.H), cnt, w.value_at_zero,
+                         args.H**2 * w.fourier_at_zero / n))
         header = ["field", "norm", "H", "count", "w0", "riemann_ref"]
     else:  # condensation, the parser's last choice
         # each of the 49 shifts sums c_d over the 2^k divisors d of c

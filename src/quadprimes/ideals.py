@@ -18,18 +18,18 @@ table of arrays per field and bound that every enumeration reads, and
 `split_prime` splits one prime.
 Squarefree ideals are products of distinct prime ideals and carry their
 Moebius value, totient and norm.  They are built as arrays, one level per
-number of prime factors, each product and its lattice's c from its parent's
-(`squarefree_levels`, `squarefree_ideal_levels`), in the walk order of
-`_walk_positions`, for the enumeration, the mu^2/phi sums and the
-diagnostics' budgets.
+number of prime factors, each product and its lattice's basis from its
+parent's (`squarefree_levels`, `squarefree_ideal_levels`), in the walk order
+of `_walk_positions`, for the enumeration, the mu^2/phi sums and the
+diagnostics.
 Each squarefree ideal also induces a rank-2 sublattice of the coordinate
 lattice, kept in Hermite normal form and built directly by CRT over the
 rational primes below the ideal (`ideal_lattice`).  One enumerator,
 `lattice_half_points`, lists the points of such lattices in a box, one of
 each +-pair, or in a quadrant, in rows clipped to the region: the box sieve
-of the singular series, the smoothed counts and the dual counts all read
-it.  Its rows and points, and the rational sieve's pairs, are walked in
-chunks by `_ranges`.
+of the singular series, the smoothed counts (`smoothed_counts`, every
+lattice's in one walk) and the dual counts all read it.  Its rows and
+points, and the rational sieve's pairs, are walked in chunks by `_ranges`.
 """
 
 from __future__ import annotations
@@ -374,23 +374,26 @@ def _walk_positions(levels: list) -> list[np.ndarray]:
     return positions
 
 
+def squarefree_order(levels: list) -> np.ndarray:
+    """The products on `squarefree_levels` `levels` by norm, then walk order."""
+    return np.lexsort((np.concatenate(_walk_positions(levels)),
+                       np.concatenate([norm for _, _, norm, *_ in levels])))
+
+
 def enumerate_squarefree_ideals(field: FieldSpec, max_norm: int) -> list[SquarefreeIdeal]:
     """All squarefree ideals of norm <= max_norm, the unit ideal included
     when max_norm >= 1, sorted by (norm, the factors' sort keys): each
-    ideal's factors extend its parent's (`squarefree_ideal_levels`), and a
-    stable sort by norm of the walk order (`_walk_positions`), lexicographic
-    in the prime indices, which ascend with the sort keys, is that order."""
+    ideal's factors extend its parent's (`squarefree_ideal_levels`), in
+    `squarefree_order`: by norm, then the prime indices, which sort as the keys."""
     if max_norm < 1:
         return []
     levels = list(squarefree_ideal_levels(field, max_norm))
     primes, factors = enumerate_prime_ideals(field, max_norm), [[()]]
-    for parent, last, _, _ in levels[1:]:
+    for parent, last, *_ in levels[1:]:
         factors.append([factors[-1][k] + (primes[i],)
                         for k, i in zip(parent.tolist(), last.tolist())])
     factors = list(itertools.chain.from_iterable(factors))
-    order = np.lexsort((np.concatenate(_walk_positions(levels)),
-                        np.concatenate([norm for _, _, norm, _ in levels])))
-    return [SquarefreeIdeal(field, factors[i]) for i in order.tolist()]
+    return [SquarefreeIdeal(field, factors[i]) for i in squarefree_order(levels).tolist()]
 
 
 def ramanujan_sum(q: SquarefreeIdeal, eta: QuadInt) -> int:
@@ -458,21 +461,27 @@ def ideal_lattice(q: SquarefreeIdeal) -> IdealLattice:
 
 def squarefree_ideal_levels(field: FieldSpec, max_norm: int):
     """The levels of `squarefree_levels` over `prime_ideal_table(field,
-    max_norm >= 1)` from the unit ideal's, its largest prime -1, each with a
-    fourth array: the c of each `ideal_lattice`.  A child's c is its
-    parent's times p when the child then contains all of pO_K: p is inert,
-    or the child adds the second ideal above a split p and the first,
-    adjacent in the table, is the parent's largest prime.  Only the level
-    before the one built is kept."""
+    max_norm >= 1)` from the unit ideal's, its largest prime -1, each with
+    the basis a, b, c of every `ideal_lattice`, by CRT from its parent's: a
+    child adds (p, omega - r); if it then holds pO_K (p is inert, or it adds
+    the second ideal above a split p whose first, adjacent in the table, is
+    the parent's largest prime), a' = a p (inert) or a, c' = c p and b' = p b
+    mod a', else a' = a p, c' = c and b' = b (mod a), -r c (mod p)."""
     t, unit = prime_ideal_table(field, max_norm), np.ones(1, np.int64)
-    last, c = -unit, unit
+    last, a, b, c = -unit, unit, 0 * unit, unit
     for parent, child, norm in squarefree_levels(t.norm, max_norm, -unit, unit):
         if child[0] >= 0:  # past the unit ideal
-            prev, p = last[parent], t.p[child]
-            whole = (t.root[child] < 0) | ((prev >= 0) & (prev == child - 1) & (t.p[prev] == p))
-            c = c[parent] * np.where(whole, p, 1)
+            prev, p, r = last[parent], t.p[child], t.root[child]
+            a, b, c = a[parent], b[parent], c[parent]
+            second = (prev >= 0) & (prev == child - 1) & (t.p[prev] == p)
+            whole = (r < 0) | second
+            # b + a x = -r c (mod p), 1/a mod p by Fermat: every product is below 2^42
+            x = (-r * c - b) % p * _pow_mod(a % p, p - 2, p) % p
+            a, b, c = (np.where(second, a, a * p), np.where(whole, p * b, b + a * x),
+                       np.where(whole, c * p, c))
+            b %= a  # p b mod a'; b + a x < a p already
         last = child
-        yield parent, last, norm, c
+        yield parent, last, norm, a, b, c
 
 
 def _ranges(count: np.ndarray):
@@ -505,20 +514,21 @@ def lattice_half_points(bases, radius: int, budget: Optional[int] = None, *,
     the exact integer slabs low <= u*x1 + v*x2 <= radius and
     low <= u*y1 + v*y2 <= radius (low = -radius, or 0 for the quadrant), so
     every listed point lies in the region.  The rows, then each row chunk's
-    points, are walked by `_ranges`.  With a `budget`, BudgetError is raised
-    when the half box's rows exceed it, or the points, counted a row chunk at
-    a time as they are walked, cross it: at the first such chunk, before its
-    points are listed, though earlier chunks' points may have been yielded.
+    points, are walked by `_ranges`.  A `budget` is per lattice: BudgetError
+    is raised when a lattice's rows exceed it, or its points, counted a row
+    chunk at a time as they are walked, cross it: at the first such chunk,
+    before its points are listed, though earlier ones may have been yielded.
     """
     x1, y1, x2, y2 = np.asarray(bases, dtype=np.int64).reshape(4, -1)
     cross = x1 * y2 - y1 * x2
     s, det = np.sign(cross), np.abs(cross)
     if budget is not None:
-        rows = sum(radius * (abs(a) + abs(b)) // n + 1
+        rows = max(radius * (abs(a) + abs(b)) // n + 1
                    for a, b, n in zip(x1.tolist(), y1.tolist(), det.tolist()))
         if rows > budget:
             raise BudgetError(f"a walk over {brief(rows)} lattice rows in the box of radius "
                               f"{brief(radius)} exceeds the budget {budget}")
+        spent = np.zeros(det.size)  # each lattice's points so far
     low = 0 if quadrant else -radius
     width = radius - low
 
@@ -529,7 +539,6 @@ def lattice_half_points(bases, radius: int, budget: Optional[int] = None, *,
     first = -((top(-s * x1) + top(s * y1)) // det) if quadrant else np.zeros_like(det)
     n = (top(s * x1) + top(-s * y1)) // det + 1 - first
 
-    total = 0
     for i, k in _ranges(n):
         # row k of lattice i: its v, first u and number of points (0 when
         # none), from the slabs low <= u*c + v*d <= radius, c = x1, y1,
@@ -549,7 +558,7 @@ def lattice_half_points(bases, radius: int, budget: Optional[int] = None, *,
             lo[axis] = np.maximum(lo[axis], 1)
         count = np.maximum(hi - lo + 1, 0)
         del c, d, m, off, free, hi, axis  # not held while the chunk's points are listed
-        if budget is not None and (total := total + int(count.sum())) > budget:
+        if budget is not None and (spent := spent + np.bincount(i, count, det.size)).max() > budget:
             raise BudgetError(f"a walk over more than {budget} lattice points in the box of "
                               f"radius {brief(radius)} exceeds the budget")
         for row, k in _ranges(count):
@@ -577,20 +586,37 @@ def dual_lattice_count(lat: IdealLattice, r: float) -> int:
     return 2 * count
 
 
-def ideal_smoothed_count(q: SquarefreeIdeal, w, H: float) -> float:
-    """Exact finite sum of w(m(eta)/H) over eta in the ideal.
+def smoothed_counts(bases, w, H: float) -> list[float]:
+    """Exact finite sums of w(k/H) over the points k of each lattice with
+    basis (a, 0), (b, c) (`bases` as `lattice_half_points` takes them), from
+    one walk of the scaled support box, under LATTICE_POINT_BUDGET per
+    lattice.  Once the walk has passed a lattice, `np.cumsum` adds its terms
+    t in turn, a piece at a time after the running sum, over t mirrored, w(0)
+    and t: for an even w, a walk of the box by rows k2, each by k1."""
+    bases, w0 = np.asarray(bases).reshape(4, -1), np.full(1, w.eval(0.0, 0.0))
+    sums, pieces, j = np.repeat(w0, bases.shape[1]), [], 0  # w(0) if no point; j's terms
 
-    The ideal lattice's points in the scaled support box are listed one of
-    each +-pair; w is even, so the terms run over the mirrored half, the
-    origin and the half, which is the order of a walk over the whole box by
-    ascending rows k2, each by ascending k1, and `np.cumsum` adds them in
-    turn.  For large ideal norms only eta = 0 survives and the sum is w(0).
-    """
-    lat, radius = ideal_lattice(q), w.support_box(H)
-    half = lattice_half_points([lat.a, 0, lat.b, lat.c], radius, LATTICE_POINT_BUDGET)
-    t = np.concatenate([np.empty(0)] + [w.eval(k1 / H, k2 / H) for _, k1, k2 in half])
-    terms = np.r_[t[::-1], w.eval(0.0, 0.0), t]
-    return float(np.cumsum(terms, out=terms)[-1])
+    def close():  # lattice j's sum
+        s = np.empty(0)
+        for t in [t[::-1] for t in pieces[::-1]] + [w0] + pieces:
+            s = np.cumsum(np.concatenate([s[-1:], t]))
+        return s[-1]
+
+    for i, k1, k2 in lattice_half_points(bases, w.support_box(H), LATTICE_POINT_BUDGET):
+        cut = np.flatnonzero(i[1:] != i[:-1]) + 1  # where the chunk passes to the next lattice
+        for g, t in zip(i[np.r_[0, cut]].tolist(), np.split(w.eval(k1 / H, k2 / H), cut)):
+            if g != j:
+                sums[j], pieces, j = close(), [], g
+            pieces.append(t)
+    sums[j] = close()
+    return sums.tolist()
+
+
+def ideal_smoothed_count(q: SquarefreeIdeal, w, H: float) -> float:
+    """Exact finite sum of w(m(eta)/H) over eta in the ideal, `smoothed_counts`
+    of its lattice.  For large norms only eta = 0 survives: the sum is w(0)."""
+    lat = ideal_lattice(q)
+    return smoothed_counts([lat.a, 0, lat.b, lat.c], w, H)[0]
 
 
 def ideal_smoothed_count_scaled(q: SquarefreeIdeal, H: int) -> int:

@@ -49,28 +49,17 @@ class TestFunction:
         return math.floor(H * self.support_radius)
 
     def eval(self, x1, x2) -> float:
-        """Pointwise value; accepts numpy arrays and broadcasts."""
+        """Pointwise value; accepts numpy arrays and broadcasts.  The disc's,
+        at r = |x|, is 2 arccos(rc/2) - (rc/2) sqrt(4 - rc^2), rc = min(r, 2),
+        for r < 2, else 0, made in this call's own array of r and one more."""
         if self.kind is Kind.SQUARE_AUTOCORR:
             return np.maximum(2.0 - np.abs(x1), 0.0) * np.maximum(2.0 - np.abs(x2), 0.0)
-        r = np.asarray(np.hypot(x1, x2), dtype=float)  # this call's own: the first scratch
-        return _disc_overlap(r, r)
-
-    def eval_radial(self, r):
-        """Overlap area of two unit discs at center distance r (disc kind)."""
-        if self.kind is not Kind.DISC_AUTOCORR:
-            raise ValueError("radial profile only defined for the disc kind")
-        r = np.asarray(r, dtype=float)
-        return _disc_overlap(r, np.empty(r.shape))
-
-
-def _disc_overlap(r: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """2 arccos(rc/2) - (rc/2) sqrt(4 - rc^2), rc = min(r, 2), for r < 2, else
-    0, in the scratch array `a` (r itself, or a new one) and one more."""
-    inside = r < 2.0
-    np.minimum(r, 2.0, out=a)
-    b = np.divide(a, 2.0, out=np.empty(r.shape))
-    np.sqrt(np.subtract(4.0, np.multiply(a, a, out=a), out=a), out=a)
-    np.multiply(b, a, out=a)
-    np.subtract(np.multiply(2.0, np.arccos(b, out=b), out=b), a, out=b)
-    b[~inside] = 0.0
-    return b
+        a = np.asarray(np.hypot(x1, x2), dtype=float)
+        inside = a < 2.0
+        np.minimum(a, 2.0, out=a)
+        b = np.divide(a, 2.0, out=np.empty(a.shape))
+        np.sqrt(np.subtract(4.0, np.multiply(a, a, out=a), out=a), out=a)
+        np.multiply(b, a, out=a)
+        np.subtract(np.multiply(2.0, np.arccos(b, out=b), out=b), a, out=b)
+        b[~inside] = 0.0
+        return b

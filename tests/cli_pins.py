@@ -131,6 +131,16 @@ ROWS = [
         stdout="29345489afed8659ab78130fc0dfe488e9bd8a700683a349de87db64471aa94d"),
     Row("diagnose smooth-count --field D=-3 --Y 1000 --H 7.5",
         stdout="5842115f1f61514282d0cc91475ed3894466c2fbb5af888bdb2cc3a5d418de2c"),
+    # one walk sums every ideal's count: here one lattice over about 11 chunks and 54
+    # small ones, under 10% over the 49,300 KiB of the walks one ideal at a time
+    Row("diagnose smooth-count --field D=-1 --Y 100 --H 300", peak_kib=54230,
+        stdout="b9e11280a1ede667917ef53aea18c43c426438748b81bf1f2e931261aa6b7bb2"),
+    Row("diagnose smooth-count --field D=10 --Y 3000 --H 3.5",
+        stdout="7915825c7a46c6cc93db1d40d002468c2b981e9a6ce40fe91b6aa79516294008"),
+    Row("diagnose smooth-count --field D=-1 --Y 20000 --H 1",
+        stdout="1a24aec22e7faf17dd75bf87509784e8a09f80e50422d626cf242115f0fd1eef"),
+    # the point budget holds for each lattice: the unit lattice alone crosses it
+    Row("diagnose smooth-count --field D=-1 --Y 1 --H 1200", code=3),
     Row("diagnose dual-count --field D=-1 --Y 300",
         stdout="70eaa75a6f22942c25f138d727123713f5a1c08e4ebdfc443dc3c17617c2704c"),
     Row("diagnose dual-count --field D=10 --Y 200",

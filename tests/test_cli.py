@@ -454,7 +454,7 @@ class TestHostileInputs:
 
         def spy(args, field, budget, units, cost):
             levels = squarefree_ideal_levels(field, args.Y)
-            charged.append(sum(cost(k, norm, c) for k, (_, _, norm, c) in enumerate(levels)))
+            charged.append(sum(cost(k, norm, c) for k, (_, _, norm, _, _, c) in enumerate(levels)))
             raise BudgetError("charged")
 
         monkeypatch.setattr(cli, "_charge", spy)

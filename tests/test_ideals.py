@@ -37,6 +37,7 @@ from quadprimes.ideals import (
     lattice_half_points,
     ramanujan_smoothed_sum_scaled,
     ramanujan_sum,
+    smoothed_counts,
     squarefree_ideal_levels,
     _sqrt_mod_array,
     prime_ideal_table,
@@ -365,18 +366,20 @@ class TestSquarefree:
     @pytest.mark.parametrize("Y", [1, 2, 3, 30, 5000])
     def test_levels_match_objects_and_lattices(self, D, Y):
         # each array row, named by the factors along its parent chain, has the
-        # norm and factor count of the enumeration's object and its lattice's c
+        # norm and factor count of the enumeration's object and its lattice's basis
         field = make_field(D)
         primes, rows, factors = enumerate_prime_ideals(field, Y), {}, [()]
-        for k, (parent, last, norm, c) in enumerate(squarefree_ideal_levels(field, Y)):
+        for k, (parent, last, norm, a, b, c) in enumerate(squarefree_ideal_levels(field, Y)):
             if k:
                 factors = [factors[j] + (primes[i],)
                            for j, i in zip(parent.tolist(), last.tolist())]
-            rows.update(zip(factors, zip(norm.tolist(), itertools.repeat(k), c.tolist())))
+            rows.update(zip(factors, zip(norm.tolist(), itertools.repeat(k),
+                                         zip(a.tolist(), b.tolist(), c.tolist()))))
         qs = enumerate_squarefree_ideals(field, Y)
         assert len(rows) == len(qs)
         for q in qs:
-            assert rows[q.factors] == (q.norm, len(q.factors), ideal_lattice(q).c)
+            lat = ideal_lattice(q)
+            assert rows[q.factors] == (q.norm, len(q.factors), (lat.a, lat.b, lat.c))
 
     def test_enumeration_counts(self):
         assert len(enumerate_squarefree_ideals(Qi, 4)) == 2
@@ -701,12 +704,26 @@ class TestSmoothedCounts:
 
     @pytest.mark.parametrize("kind", [Kind.SQUARE_AUTOCORR, Kind.DISC_AUTOCORR])
     @pytest.mark.parametrize("D", [-1, -3, 2, 5, -7, 10])
-    def test_bit_identical_to_scalar_walk(self, kind, D):
+    def test_bit_identical_to_scalar_walk(self, kind, D, monkeypatch):
         w, field = TestFunction(kind), make_field(D)
-        for q in enumerate_squarefree_ideals(field, 60):
-            # 2H = 5.999999999999999 lies just below an integer
-            for H in (2.0, 2.9999999999999996, 3.7, 12.5, 20.0):
-                assert ideal_smoothed_count(q, w, H) == scalar_smoothed_count(q, w, H)
+        qs = enumerate_squarefree_ideals(field, 60)
+        # all the ideals in one walk too, with three large inert ideals, whose
+        # lattices hold no point in any box here, first, in the middle and last
+        inert = [q for q in enumerate_squarefree_ideals(field, 10**4)
+                 if len(q.factors) == 1 and q.factors[0].root is None][-3:]
+        lats = [ideal_lattice(q) for q in inert[:1] + qs[:20] + inert[1:2] + qs[20:] + inert[2:]]
+        bases = [[lat.a for lat in lats], [0] * len(lats), [lat.b for lat in lats],
+                 [lat.c for lat in lats]]
+        w0, default = float(w.eval(0.0, 0.0)).hex(), ideals._CHUNK
+        # 2H = 5.999999999999999 lies just below an integer
+        for H in (2.0, 2.9999999999999996, 3.7, 12.5, 20.0):
+            want = [scalar_smoothed_count(q, w, H).hex() for q in qs]
+            assert [ideal_smoothed_count(q, w, H).hex() for q in qs] == want
+            want = [w0] + want[:20] + [w0] + want[20:] + [w0]
+            # in the small boxes, chunks so short that the lattices straddle them
+            for chunk in (1, 7, default) if H < 4 else (default,):
+                monkeypatch.setattr(ideals, "_CHUNK", chunk)
+                assert [s.hex() for s in smoothed_counts(bases, w, H)] == want
 
     @pytest.mark.parametrize("lat, radius, bound", [
         (IdealLattice(1, 0, 1), 3, 49),
@@ -750,6 +767,28 @@ class TestSmoothedCounts:
             for _, k1, k2 in lattice_half_points([1, 0, 0, 2], 10, 40):
                 listed += zip(k1.tolist(), k2.tolist())
         assert listed == [(u, 0) for u in range(1, 11)] + [(u, 2) for u in range(-10, 11)]
+
+    def test_point_budget_is_per_lattice(self, monkeypatch):
+        # basis (1, 0), (0, 2) at radius 10 holds 10 + 5 * 21 = 115 points: two
+        # copies walk under a budget of 120 that only their sum crosses; so do
+        # two of (20, 0), (0, 1), with 11 rows, the first empty, under 12
+        assert len(half_listing([[1, 1], [0, 0], [0, 0], [2, 2]], 10, 120)) == 230
+        assert len(half_listing([[20, 20], [0, 0], [0, 0], [1, 1]], 10, 12)) == 20
+
+        def listed(bases):
+            out = []
+            with pytest.raises(BudgetError, match="more than 40 lattice points"):
+                for i, k1, k2 in lattice_half_points(bases, 10, 40):
+                    out += zip(i.tolist(), k1.tolist(), k2.tolist())
+            return out
+
+        # one row a chunk: after the 24 points of basis (3, 0), (0, 3), the
+        # second lattice raises at the row where it does alone
+        monkeypatch.setattr(ideals, "_CHUNK", 1)
+        alone, first = listed([1, 0, 0, 2]), half_listing([3, 0, 0, 3], 10)
+        assert len(alone) == 31 and len(first) == 24
+        both = listed([[3, 1], [0, 0], [0, 0], [3, 2]])
+        assert both == first + [(1, k1, k2) for _, k1, k2 in alone]
 
     def test_walk_budget(self, monkeypatch):
         unit = SquarefreeIdeal.unit(Qi)

@@ -48,7 +48,7 @@ def fourier_probe(w: TestFunction, f1: float, f2: float) -> float:
     # Hankel transform: 2*pi * int_0^2 w(r) J0(2 pi r rho) r dr
     n = oscillatory_nodes(2.0, rho)
     r, wgt = gauss_nodes(0.0, 2.0, n)
-    vals = w.eval_radial(r) * j0(2.0 * math.pi * r * rho) * r
+    vals = w.eval(r, 0.0) * j0(2.0 * math.pi * r * rho) * r
     return 2.0 * math.pi * float(np.dot(wgt, vals))
 
 
@@ -89,15 +89,16 @@ class TestEval:
             assert v == w.eval(-x1, -x2)
 
     def test_disc_radial_equals_where_formula(self):
-        # computed in place; the bits must be those of the np.where expression
+        # the radial profile eval(r, 0) for r >= 0; the bits must be those of the
+        # np.where expression
         r = np.concatenate([np.linspace(0.0, 2.5, 2002), [2.0, np.nextafter(2.0, 3.0),
-                                                          7.0, np.inf, np.nan, -0.5]])
-        for x in (r, r.reshape(-1, 8), 2.0, 1.5, np.nan):
+                                                          7.0, np.inf, np.nan]])
+        for x in (r, r.reshape(-1, 9), 2.0, 1.5, np.nan):
             x = np.asarray(x, dtype=float)
             rc = np.minimum(x, 2.0)
             val = 2.0 * np.arccos(rc / 2.0) - (rc / 2.0) * np.sqrt(4.0 - rc * rc)
             want = np.where(x < 2.0, val, 0.0)
-            got = DISC.eval_radial(x)
+            got = DISC.eval(x, 0.0)
             assert type(got) is type(want) and got.shape == want.shape
             assert got.tobytes() == want.tobytes()
 
@@ -120,16 +121,13 @@ class TestEval:
     def test_disc_radial_leaves_its_argument_alone(self):
         r = np.array([0.0, 1.0, 2.0, 3.0, np.nan])
         before = r.tobytes()
-        DISC.eval_radial(r)
+        DISC.eval(r, 0.0)
+        DISC.eval(0.0, r)
         assert r.tobytes() == before
-
-    def test_square_has_no_radial_profile(self):
-        with pytest.raises(ValueError, match="disc kind"):
-            SQUARE.eval_radial(1.0)
 
     def test_disc_radial_monotone(self):
         r = np.linspace(0, 2.2, 500)
-        vals = DISC.eval_radial(r)
+        vals = DISC.eval(r, 0.0)
         assert np.all(np.diff(vals) <= 1e-12)
 
     def test_square_matches_overlap_area(self):
